@@ -8,7 +8,6 @@ baseline strategies.
 """
 
 from .baselines import (
-    StrategyKind,
     balanced_random_select,
     coreset_select,
     entropy_select,
@@ -75,7 +74,6 @@ __all__ = [
     "Selection",
     "SessionPlan",
     "SessionSpec",
-    "StrategyKind",
     "WorldConfig",
     "allocate_budget",
     "balanced_random_select",

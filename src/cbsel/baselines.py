@@ -9,33 +9,12 @@ runs them in rounds with retraining in between, so here they are single-shot.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .errors import BudgetExceedsPool, DegenerateClassifier
 from .features import FeatureStore
 from .learner import PrototypeClassifier, predict_proba_matrix
 from .selection import Selection
-
-
-class StrategyKind(enum.Enum):
-    RANDOM = "random"
-    BALANCED_RANDOM = "balanced_random"
-    ENTROPY = "entropy"
-    MARGIN = "margin"
-    CORESET = "coreset"
-    CBS = "cbs"
-
-    @property
-    def reference_only(self) -> bool:
-        """True when the strategy reads oracle labels and therefore cannot
-        run on a genuinely unlabeled pool."""
-        return self is StrategyKind.BALANCED_RANDOM
-
-    @property
-    def uses_classifier(self) -> bool:
-        return self in (StrategyKind.ENTROPY, StrategyKind.MARGIN)
 
 
 def _check_budget(store: FeatureStore, budget: int) -> None:

@@ -22,17 +22,14 @@ import sys
 import tempfile
 from importlib import metadata
 
-from .config import CONFIG_SCHEMA_VERSION, RunConfig, load_config
-from .baselines import (
-    StrategyKind,
-    balanced_random_select,
-    coreset_select,
-    random_select,
-)
+from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, load_config
 from .datagen import WorldConfig, generate
 from .errors import CbselError, ConfigError
 from .features import load_features, save_features
 from .protocol import (
+    SCORERS,
+    SELECTORS,
+    STRATEGIES,
     Oracle,
     RunReport,
     SessionPlan,
@@ -42,10 +39,6 @@ from .protocol import (
     save_report,
 )
 from .seeding import derive_seed
-from .selection import cbs_select
-
-_STANDALONE_STRATEGIES = ("random", "balanced_random", "coreset", "cbs")
-_ALL_STRATEGIES = tuple(k.value for k in StrategyKind)
 
 
 def _package_version() -> str:
@@ -58,35 +51,16 @@ def _package_version() -> str:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("tunables (override config file and environment)")
     g.add_argument("--config", type=str, default=None, help="JSON config file")
-    g.add_argument("--var-floor", type=float, default=None)
-    g.add_argument("--kmeans-max-iter", type=int, default=None)
-    g.add_argument("--kmeans-tol", type=float, default=None)
-    g.add_argument("--temperature", type=float, default=None)
-    g.add_argument("--alpha", type=float, default=None)
-    g.add_argument("--replay-per-class", type=int, default=None)
-    g.add_argument("--round-size", type=int, default=None)
-    g.add_argument("--brute-force-guard", type=int, default=None)
-    g.add_argument(
-        "--use-unlabeled-distributions",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="pseudo-label the unselected remainder when estimating class Gaussians",
-    )
+    for name, ty in TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if ty is bool:
+            g.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            g.add_argument(flag, type=ty, default=None)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "var_floor": args.var_floor,
-        "kmeans_max_iter": args.kmeans_max_iter,
-        "kmeans_tol": args.kmeans_tol,
-        "temperature": args.temperature,
-        "alpha": args.alpha,
-        "replay_per_class": args.replay_per_class,
-        "round_size": args.round_size,
-        "brute_force_guard": args.brute_force_guard,
-        "use_unlabeled_distributions": args.use_unlabeled_distributions,
-    }
-    return load_config(args.config, overrides)
+    return load_config(args.config, {name: getattr(args, name) for name in TYPES})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="single selection pass over one pool")
     p.add_argument("--features", type=str, required=True)
-    p.add_argument("--strategy", choices=_STANDALONE_STRATEGIES, required=True,
-                   help="entropy and margin need a trained classifier, so they "
+    p.add_argument("--strategy", choices=SELECTORS, required=True,
+                   help=f"{' and '.join(SCORERS)} need a trained classifier, so they "
                         "run only inside `simulate`")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -124,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the full multi-session protocol")
     p.add_argument("--plan", type=str, required=True)
     p.add_argument("--features", type=str, required=True)
-    p.add_argument("--strategy", choices=_ALL_STRATEGIES, required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--budget", type=int, default=None, help="override the plan's budget")
     p.add_argument("--seed", type=int, default=None, help="override the plan's seed")
     p.add_argument("--out", type=str, required=True)
@@ -164,24 +138,9 @@ def _cmd_generate(args) -> int:
 def _cmd_select(args) -> int:
     cfg = _config_from_args(args)
     store = load_features(args.features).l2_normalize()
-    seed = derive_seed(args.seed, "select")
-    if args.strategy == "cbs":
-        if args.num_clusters is None:
-            raise ConfigError("--strategy cbs requires --num-clusters")
-        selection = cbs_select(
-            store, num_classes=args.num_clusters, budget=args.budget, seed=seed,
-            var_floor=cfg.var_floor, kmeans_max_iter=cfg.kmeans_max_iter,
-            kmeans_tol=cfg.kmeans_tol,
-        )
-    elif args.strategy == "random":
-        selection = random_select(store, args.budget, seed)
-    elif args.strategy == "balanced_random":
-        oracle = Oracle.from_store(store)
-        if not oracle.label_map:
-            raise ConfigError("balanced_random needs labels in the features file")
-        selection = balanced_random_select(store, args.budget, seed, oracle)
-    else:
-        selection = coreset_select(store, args.budget, seed)
+    selection = SELECTORS[args.strategy](
+        store, args.budget, derive_seed(args.seed, "select"), args.num_clusters, cfg,
+        Oracle.from_store(store))
     payload = {
         "strategy": args.strategy,
         "budget": args.budget,
@@ -217,7 +176,7 @@ def _cmd_sweep(args) -> int:
     budgets = [int(b) for b in args.budgets.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
     for s in strategies:
-        if s not in _ALL_STRATEGIES:
+        if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
     os.makedirs(args.out_dir, exist_ok=True)
 

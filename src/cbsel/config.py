@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -28,7 +29,6 @@ class RunConfig:
     alpha: float = 0.5               # [0, 1]; weight of the previous prototype in replay blending
     replay_per_class: int = 20       # >= 0; pseudo-features sampled per old class
     round_size: int = 20             # >= 1; labels per uncertainty round
-    brute_force_guard: int = 10**6   # >= 1; max subsets the exhaustive oracle will enumerate
     use_unlabeled_distributions: bool = False
 
     def __post_init__(self):
@@ -46,8 +46,6 @@ class RunConfig:
             raise ConfigError("replay_per_class must be >= 0")
         if self.round_size < 1:
             raise ConfigError("round_size must be >= 1")
-        if self.brute_force_guard < 1:
-            raise ConfigError("brute_force_guard must be >= 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -58,27 +56,18 @@ class RunConfig:
         return dataclasses.replace(self, **clean)
 
 
-_TYPES = {
-    "var_floor": float,
-    "kmeans_max_iter": int,
-    "kmeans_tol": float,
-    "temperature": float,
-    "alpha": float,
-    "replay_per_class": int,
-    "round_size": int,
-    "brute_force_guard": int,
-    "use_unlabeled_distributions": bool,
-}
+# Field name -> type: the schema the config file, environment and CLI share.
+TYPES = typing.get_type_hints(RunConfig)
 
 
 def _check_keys(d: dict) -> None:
-    unknown = sorted(set(d) - set(_TYPES))
+    unknown = sorted(set(d) - set(TYPES))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
 
 
 def _coerce(key: str, raw: str):
-    ty = _TYPES[key]
+    ty = TYPES[key]
     if ty is bool:
         low = raw.strip().lower()
         if low in _TRUE:
@@ -109,7 +98,7 @@ def load_config(path=None, overrides: dict | None = None, env=None) -> RunConfig
         merged.update(file_cfg)
 
     env = os.environ if env is None else env
-    for key in _TYPES:
+    for key in TYPES:
         raw = env.get(ENV_PREFIX + key.upper())
         if raw is not None:
             merged[key] = _coerce(key, raw)

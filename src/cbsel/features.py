@@ -146,15 +146,13 @@ def hidden_labels(store: FeatureStore, consumer: str) -> dict[int, int]:
     }
 
 
-def load_features(path, fmt: str = "csv") -> FeatureStore:
+def load_features(path) -> FeatureStore:
     """Load a feature store from a CSV file.
 
     The header must read ``id,label,f0,...,f{D-1}``. Every row must supply an
     integer id, an optional integer label, and D finite floats. Ids must be
     dense in [0, N). The returned store is un-normalized.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported format {fmt!r}; only 'csv' is implemented")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -42,21 +42,6 @@ class DiagonalGaussian:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "var": [float(v) for v in self.var],
-            "count": int(self.count),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiagonalGaussian":
-        return cls(
-            np.asarray(d["mean"], dtype=np.float64),
-            np.asarray(d["var"], dtype=np.float64),
-            int(d["count"]),
-        )
-
 
 def estimate(vectors, var_floor: float = VAR_FLOOR) -> DiagonalGaussian:
     """Two-pass population estimate: mean = sum/n, var = mean squared deviation.

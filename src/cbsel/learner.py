@@ -9,7 +9,6 @@ argmax tie resolves to the lowest class id.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,28 +233,3 @@ class MemoryBuffer:
 
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted(self.distributions))
-
-    def to_dict(self) -> dict:
-        return {
-            "distributions": {
-                str(c): self.distributions[c].to_dict() for c in sorted(self.distributions)
-            }
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MemoryBuffer":
-        return cls(
-            distributions={
-                int(c): DiagonalGaussian.from_dict(g) for c, g in d["distributions"].items()
-            }
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "MemoryBuffer":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import (
-    StrategyKind,
     balanced_random_select,
     coreset_select,
     entropy_select,
@@ -26,7 +25,7 @@ from .baselines import (
     random_select,
 )
 from .config import RunConfig
-from .errors import CbselError, EmptyTestSet, PlanError, SessionFailure, UnknownId
+from .errors import CbselError, ConfigError, EmptyTestSet, PlanError, SessionFailure, UnknownId
 from .features import FeatureStore, hidden_labels
 from .gaussian import estimate, kl_divergence
 from .learner import (
@@ -224,10 +223,45 @@ def evaluate(clf: PrototypeClassifier, test_store: FeatureStore, oracle: Oracle)
     return float(np.mean(predicted == truth))
 
 
-def run(plan: SessionPlan, strategy, store: FeatureStore, config: RunConfig | None = None) -> RunReport:
+def _cbs(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
+    if num_classes is None:
+        raise ConfigError("cbs needs a cluster count (--num-clusters)")
+    return cbs_select(
+        pool, num_classes=num_classes, budget=budget, seed=seed,
+        var_floor=cfg.var_floor, kmeans_max_iter=cfg.kmeans_max_iter,
+        kmeans_tol=cfg.kmeans_tol,
+    )
+
+
+def _balanced_random(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
+    if not oracle.label_map:
+        raise ConfigError("balanced_random needs labels in the features file")
+    return balanced_random_select(pool, budget, seed, oracle)
+
+
+# The one strategy table. Every entry looks its selector up in this module's
+# namespace at call time, so a name rebound on the module (by a tracer, say)
+# is the one that runs. SELECTORS are single-shot calls
+# (pool, budget, seed, num_classes, cfg, oracle) -> Selection; SCORERS rank a
+# pool with a trained classifier and run in rounds inside the protocol.
+SELECTORS = {
+    "random": lambda pool, budget, seed, *_: random_select(pool, budget, seed),
+    "balanced_random": _balanced_random,
+    "coreset": lambda pool, budget, seed, *_: coreset_select(pool, budget, seed),
+    "cbs": _cbs,
+}
+SCORERS = {
+    "entropy": lambda store, budget, clf: entropy_select(store, budget, clf),
+    "margin": lambda store, budget, clf: margin_select(store, budget, clf),
+}
+STRATEGIES = SELECTORS | SCORERS
+
+
+def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig | None = None) -> RunReport:
     """Execute the full protocol and return per-session metrics plus their mean."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {list(STRATEGIES)}")
     cfg = config if config is not None else RunConfig()
-    kind = StrategyKind(strategy) if not isinstance(strategy, StrategyKind) else strategy
     plan.validate()
     work = store if store.normalized else store.l2_normalize()
     oracle = Oracle.from_store(work)
@@ -235,7 +269,7 @@ def run(plan: SessionPlan, strategy, store: FeatureStore, config: RunConfig | No
     clf = empty_classifier(cfg.temperature)
     buffer = MemoryBuffer()
     report = RunReport(
-        strategy=kind.value,
+        strategy=strategy,
         budget=plan.budget,
         seed=plan.seed,
         use_unlabeled_distributions=cfg.use_unlabeled_distributions,
@@ -248,7 +282,7 @@ def run(plan: SessionPlan, strategy, store: FeatureStore, config: RunConfig | No
     for t, sess in enumerate(plan.sessions, start=1):
         try:
             clf, buffer, sess_report = _run_session(
-                t, sess, plan, kind, cfg, work, oracle, clf, buffer,
+                t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
                 past_test_ids, past_classes,
             )
         except CbselError as exc:
@@ -262,10 +296,16 @@ def run(plan: SessionPlan, strategy, store: FeatureStore, config: RunConfig | No
     return report
 
 
-def _run_session(t, sess, plan, kind, cfg, work, oracle, clf, buffer,
+def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
                  past_test_ids, past_classes):
     pool = work.subset(sess.pool_ids)
-    selection = _select(t, sess, plan, kind, cfg, work, pool, oracle, clf, buffer)
+    if strategy in SCORERS:
+        selection = _select_uncertainty_rounds(
+            t, sess, plan, SCORERS[strategy], cfg, work, pool, oracle, clf, buffer)
+    else:
+        selection = SELECTORS[strategy](
+            pool, plan.budget, derive_seed(plan.seed, "session", t, "select"),
+            len(sess.class_space), cfg, oracle)
     labeled = oracle.labels_for(selection.ids)
 
     clf = train_session(
@@ -279,7 +319,8 @@ def _run_session(t, sess, plan, kind, cfg, work, oracle, clf, buffer,
     discovered = sorted({c for _, c in labeled})
     pseudo: list[tuple[int, int]] = []
     if cfg.use_unlabeled_distributions:
-        remainder = [i for i in sess.pool_ids if i not in set(selection.ids)]
+        chosen = set(selection.ids)
+        remainder = [i for i in sess.pool_ids if i not in chosen]
         if remainder:
             pseudo_map = pseudo_label(clf, work.subset(remainder), discovered)
             pseudo = sorted(pseudo_map.items())
@@ -288,7 +329,8 @@ def _run_session(t, sess, plan, kind, cfg, work, oracle, clf, buffer,
     test_ids = list(past_test_ids) + list(sess.test_ids)
     test_store = work.subset(test_ids)
     accuracy = evaluate(clf, test_store, oracle)
-    new_ids = [i for i in test_ids if oracle.label(i) in set(sess.class_space)]
+    new_classes = set(sess.class_space)
+    new_ids = [i for i in test_ids if oracle.label(i) in new_classes]
     accuracy_new = evaluate(clf, work.subset(new_ids), oracle)
     old_ids = [i for i in test_ids if oracle.label(i) in past_classes]
     accuracy_old = evaluate(clf, work.subset(old_ids), oracle) if old_ids else None
@@ -310,26 +352,7 @@ def _run_session(t, sess, plan, kind, cfg, work, oracle, clf, buffer,
     return clf, buffer, sess_report
 
 
-def _select(t, sess, plan, kind, cfg, work, pool, oracle, clf, buffer) -> Selection:
-    seed = derive_seed(plan.seed, "session", t, "select")
-    if kind is StrategyKind.CBS:
-        return cbs_select(
-            pool, num_classes=len(sess.class_space), budget=plan.budget, seed=seed,
-            var_floor=cfg.var_floor, kmeans_max_iter=cfg.kmeans_max_iter,
-            kmeans_tol=cfg.kmeans_tol,
-        )
-    if kind is StrategyKind.RANDOM:
-        return random_select(pool, plan.budget, seed)
-    if kind is StrategyKind.BALANCED_RANDOM:
-        return balanced_random_select(pool, plan.budget, seed, oracle)
-    if kind is StrategyKind.CORESET:
-        return coreset_select(pool, plan.budget, seed)
-    if kind in (StrategyKind.ENTROPY, StrategyKind.MARGIN):
-        return _select_uncertainty_rounds(t, sess, plan, kind, cfg, work, pool, oracle, clf, buffer)
-    raise ValueError(f"unsupported strategy {kind!r}")
-
-
-def _select_uncertainty_rounds(t, sess, plan, kind, cfg, work, pool, oracle, clf, buffer) -> Selection:
+def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer) -> Selection:
     """Uncertainty strategies run in rounds with retraining in between.
 
     Each round scores the not-yet-selected pool with a classifier rebuilt
@@ -337,7 +360,6 @@ def _select_uncertainty_rounds(t, sess, plan, kind, cfg, work, pool, oracle, clf
     state). Rounds with fewer than two scoreable classes fall back to a
     seeded random pick.
     """
-    score_fn = entropy_select if kind is StrategyKind.ENTROPY else margin_select
     selected: list[int] = []
     labeled_so_far: list[tuple[int, int]] = []
     remaining = [int(i) for i in sess.pool_ids]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cbsel.baselines import (
-    StrategyKind,
     balanced_random_select,
     coreset_select,
     entropy_select,
@@ -202,18 +201,3 @@ class TestCoresetSelect:
         with pytest.raises(BudgetExceedsPool):
             coreset_select(self.line_store(), 4, seed=0)
 
-
-class TestStrategyKind:
-    def test_reference_only_flag(self):
-        assert StrategyKind.BALANCED_RANDOM.reference_only
-        assert not StrategyKind.RANDOM.reference_only
-        assert not StrategyKind.CBS.reference_only
-
-    def test_classifier_flag(self):
-        assert StrategyKind.ENTROPY.uses_classifier
-        assert StrategyKind.MARGIN.uses_classifier
-        assert not StrategyKind.CORESET.uses_classifier
-
-    def test_values_round_trip(self):
-        for kind in StrategyKind:
-            assert StrategyKind(kind.value) is kind

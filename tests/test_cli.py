@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cbsel.cli import main
+from cbsel.cli import _config_from_args, build_parser, main
+from cbsel.config import ENV_PREFIX, RunConfig, load_config
+from cbsel.errors import ConfigError
 from cbsel.datagen import WorldConfig
 from cbsel.features import load_features
 from cbsel.protocol import SessionPlan, load_report, report_to_dict
@@ -275,3 +278,67 @@ class TestReport:
         rc = main(["report", "--in", str(bad)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "JSONDecodeError"
+
+
+# Minimal argv per subcommand that takes tunables; only parsed, never run.
+SUBCOMMAND_ARGV = {
+    "select": ["select", "--features", "f.csv", "--strategy", "random",
+               "--budget", "1", "--seed", "0", "--out", "o.json"],
+    "simulate": ["simulate", "--plan", "p.json", "--features", "f.csv",
+                 "--strategy", "random", "--out", "o.json"],
+    "sweep": ["sweep", "--plan", "p.json", "--features", "f.csv",
+              "--strategies", "random", "--budgets", "1", "--seeds", "0",
+              "--out-dir", "d"],
+}
+
+
+def _changed(field):
+    """A valid value of the field that differs from its default."""
+    if isinstance(field.default, bool):
+        return not field.default
+    if isinstance(field.default, int):
+        return field.default + 1
+    return field.default / 2
+
+
+class TestTunableSchema:
+    """Every RunConfig field reaches the config through every layer."""
+
+    FIELDS = dataclasses.fields(RunConfig)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_config_file(self, field, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({field.name: _changed(field)}))
+        assert getattr(load_config(path, env={}), field.name) == _changed(field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_environment(self, field):
+        env = {ENV_PREFIX + field.name.upper(): str(_changed(field))}
+        assert getattr(load_config(env=env), field.name) == _changed(field)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_flag(self, field, command, monkeypatch):
+        for f in self.FIELDS:
+            monkeypatch.delenv(ENV_PREFIX + f.name.upper(), raising=False)
+        value = _changed(field)
+        flag = "--" + field.name.replace("_", "-")
+        if isinstance(value, bool):
+            extra = [flag] if value else ["--no-" + flag[2:]]
+        else:
+            extra = [flag, str(value)]
+        args = build_parser().parse_args(SUBCOMMAND_ARGV[command] + extra)
+        assert getattr(_config_from_args(args), field.name) == value
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+    def test_removed_guard_flag_rejected(self, command):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(SUBCOMMAND_ARGV[command] + ["--brute-force-guard", "5"])
+        assert err.value.code == 2
+
+    def test_removed_guard_key_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"brute_force_guard": 5}))
+        with pytest.raises(ConfigError):
+            load_config(path, env={})

@@ -16,7 +16,6 @@ class TestRunConfig:
         assert cfg.alpha == 0.5
         assert cfg.replay_per_class == 20
         assert cfg.round_size == 20
-        assert cfg.brute_force_guard == 10**6
         assert cfg.use_unlabeled_distributions is False
 
     @pytest.mark.parametrize("field,value", [
@@ -29,7 +28,6 @@ class TestRunConfig:
         ("alpha", 1.1),
         ("replay_per_class", -1),
         ("round_size", 0),
-        ("brute_force_guard", 0),
     ])
     def test_range_violations(self, field, value):
         with pytest.raises(ConfigError):

@@ -171,6 +171,3 @@ class TestCsvValidation:
         with pytest.raises(ParseError):
             load_features(path)
 
-    def test_unsupported_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_features(tmp_path / "x.bin", fmt="parquet")

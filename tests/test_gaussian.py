@@ -118,15 +118,6 @@ class TestSample:
             sample(gauss([0.0], [1.0]), 0, np.random.default_rng(0))
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        g = gauss([1.5, -0.25], [2.0, 0.125])
-        back = DiagonalGaussian.from_dict(g.to_dict())
-        np.testing.assert_array_equal(back.mean, g.mean)
-        np.testing.assert_array_equal(back.var, g.var)
-        assert back.count == g.count
-
-
 class TestMomentAccumulator:
     def test_matches_two_pass(self):
         rng = np.random.default_rng(1)

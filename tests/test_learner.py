@@ -339,12 +339,3 @@ class TestMemoryBuffer:
         buf.update({1: self.g(1)})
         assert buf.classes() == (0,)
 
-    def test_json_round_trip(self, tmp_path):
-        buf = MemoryBuffer().update({3: self.g(1.5), 1: self.g(-2.0)})
-        path = tmp_path / "buffer.json"
-        buf.save(path)
-        back = MemoryBuffer.load(path)
-        assert back.classes() == (1, 3)
-        np.testing.assert_array_equal(back.distributions[3].mean, buf.distributions[3].mean)
-        np.testing.assert_array_equal(back.distributions[1].var, buf.distributions[1].var)
-        assert back.distributions[1].count == 2

@@ -6,6 +6,7 @@ import pytest
 from cbsel.config import RunConfig
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import (
+    ConfigError,
     EmptyTestSet,
     PlanError,
     SessionFailure,
@@ -303,6 +304,13 @@ class TestRun:
         with pytest.raises(SessionFailure) as err:
             run(plan, "random", store)
         assert err.value.session == 2
+
+    def test_unknown_strategy_is_a_config_error(self):
+        # Raised before the first session: a failure inside one would
+        # surface as SessionFailure instead.
+        store, plan = tiny_world(seed=3)
+        with pytest.raises(ConfigError, match="zestful"):
+            run(plan, "zestful", store)
 
 
 class TestReportSerialization:
