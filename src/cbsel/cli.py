@@ -10,7 +10,6 @@ cell's results.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -112,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", type=str, required=True, help="comma-separated")
     p.add_argument("--seeds", type=str, required=True, help="comma-separated")
     p.add_argument("--out-dir", type=str, required=True)
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=4,
+                   help="accepted for compatibility and ignored: cells run one at a time")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -137,6 +137,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_select(args) -> int:
     cfg = _config_from_args(args)
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
     store = load_features(args.features).l2_normalize()
     selection = SELECTORS[args.strategy](
         store, args.budget, derive_seed(args.seed, "select"), args.num_clusters, cfg,
@@ -173,8 +175,10 @@ def _cmd_sweep(args) -> int:
     store = load_features(args.features)
     work = store if store.normalized else store.l2_normalize()
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    budgets = [int(b) for b in args.budgets.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    budgets = _int_list(args.budgets, "--budgets")
+    seeds = _int_list(args.seeds, "--seeds")
+    if not strategies:
+        raise ConfigError("--strategies names no strategy")
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
@@ -183,28 +187,19 @@ def _cmd_sweep(args) -> int:
     cells = [(s, b, r) for s in strategies for b in budgets for r in seeds]
     results: dict[tuple[str, int, int], RunReport] = {}
     failures: list[dict] = []
-
-    def _one(cell):
-        strategy, budget, seed = cell
-        cell_plan = dataclasses.replace(plan, budget=budget, seed=seed)
-        return run(cell_plan, strategy, work, cfg)
-
-    workers = max(1, min(args.workers, len(cells)))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_one, cell): cell for cell in cells}
-        for fut in concurrent.futures.as_completed(futures):
-            strategy, budget, seed = futures[fut]
-            try:
-                report = fut.result()
-            except Exception as exc:
-                failures.append({
-                    "strategy": strategy, "budget": budget, "seed": seed,
-                    "error": type(exc).__name__, "message": str(exc),
-                })
-                continue
-            results[(strategy, budget, seed)] = report
-            path = os.path.join(args.out_dir, f"report_{strategy}_b{budget}_s{seed}.json")
-            _atomic_write(report_json(report), path)
+    for strategy, budget, seed in cells:
+        try:
+            report = run(dataclasses.replace(plan, budget=budget, seed=seed),
+                         strategy, work, cfg)
+        except Exception as exc:
+            failures.append({
+                "strategy": strategy, "budget": budget, "seed": seed,
+                "error": type(exc).__name__, "message": str(exc),
+            })
+            continue
+        results[(strategy, budget, seed)] = report
+        path = os.path.join(args.out_dir, f"report_{strategy}_b{budget}_s{seed}.json")
+        _atomic_write(report_json(report), path)
 
     _atomic_write(_summary_csv(results), os.path.join(args.out_dir, "summary.csv"))
     if failures:
@@ -218,6 +213,13 @@ def _cmd_sweep(args) -> int:
         return 1
     print(f"all {len(cells)} cells done -> {args.out_dir}")
     return 0
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _summary_csv(results: dict) -> str:

@@ -38,8 +38,8 @@ class FeatureStore:
 
     Freshly loaded or generated stores have ids dense in [0, N). Subsets
     keep the parent's ids so downstream selections always report pool-wide
-    ids. All mutation-style operations return new stores; instances are
-    safe to share across concurrent readers.
+    ids. All mutation-style operations return new stores; the arrays are
+    read-only, so instances are safe to share between readers.
     """
 
     def __init__(

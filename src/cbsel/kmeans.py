@@ -109,26 +109,20 @@ def _dist2_to(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _all_dist2(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x||^2 - 2 x.c + ||c||^2, clipped: rounding can push tiny values below 0
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
-
-
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.argmin(_all_dist2(x, centroids), axis=1)
+    # argmin ||x - c||^2 = argmin ||c||^2 - 2 x.c: the ||x||^2 term is the
+    # same for every centroid of a row.
+    return np.argmin(np.sum(centroids * centroids, axis=1) - 2.0 * x @ centroids.T, axis=1)
 
 
 def _update(x: np.ndarray, assign: np.ndarray, old: np.ndarray, k: int) -> np.ndarray:
+    """Member means in one pass; an empty cluster keeps its old centroid."""
+    counts = np.bincount(assign, minlength=k)
+    sums = np.zeros_like(old)
+    np.add.at(sums, assign, x)
     out = old.copy()
-    for j in range(k):
-        members = assign == j
-        if members.any():
-            out[j] = x[members].mean(axis=0)
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled, None]
     return out
 
 

@@ -107,6 +107,16 @@ class TestSelect:
         assert manifest["error"] == "ConfigError"
         assert "num-clusters" in manifest["message"]
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget_is_a_config_error(self, world, tmp_path, capsys, budget):
+        rc = main(["select", "--features", str(world["features"]),
+                   "--strategy", "random", "--budget", budget, "--seed", "5",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ConfigError"
+        assert "--budget" in manifest["message"]
+
     def test_uncertainty_strategies_rejected(self, world, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["select", "--features", str(world["features"]),
@@ -237,6 +247,23 @@ class TestSweep:
                    "--seeds", "1", "--out-dir", str(tmp_path / "sweep")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("strategies, budgets, seeds, flag", [
+        ("random", "6,x", "1", "--budgets"),
+        ("random", "6", "", "--seeds"),
+        (",", "6", "1", "--strategies"),
+    ])
+    def test_malformed_list_is_a_config_error(self, world, tmp_path, capsys,
+                                              strategies, budgets, seeds, flag):
+        rc = main(["sweep", "--plan", str(world["plan"]),
+                   "--features", str(world["features"]),
+                   "--strategies", strategies, "--budgets", budgets, "--seeds", seeds,
+                   "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ConfigError"
+        assert flag in manifest["message"]
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestReport:

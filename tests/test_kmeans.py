@@ -3,7 +3,7 @@ import pytest
 
 from cbsel.errors import IndexOutOfRange, KTooLarge, NotNormalized
 from cbsel.features import FeatureStore
-from cbsel.kmeans import Clustering, cluster_members, kmeans
+from cbsel.kmeans import Clustering, _assign, _update, cluster_members, kmeans
 
 
 def unit_store(vectors, ids=None):
@@ -86,6 +86,28 @@ class TestSeparatedBlobs:
         got = {frozenset(cluster_members(result, j)) for j in range(3)}
         want = {frozenset(range(0, 30)), frozenset(range(30, 60)), frozenset(range(60, 90))}
         assert got == want
+
+
+class TestLloydStep:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_update_equals_member_means(self, seed):
+        rng = np.random.default_rng(seed)
+        k, d = 6, 9
+        x = rng.standard_normal((200, d))
+        assign = rng.integers(0, k - 1, size=200)  # cluster k-1 stays empty
+        old = rng.standard_normal((k, d))
+        out = _update(x, assign, old, k)
+        for j in range(k - 1):
+            np.testing.assert_array_equal(out[j], x[assign == j].mean(axis=0))
+        np.testing.assert_array_equal(out[k - 1], old[k - 1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_assign_picks_the_nearest_centroid(self, seed):
+        rng = np.random.default_rng(seed)
+        x = blob_store(rng.standard_normal((4, 5)), per_blob=25, sigma=0.3, seed=seed).vectors
+        centroids = x[rng.choice(len(x), size=7, replace=False)]
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(_assign(x, centroids), np.argmin(d2, axis=1))
 
 
 class TestEmptyClusterRepair:
