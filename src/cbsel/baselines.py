@@ -24,17 +24,11 @@ def _check_budget(store: FeatureStore, budget: int) -> None:
         raise BudgetExceedsPool(f"budget {budget} exceeds pool size {len(store)}")
 
 
-def _rows_by_id(store: FeatureStore) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(store.ids, kind="stable")
-    return store.ids[order], store.vectors[order]
-
-
 def random_select(store: FeatureStore, budget: int, seed: int) -> Selection:
     """Uniform sample without replacement."""
     _check_budget(store, budget)
     rng = np.random.default_rng(seed)
-    ids = np.sort(store.ids)
-    picked = rng.choice(ids, size=budget, replace=False)
+    picked = rng.choice(store.ids, size=budget, replace=False)
     return Selection(ids=[int(i) for i in picked])
 
 
@@ -55,13 +49,13 @@ def balanced_random_select(store: FeatureStore, budget: int, seed: int, oracle) 
     picked: list[int] = []
     for rank, c in enumerate(classes):
         quota = base + (1 if rank < rem else 0)
-        members = sorted(i for i, lab in label_of.items() if lab == c)
+        members = [i for i, lab in label_of.items() if lab == c]
         take = min(quota, len(members))
         if take:
             picked.extend(int(v) for v in rng.choice(members, size=take, replace=False))
     shortfall = budget - len(picked)
     if shortfall > 0:
-        leftover = sorted(set(label_of) - set(picked))
+        leftover = np.setdiff1d(store.ids, picked, assume_unique=True)
         picked.extend(int(v) for v in rng.choice(leftover, size=shortfall, replace=False))
     return Selection(ids=picked)
 
@@ -90,8 +84,7 @@ def _uncertainty_scores(store, classifier):
         raise DegenerateClassifier(
             f"uncertainty scoring needs >= 2 classes, classifier has {len(classifier.classes_seen)}"
         )
-    ids, x = _rows_by_id(store)
-    return predict_proba_matrix(classifier, x), ids
+    return predict_proba_matrix(classifier, store.vectors), store.ids
 
 
 def coreset_select(store: FeatureStore, budget: int, seed: int) -> Selection:
@@ -101,7 +94,7 @@ def coreset_select(store: FeatureStore, budget: int, seed: int) -> Selection:
     """
     del seed
     _check_budget(store, budget)
-    ids, x = _rows_by_id(store)
+    ids, x = store.ids, store.vectors
     diff = x - x.mean(axis=0)
     first = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
 

@@ -19,8 +19,8 @@ import os
 import statistics
 import sys
 import tempfile
-from importlib import metadata
 
+from . import __version__
 from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, load_config
 from .datagen import WorldConfig, generate
 from .errors import CbselError, ConfigError
@@ -38,13 +38,6 @@ from .protocol import (
     save_report,
 )
 from .seeding import derive_seed
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("cbsel")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -71,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"cbsel {_package_version()} (config schema v{CONFIG_SCHEMA_VERSION})",
+        version=f"cbsel {__version__} (config schema v{CONFIG_SCHEMA_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

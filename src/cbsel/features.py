@@ -29,17 +29,18 @@ from .errors import (
 NO_LABEL = -1
 _LABEL_CONSUMERS = ("oracle", "metrics")
 
-# Unit-norm tolerance used by the `normalized` flag contract.
-NORM_TOL = 1e-9
-
 
 class FeatureStore:
     """Immutable matrix of D-dimensional feature vectors with stable ids.
 
+    Rows are kept in ascending id order: the constructor reorders vectors,
+    ids and labels together when the given ids are not ascending, so every
+    tie that breaks "toward the lowest id" is decided by row order alone.
     Freshly loaded or generated stores have ids dense in [0, N). Subsets
     keep the parent's ids so downstream selections always report pool-wide
-    ids. All mutation-style operations return new stores; the arrays are
-    read-only, so instances are safe to share between readers.
+    ids. `normalized` is set by `l2_normalize`, `generate` and subsets of a
+    normalized store, and is not re-checked. All mutation-style operations
+    return new stores; the arrays are read-only.
     """
 
     def __init__(
@@ -61,18 +62,21 @@ class FeatureStore:
             ids = np.asarray(ids, dtype=np.int64)
         if ids.shape != (n,):
             raise DimensionMismatch("ids length does not match the number of rows")
-        if len(set(ids.tolist())) != n:
-            raise ParseError("duplicate ids in feature store")
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape != (n,):
                 raise DimensionMismatch("labels length does not match the number of rows")
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            vectors, ids = vectors[order], ids[order]
+            labels = None if labels is None else labels[order]
+        if np.any(ids[1:] == ids[:-1]):
+            raise ParseError("duplicate ids in feature store")
         self.dim = int(vectors.shape[1])
         self.vectors = vectors
         self.ids = ids
         self.normalized = bool(normalized)
         self._labels = labels
-        self._row_of = {int(i): r for r, i in enumerate(ids)}
         self.vectors.setflags(write=False)
         self.ids.setflags(write=False)
         if self._labels is not None:
@@ -85,31 +89,36 @@ class FeatureStore:
     def has_labels(self) -> bool:
         return self._labels is not None
 
-    def row_of(self, row_id: int) -> int:
-        try:
-            return self._row_of[int(row_id)]
-        except KeyError:
-            raise UnknownId(int(row_id)) from None
+    def _rows(self, ids) -> np.ndarray:
+        """Row of each id, in the given order; UnknownId names the first absent id."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = self.ids.searchsorted(ids)
+        if len(self) == 0:
+            absent = np.ones(ids.shape, dtype=bool)
+        else:
+            absent = self.ids.take(rows, mode="clip") != ids
+        if absent.any():
+            raise UnknownId(int(ids[absent.argmax()]))
+        return rows
 
     def vector(self, row_id: int) -> np.ndarray:
-        return self.vectors[self.row_of(row_id)]
+        return self.vectors[self._rows([row_id])[0]]
 
     def vectors_for(self, ids) -> np.ndarray:
-        rows = [self.row_of(i) for i in ids]
-        return self.vectors[rows]
+        """Vectors of `ids`, in the given order."""
+        return self.vectors[self._rows(ids)]
 
     def subset(self, ids) -> "FeatureStore":
-        """New store holding exactly `ids`, in the given order.
+        """New store holding exactly `ids`, as rows in ascending id order.
 
         Vectors are carried over bit-exactly; ids and hidden labels are
-        preserved from the parent.
+        preserved from the parent. A repeated id raises ParseError.
         """
-        rows = [self.row_of(i) for i in ids]
-        labels = self._labels[rows] if self._labels is not None else None
+        rows = np.sort(self._rows(ids))
         return FeatureStore(
-            self.vectors[rows].copy(),
-            ids=np.asarray([int(i) for i in ids], dtype=np.int64),
-            labels=labels,
+            self.vectors[rows],
+            ids=self.ids[rows],
+            labels=None if self._labels is None else self._labels[rows],
             normalized=self.normalized,
         )
 

@@ -82,8 +82,7 @@ def cluster_members(clustering: Clustering, j: int) -> list[int]:
     """Ids assigned to cluster j, in ascending id order."""
     if not 0 <= j < clustering.k:
         raise IndexOutOfRange(f"cluster index {j} out of [0, {clustering.k})")
-    members = clustering.ids[clustering.assignments == j]
-    return sorted(int(i) for i in members)
+    return clustering.ids[clustering.assignments == j].tolist()
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,7 +27,7 @@ from .baselines import (
 from .config import RunConfig
 from .errors import CbselError, ConfigError, EmptyTestSet, PlanError, SessionFailure, UnknownId
 from .features import FeatureStore, hidden_labels
-from .gaussian import estimate, kl_divergence
+from .gaussian import VAR_FLOOR, estimate, kl_divergence
 from .learner import (
     MemoryBuffer,
     PrototypeClassifier,
@@ -195,21 +195,20 @@ def discovery_ratio(per_class_counts) -> float:
 
 
 def selected_vs_full_kl(selected_ids, pool_store: FeatureStore, oracle: Oracle,
-                        var_floor: float | None = None) -> dict[int, float]:
+                        var_floor: float = VAR_FLOOR) -> dict[int, float]:
     """Per class: KL from the full-pool class Gaussian to the selected-subset
     class Gaussian. Classes with no selected sample are omitted."""
-    kwargs = {} if var_floor is None else {"var_floor": var_floor}
     chosen = {int(i) for i in selected_ids}
     by_class: dict[int, list[int]] = {}
-    for i in sorted(int(v) for v in pool_store.ids):
+    for i in pool_store.ids.tolist():
         by_class.setdefault(oracle.label(i), []).append(i)
     out: dict[int, float] = {}
     for c in sorted(by_class):
         sel = [i for i in by_class[c] if i in chosen]
         if not sel:
             continue
-        full_g = estimate(pool_store.vectors_for(by_class[c]), **kwargs)
-        sel_g = estimate(pool_store.vectors_for(sel), **kwargs)
+        full_g = estimate(pool_store.vectors_for(by_class[c]), var_floor)
+        sel_g = estimate(pool_store.vectors_for(sel), var_floor)
         out[c] = float(kl_divergence(full_g, sel_g))
     return out
 

@@ -78,9 +78,7 @@ def greedy_select_cluster(
     n = len(members)
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} must be in [1, {n}]")
-    order = np.argsort(members.ids, kind="stable")
-    ids = members.ids[order]
-    x = members.vectors[order]
+    ids, x = members.ids, members.vectors
 
     ref = estimate(x, var_floor)
     d2 = np.einsum("ij,ij->i", x - ref.mean, x - ref.mean)
@@ -127,9 +125,7 @@ def brute_force_select(
         raise CombinatorialGuard(
             f"C({n},{k}) = {math.comb(n, k)} subsets exceeds the guard of {guard}"
         )
-    order = np.argsort(members.ids, kind="stable")
-    ids = members.ids[order]
-    x = members.vectors[order]
+    ids, x = members.ids, members.vectors
     ref = estimate(x, var_floor)
 
     best_rows: tuple[int, ...] | None = None

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import cbsel
 from cbsel.cli import _config_from_args, build_parser, main
 from cbsel.config import ENV_PREFIX, RunConfig, load_config
 from cbsel.errors import ConfigError
@@ -38,6 +39,13 @@ class TestEntryPoints:
         out = capsys.readouterr().out
         assert "cbsel" in out
         assert "config schema v1" in out
+
+    def test_version_is_the_package_version(self, capsys):
+        # A source checkout has no installed metadata; the version comes
+        # from the package itself.
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.startswith(f"cbsel {cbsel.__version__} ")
 
     def test_module_execution(self):
         proc = subprocess.run([sys.executable, "-m", "cbsel", "--version"],

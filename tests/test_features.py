@@ -42,6 +42,14 @@ class TestConstruction:
         with pytest.raises(ParseError):
             FeatureStore(np.eye(2), ids=[5, 5])
 
+    def test_rows_follow_ascending_ids(self):
+        vecs = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        store = FeatureStore(vecs, ids=[30, 10, 20], labels=[3, 1, 2])
+        np.testing.assert_array_equal(store.ids, [10, 20, 30])
+        np.testing.assert_array_equal(store.vectors[:, 0], [1.0, 2.0, 3.0])
+        assert hidden_labels(store, "metrics") == {10: 1, 20: 2, 30: 3}
+        np.testing.assert_array_equal(store.vectors_for([30, 10]), [[3.0, 0.0], [1.0, 0.0]])
+
     def test_vectors_are_read_only(self):
         store = small_store()
         with pytest.raises(ValueError):
@@ -67,9 +75,18 @@ class TestSubset:
     def test_keeps_parent_ids_and_labels(self):
         store = small_store()
         sub = store.subset([2, 0])
-        np.testing.assert_array_equal(sub.ids, [2, 0])
-        np.testing.assert_array_equal(sub.vectors, [[3.0, 4.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(sub.ids, [0, 2])
+        np.testing.assert_array_equal(sub.vectors, [[1.0, 0.0], [3.0, 4.0]])
         assert hidden_labels(sub, "metrics") == {2: 1, 0: 0}
+
+    def test_repeated_id_is_rejected(self):
+        with pytest.raises(ParseError):
+            small_store().subset([1, 1])
+
+    def test_names_the_first_absent_id(self):
+        with pytest.raises(UnknownId) as err:
+            FeatureStore(np.eye(3), ids=[10, 20, 30]).subset([20, 25, 5, 99])
+        assert err.value.row_id == 25
 
     def test_vectors_bit_exact(self):
         store = small_store().l2_normalize()

@@ -15,6 +15,7 @@ from cbsel.errors import (
 from cbsel.features import FeatureStore
 from cbsel.learner import PrototypeClassifier
 from cbsel.protocol import (
+    STRATEGIES,
     Oracle,
     SessionPlan,
     SessionSpec,
@@ -22,6 +23,7 @@ from cbsel.protocol import (
     evaluate,
     imbalance_ratio,
     report_from_dict,
+    report_json,
     report_to_dict,
     run,
     selected_vs_full_kl,
@@ -311,6 +313,23 @@ class TestRun:
         store, plan = tiny_world(seed=3)
         with pytest.raises(ConfigError, match="zestful"):
             run(plan, "zestful", store)
+
+
+class TestListingOrder:
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_reversed_plan_ids_give_the_same_report(self, strategy):
+        # The store keeps rows in id order, so how a plan lists its pool and
+        # test ids must not reach k-means, the tie-breaks or the metrics.
+        store, plan = tiny_world(seed=11, separation=2.0, pool_per_class=30)
+        reversed_plan = SessionPlan(
+            sessions=tuple(
+                spec(s.class_space, s.pool_ids[::-1], s.test_ids[::-1]) for s in plan.sessions
+            ),
+            budget=plan.budget, seed=plan.seed,
+        )
+        cfg = RunConfig(use_unlabeled_distributions=True)
+        assert report_json(run(reversed_plan, strategy, store, cfg), include_timestamp=False) == \
+            report_json(run(plan, strategy, store, cfg), include_timestamp=False)
 
 
 class TestReportSerialization:
