@@ -1,17 +1,23 @@
 """Run configuration: every tunable with its documented range, merged from
 defaults, then a JSON config file, then CBSEL_* environment variables, then
 explicit flag overrides. Unknown keys are rejected rather than ignored.
+`from_json` and `to_json` read and write the config, world, plan and report files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
+import types
 import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .gaussian import VAR_FLOOR
+from .kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .learner import DEFAULT_ALPHA, DEFAULT_REPLAY_PER_CLASS, DEFAULT_TEMPERATURE
 
 CONFIG_SCHEMA_VERSION = 1
 ENV_PREFIX = "CBSEL_"
@@ -22,13 +28,13 @@ _FALSE = {"0", "false", "no", "off"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    var_floor: float = 1e-6          # > 0; minimum per-dimension variance
-    kmeans_max_iter: int = 100       # >= 1
-    kmeans_tol: float = 1e-4         # > 0; max centroid displacement to converge
-    temperature: float = 0.07        # > 0; cosine-softmax temperature
-    alpha: float = 0.5               # [0, 1]; weight of the previous prototype in replay blending
-    replay_per_class: int = 20       # >= 0; pseudo-features sampled per old class
-    round_size: int = 20             # >= 1; labels per uncertainty round
+    var_floor: float = VAR_FLOOR                      # > 0; minimum per-dimension variance
+    kmeans_max_iter: int = DEFAULT_MAX_ITER           # >= 1
+    kmeans_tol: float = DEFAULT_TOL                   # > 0; max centroid displacement to converge
+    temperature: float = DEFAULT_TEMPERATURE          # > 0; cosine-softmax temperature
+    alpha: float = DEFAULT_ALPHA                      # [0, 1]; weight of the previous prototype in replay blending
+    replay_per_class: int = DEFAULT_REPLAY_PER_CLASS  # >= 0; pseudo-features sampled per old class
+    round_size: int = 20                              # >= 1; labels per uncertainty round
     use_unlabeled_distributions: bool = False
 
     def __post_init__(self):
@@ -52,18 +58,79 @@ class RunConfig:
 
     def replace(self, **overrides) -> "RunConfig":
         clean = {k: v for k, v in overrides.items() if v is not None}
-        _check_keys(clean)
-        return dataclasses.replace(self, **clean)
+        return from_json(RunConfig, self.to_dict() | clean, ConfigError)
 
 
 # Field name -> type: the schema the config file, environment and CLI share.
 TYPES = typing.get_type_hints(RunConfig)
 
 
-def _check_keys(d: dict) -> None:
-    unknown = sorted(set(d) - set(TYPES))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
+def from_json(cls, obj, error: type[Exception]):
+    """Build dataclass `cls` from the parsed JSON value `obj`, or raise `error`
+    naming the class and key path when `obj` is not an object, has an unknown
+    key, lacks a field without a default, or holds a value unlike the field's
+    type hint: int (not bool), float (ints widen), bool, str, `X | None`,
+    `list[X]`, `tuple[X, ...]`, `dict[int, X]` (string keys) or a dataclass."""
+    return cls(**_fields(cls, obj, cls.__name__, error))
+
+
+def to_json(obj) -> dict:
+    """Shallow dict of a dataclass's fields, dict keys made strings as in JSON;
+    nested dataclasses are left to the caller."""
+    out = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {k: {str(c): x for c, x in v.items()} if type(v) is dict else v for k, v in out.items()}
+
+
+@functools.cache
+def _shape(hint) -> tuple:
+    """(origin, args, fields) of a type hint, resolved once. `fields` maps a
+    dataclass's field names to (hint, required) and is None for other hints."""
+    if not dataclasses.is_dataclass(hint):
+        return typing.get_origin(hint), typing.get_args(hint), None
+    hints = typing.get_type_hints(hint)
+    return None, (), {f.name: (hints[f.name], f.default is dataclasses.MISSING
+                                 and f.default_factory is dataclasses.MISSING)
+                      for f in dataclasses.fields(hint)}
+
+
+def _fields(cls, obj, where: str, error) -> dict:
+    if type(obj) is not dict:
+        raise error(f"{where}: expected dict, got {type(obj).__name__}")
+    fields = _shape(cls)[2]
+    unknown = sorted(obj.keys() - fields.keys())
+    missing = [name for name, (_, required) in fields.items() if required and name not in obj]
+    if unknown or missing:
+        raise error(f"{where}: unknown keys {unknown}" if unknown else
+                    f"{where}: missing key {missing[0]!r}")
+    return {name: _read(fields[name][0], v, f"{where}.{name}", error) for name, v in obj.items()}
+
+
+# JSON value types that a hint (or its origin) accepts besides itself.
+_ACCEPTED = {list: (list, tuple), tuple: (list, tuple), float: (float, int)}
+
+
+def _read(hint, v, where: str, error):
+    origin, args, fields = _shape(hint)
+    if fields is not None:
+        return hint(**_fields(hint, v, where, error))
+    if origin is types.UnionType:  # X | None
+        return None if v is None else _read(args[0], v, where, error)
+    accepted = _ACCEPTED.get(origin or hint, (origin or hint,))
+    if type(v) not in accepted:
+        raise error(f"{where}: expected {accepted[0].__name__}, got {type(v).__name__}")
+    if origin is dict:  # dict[int, X]
+        try:
+            keys = list(map(int, v))
+        except ValueError:
+            raise error(f"{where}: expected integer keys, got {sorted(v)}") from None
+        if set(map(type, v.values())) <= {args[1]}:
+            return dict(zip(keys, v.values()))
+        return {k: _read(args[1], x, f"{where}[{k}]", error) for k, x in zip(keys, v.values())}
+    if origin is not None:  # list[X] or tuple[X, ...]
+        if set(map(type, v)) <= {args[0]}:  # one pass when no item needs a conversion
+            return origin(v)
+        return origin(_read(args[0], x, f"{where}[{i}]", error) for i, x in enumerate(v))
+    return hint(v)
 
 
 def _coerce(key: str, raw: str):
@@ -84,7 +151,8 @@ def _coerce(key: str, raw: str):
 def load_config(path=None, overrides: dict | None = None, env=None) -> RunConfig:
     """Defaults, then the JSON file at `path`, then CBSEL_* env vars, then
     `overrides` (None values skipped). Raises ConfigError on unknown keys,
-    unparsable values, or out-of-range results."""
+    wrong-typed or unparsable values, or out-of-range results; ranges are
+    checked once, on the merged config."""
     merged: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -92,10 +160,7 @@ def load_config(path=None, overrides: dict | None = None, env=None) -> RunConfig
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {path} must contain a JSON object")
-        _check_keys(file_cfg)
-        merged.update(file_cfg)
+        merged.update(_fields(RunConfig, file_cfg, "RunConfig", ConfigError))
 
     env = os.environ if env is None else env
     for key in TYPES:
@@ -104,9 +169,5 @@ def load_config(path=None, overrides: dict | None = None, env=None) -> RunConfig
             merged[key] = _coerce(key, raw)
 
     if overrides:
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        _check_keys(clean)
-        merged.update(clean)
-
-    _check_keys(merged)
-    return RunConfig(**merged)
+        merged.update((k, v) for k, v in overrides.items() if v is not None)
+    return from_json(RunConfig, merged, ConfigError)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import from_json
 from .errors import ConfigError, InfeasibleSeparation
 from .features import FeatureStore
 from .protocol import SessionPlan, SessionSpec
@@ -58,11 +59,7 @@ class WorldConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorldConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown world config keys: {unknown}")
-        return cls(**d)
+        return from_json(cls, d, ConfigError)
 
     @classmethod
     def load(cls, path) -> "WorldConfig":
@@ -155,7 +152,7 @@ def generate(config: WorldConfig) -> tuple[FeatureStore, SessionPlan]:
             labels.extend([c] * config.test_per_class)
             test_ids.extend(range(next_id, next_id + config.test_per_class))
             next_id += config.test_per_class
-        sessions.append(SessionSpec.make(class_ids, pool_ids, test_ids))
+        sessions.append(SessionSpec(tuple(class_ids), tuple(pool_ids), tuple(test_ids)))
 
     store = FeatureStore(np.vstack(vec_blocks), labels=labels, normalized=True)
     plan = SessionPlan(

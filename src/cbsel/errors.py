@@ -46,6 +46,12 @@ class UnknownId(CbselError):
         super().__init__(f"id {row_id} is not present in the store")
 
 
+class UnlabeledId(CbselError):
+    def __init__(self, row_id: int):
+        self.row_id = row_id
+        super().__init__(f"id {row_id} has no label")
+
+
 class HiddenLabelAccess(CbselError):
     """Hidden labels were requested by a component that must not see them."""
 

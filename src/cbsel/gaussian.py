@@ -58,6 +58,15 @@ def estimate(vectors, var_floor: float = VAR_FLOOR) -> DiagonalGaussian:
     return DiagonalGaussian(mean, var, arr.shape[0])
 
 
+def estimate_per_class(vectors: np.ndarray, labels: np.ndarray,
+                       var_floor: float = VAR_FLOOR) -> dict[int, DiagonalGaussian]:
+    """`estimate` over each label's rows, in their order in `vectors`; keys ascending."""
+    order = np.argsort(labels, kind="stable")
+    classes, starts = np.unique(labels[order], return_index=True)
+    return {c: estimate(vectors[rows], var_floor)
+            for c, rows in zip(classes.tolist(), np.split(order, starts[1:]))}
+
+
 def kl_divergence(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
     """KL divergence between diagonal Gaussians, reference first.
 

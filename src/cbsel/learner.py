@@ -23,7 +23,7 @@ from .errors import (
     ZeroVector,
 )
 from .features import FeatureStore
-from .gaussian import DiagonalGaussian, estimate, sample
+from .gaussian import VAR_FLOOR, DiagonalGaussian, estimate_per_class, sample
 from .seeding import derive_rng
 
 DEFAULT_TEMPERATURE = 0.07
@@ -126,31 +126,28 @@ def pseudo_label(clf: PrototypeClassifier, store: FeatureStore, allowed) -> dict
 
 
 def estimate_class_distributions(
-    labeled, pseudo, store: FeatureStore, classes
+    labeled, pseudo, store: FeatureStore, classes, var_floor: float = VAR_FLOOR
 ) -> dict[int, DiagonalGaussian]:
-    """Per-class Gaussian over the union of labeled and pseudo-labeled rows.
+    """Per-class Gaussian over the union of labeled and pseudo-labeled rows,
+    each class estimated from its ids in ascending order.
 
     When an id carries both a true and a pseudo label, the true label wins.
     A class in `classes` with no member at all raises EmptyClass; with the
     pseudo set empty this reduces bit-exactly to labeled-only estimation.
     """
-    classes = sorted(int(c) for c in set(classes))
     label_of: dict[int, int] = {}
     for i, c in pseudo:
         label_of[int(i)] = int(c)
     for i, c in labeled:
         label_of[int(i)] = int(c)
-
-    members: dict[int, list[int]] = {c: [] for c in classes}
-    for i in sorted(label_of):
-        c = label_of[i]
-        if c in members:
-            members[c].append(i)
+    ids = sorted(label_of)
+    by_class = estimate_per_class(
+        store.vectors_for(ids), np.array([label_of[i] for i in ids], dtype=np.int64), var_floor)
     out: dict[int, DiagonalGaussian] = {}
-    for c in classes:
-        if not members[c]:
+    for c in sorted(int(c) for c in set(classes)):
+        if c not in by_class:
             raise EmptyClass(c)
-        out[c] = estimate(store.vectors_for(members[c]))
+        out[c] = by_class[c]
     return out
 
 

@@ -24,10 +24,19 @@ from .baselines import (
     margin_select,
     random_select,
 )
-from .config import RunConfig
-from .errors import CbselError, ConfigError, EmptyTestSet, PlanError, SessionFailure, UnknownId
+from .config import RunConfig, from_json, to_json
+from .errors import (
+    CbselError,
+    ConfigError,
+    EmptyTestSet,
+    ParseError,
+    PlanError,
+    SessionFailure,
+    UnknownId,
+    UnlabeledId,
+)
 from .features import FeatureStore, hidden_labels
-from .gaussian import VAR_FLOOR, estimate, kl_divergence
+from .gaussian import VAR_FLOOR, estimate_per_class, kl_divergence
 from .learner import (
     MemoryBuffer,
     PrototypeClassifier,
@@ -48,14 +57,6 @@ class SessionSpec:
     class_space: tuple[int, ...]
     pool_ids: tuple[int, ...]
     test_ids: tuple[int, ...]
-
-    @classmethod
-    def make(cls, class_space, pool_ids, test_ids) -> "SessionSpec":
-        return cls(
-            class_space=tuple(int(c) for c in class_space),
-            pool_ids=tuple(int(i) for i in pool_ids),
-            test_ids=tuple(int(i) for i in test_ids),
-        )
 
 
 @dataclass(frozen=True)
@@ -94,29 +95,11 @@ class SessionPlan:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "seed": self.seed,
-            "sessions": [
-                {
-                    "class_space": list(s.class_space),
-                    "pool_ids": list(s.pool_ids),
-                    "test_ids": list(s.test_ids),
-                }
-                for s in self.sessions
-            ],
-        }
+        return to_json(self) | {"sessions": [to_json(s) for s in self.sessions]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionPlan":
-        return cls(
-            sessions=tuple(
-                SessionSpec.make(s["class_space"], s["pool_ids"], s["test_ids"])
-                for s in d["sessions"]
-            ),
-            budget=int(d["budget"]),
-            seed=int(d["seed"]),
-        ).validate()
+        return from_json(cls, d, PlanError).validate()
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -131,19 +114,23 @@ class SessionPlan:
 
 @dataclass(frozen=True)
 class Oracle:
-    """Total id -> class map backing the labeling step and the metrics."""
+    """Id -> class map backing the labeling step and the metrics, plus the
+    ids of the store's rows that carry no label."""
 
     label_map: dict[int, int]
+    unlabeled: frozenset[int] = frozenset()
 
     @classmethod
     def from_store(cls, store: FeatureStore) -> "Oracle":
-        return cls(label_map=hidden_labels(store, "oracle"))
+        label_map = hidden_labels(store, "oracle")
+        return cls(label_map, frozenset(store.ids.tolist()).difference(label_map))
 
     def label(self, row_id: int) -> int:
         try:
             return self.label_map[int(row_id)]
         except KeyError:
-            raise UnknownId(int(row_id)) from None
+            error = UnlabeledId if int(row_id) in self.unlabeled else UnknownId
+            raise error(int(row_id)) from None
 
     def __getitem__(self, row_id: int) -> int:
         return self.label(row_id)
@@ -198,19 +185,11 @@ def selected_vs_full_kl(selected_ids, pool_store: FeatureStore, oracle: Oracle,
                         var_floor: float = VAR_FLOOR) -> dict[int, float]:
     """Per class: KL from the full-pool class Gaussian to the selected-subset
     class Gaussian. Classes with no selected sample are omitted."""
-    chosen = {int(i) for i in selected_ids}
-    by_class: dict[int, list[int]] = {}
-    for i in pool_store.ids.tolist():
-        by_class.setdefault(oracle.label(i), []).append(i)
-    out: dict[int, float] = {}
-    for c in sorted(by_class):
-        sel = [i for i in by_class[c] if i in chosen]
-        if not sel:
-            continue
-        full_g = estimate(pool_store.vectors_for(by_class[c]), var_floor)
-        sel_g = estimate(pool_store.vectors_for(sel), var_floor)
-        out[c] = float(kl_divergence(full_g, sel_g))
-    return out
+    labels = np.fromiter(map(oracle.label, pool_store.ids.tolist()), np.int64, len(pool_store))
+    chosen = np.isin(pool_store.ids, np.asarray(selected_ids, dtype=np.int64))
+    full = estimate_per_class(pool_store.vectors, labels, var_floor)
+    sel = estimate_per_class(pool_store.vectors[chosen], labels[chosen], var_floor)
+    return {c: float(kl_divergence(full[c], g)) for c, g in sel.items()}
 
 
 def evaluate(clf: PrototypeClassifier, test_store: FeatureStore, oracle: Oracle) -> float:
@@ -323,7 +302,7 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
         if remainder:
             pseudo_map = pseudo_label(clf, work.subset(remainder), discovered)
             pseudo = sorted(pseudo_map.items())
-    buffer = buffer.update(estimate_class_distributions(labeled, pseudo, work, discovered))
+    buffer = buffer.update(estimate_class_distributions(labeled, pseudo, work, discovered, cfg.var_floor))
 
     test_ids = list(past_test_ids) + list(sess.test_ids)
     test_store = work.subset(test_ids)
@@ -393,56 +372,34 @@ def report_to_dict(report: RunReport, include_timestamp: bool = True) -> dict:
     """JSON-ready dict. The infinity imbalance sentinel serializes as null
     plus an `undiscovered_class` flag; `created_at` is the only field that
     varies between identical runs and can be excluded for determinism checks."""
-    sessions = []
-    for s in report.per_session:
-        undiscovered = math.isinf(s.imbalance_ratio)
-        sessions.append({
-            "session": s.session,
-            "accuracy": s.accuracy,
-            "accuracy_new": s.accuracy_new,
-            "accuracy_old": s.accuracy_old,
-            "selected_ids": list(s.selected_ids),
-            "per_class_counts": {str(c): int(v) for c, v in sorted(s.per_class_counts.items())},
-            "imbalance_ratio": None if undiscovered else s.imbalance_ratio,
-            "undiscovered_class": undiscovered,
-            "discovery_ratio": s.discovery_ratio,
-            "per_class_kl": {str(c): float(v) for c, v in sorted(s.per_class_kl.items())},
-        })
-    out = {
-        "strategy": report.strategy,
-        "budget": report.budget,
-        "seed": report.seed,
-        "use_unlabeled_distributions": report.use_unlabeled_distributions,
-        "per_session": sessions,
-        "avg": report.avg,
-    }
-    if include_timestamp:
-        out["created_at"] = report.created_at
+    out = to_json(report)
+    out["per_session"] = sessions = [to_json(s) for s in report.per_session]
+    for s in sessions:
+        s["undiscovered_class"] = math.isinf(s["imbalance_ratio"])
+        if s["undiscovered_class"]:
+            s["imbalance_ratio"] = None
+    if not include_timestamp:
+        del out["created_at"]
     return out
 
 
 def report_from_dict(d: dict) -> RunReport:
-    report = RunReport(
-        strategy=d["strategy"],
-        budget=int(d["budget"]),
-        seed=int(d["seed"]),
-        use_unlabeled_distributions=bool(d["use_unlabeled_distributions"]),
-        avg=float(d["avg"]),
-        created_at=d.get("created_at", ""),
-    )
-    for s in d["per_session"]:
-        report.per_session.append(SessionReport(
-            session=int(s["session"]),
-            accuracy=float(s["accuracy"]),
-            accuracy_new=float(s["accuracy_new"]),
-            accuracy_old=None if s["accuracy_old"] is None else float(s["accuracy_old"]),
-            selected_ids=[int(i) for i in s["selected_ids"]],
-            per_class_counts={int(c): int(v) for c, v in s["per_class_counts"].items()},
-            imbalance_ratio=math.inf if s["undiscovered_class"] else float(s["imbalance_ratio"]),
-            discovery_ratio=float(s["discovery_ratio"]),
-            per_class_kl={int(c): float(v) for c, v in s["per_class_kl"].items()},
-        ))
-    return report
+    """Inverse of report_to_dict; ParseError names the key of a malformed part."""
+    if type(d) is dict and type(d.get("per_session")) is list:
+        d = d | {"per_session": [_undo_sentinel(s) for s in d["per_session"]]}
+    return from_json(RunReport, d, ParseError)
+
+
+def _undo_sentinel(s):
+    """A session object with its `undiscovered_class` flag folded back into
+    `imbalance_ratio` (infinite when the flag is true)."""
+    if type(s) is not dict:
+        return s
+    s = dict(s)
+    flag = s.pop("undiscovered_class", False)
+    if type(flag) is not bool:
+        raise ParseError("RunReport.per_session: undiscovered_class must be true or false")
+    return s | {"imbalance_ratio": math.inf} if flag else s
 
 
 def report_json(report: RunReport, include_timestamp: bool = True) -> str:

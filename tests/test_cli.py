@@ -315,6 +315,110 @@ class TestReport:
         assert json.loads(capsys.readouterr().err)["error"] == "JSONDecodeError"
 
 
+def _listed(d):
+    return [d]
+
+
+def _with(key, value):
+    return lambda d: {**d, key: value}
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _first_pool_id(value):
+    def edit(d):
+        d = json.loads(json.dumps(d))
+        d["sessions"][0]["pool_ids"][0] = value
+        return d
+    return edit
+
+
+# (file, case, edit of a valid file's JSON, expected error, text the message
+# names). Config and world files have no required key: every field has a default.
+MALFORMED = [
+    ("config", "array", _listed, "ConfigError", "expected dict, got list"),
+    ("config", "unknown-key", _with("momentum", 0.9), "ConfigError", "momentum"),
+    ("config", "string-for-int", _with("round_size", "5"), "ConfigError", "round_size"),
+    ("config", "true-for-int", _with("round_size", True), "ConfigError", "round_size"),
+    ("world", "array", _listed, "ConfigError", "expected dict, got list"),
+    ("world", "unknown-key", _with("classes", 3), "ConfigError", "classes"),
+    ("world", "string-for-int", _with("num_sessions", "5"), "ConfigError", "num_sessions"),
+    ("world", "true-for-int", _with("dim", True), "ConfigError", "dim"),
+    ("plan", "array", _listed, "PlanError", "expected dict, got list"),
+    ("plan", "unknown-key", _with("rounds", 2), "PlanError", "rounds"),
+    ("plan", "missing-key", _without("sessions"), "PlanError", "sessions"),
+    ("plan", "true-for-int", _with("budget", True), "PlanError", "budget"),
+    ("plan", "string-for-int", _with("seed", "3"), "PlanError", "seed"),
+    ("plan", "float-id", _first_pool_id(1.5), "PlanError", "sessions[0].pool_ids[0]"),
+    ("report", "array", _listed, "ParseError", "expected dict, got list"),
+    ("report", "unknown-key", _with("notes", ""), "ParseError", "notes"),
+    ("report", "missing-key", _without("budget"), "ParseError", "budget"),
+    ("report", "true-for-int", _with("seed", True), "ParseError", "seed"),
+    ("report", "string-for-float", _with("avg", "0.5"), "ParseError", "avg"),
+]
+
+
+class TestMalformedJsonFiles:
+    """Every JSON file the CLI reads fails with exit 2 and a one-line
+    manifest naming the offending key, never with a traceback."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, world, tmp_path_factory):
+        report = tmp_path_factory.mktemp("valid") / "report.json"
+        assert main(["simulate", "--plan", str(world["plan"]),
+                     "--features", str(world["features"]),
+                     "--strategy", "random", "--out", str(report)]) == 0
+        return {
+            "config": RunConfig().to_dict(),
+            "world": json.loads(world["config"].read_text()),
+            "plan": json.loads(world["plan"].read_text()),
+            "report": json.loads(report.read_text()),
+        }
+
+    @pytest.mark.parametrize("kind,case,edit,error,names", MALFORMED,
+                             ids=[f"{kind}-{case}" for kind, case, *_ in MALFORMED])
+    def test_exits_2_with_a_manifest(self, world, valid, tmp_path, capsys,
+                                     kind, case, edit, error, names):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(edit(valid[kind])))
+        out = str(tmp_path / "out.json")
+        argv = {
+            "config": ["simulate", "--config", str(bad), "--plan", str(world["plan"]),
+                       "--features", str(world["features"]), "--strategy", "random",
+                       "--out", out],
+            "world": ["generate", "--config", str(bad), "--out-features",
+                      str(tmp_path / "f.csv"), "--out-plan", out],
+            "plan": ["simulate", "--plan", str(bad), "--features", str(world["features"]),
+                     "--strategy", "random", "--out", out],
+            "report": ["report", "--in", str(bad)],
+        }[kind]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        manifest = json.loads(err)
+        assert manifest["error"] == error
+        assert names in manifest["message"]
+
+
+class TestUnlabeledRow:
+    def test_is_named_by_simulate_and_select(self, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        features.write_text("id,label,f0,f1\n0,0,1,0\n1,,0.9,0.1\n2,1,0,1\n"
+                            "3,0,1,0.1\n4,1,0.1,1\n")
+        plan = SessionPlan.from_dict({"budget": 3, "seed": 0, "sessions": [
+            {"class_space": [0, 1], "pool_ids": [0, 1, 2], "test_ids": [3, 4]}]})
+        plan.save(tmp_path / "p.json")
+        out = str(tmp_path / "out.json")
+        for argv in (["simulate", "--plan", str(tmp_path / "p.json"), "--features",
+                      str(features), "--strategy", "random", "--out", out],
+                     ["select", "--features", str(features), "--strategy",
+                      "balanced_random", "--budget", "2", "--seed", "0", "--out", out]):
+            assert main(argv) == 2
+            assert "id 1 has no label" in json.loads(capsys.readouterr().err)["message"]
+
+
 # Minimal argv per subcommand that takes tunables; only parsed, never run.
 SUBCOMMAND_ARGV = {
     "select": ["select", "--features", "f.csv", "--strategy", "random",

@@ -1,9 +1,10 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 
-from cbsel.config import ENV_PREFIX, RunConfig, load_config
-from cbsel.errors import ConfigError
+from cbsel.config import ENV_PREFIX, RunConfig, from_json, load_config
+from cbsel.errors import ConfigError, PlanError
 
 
 class TestRunConfig:
@@ -132,6 +133,85 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path, env={})
 
+    def test_flag_overrides_an_out_of_range_file_value(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"alpha": 2.0}))
+        assert load_config(path, overrides={"alpha": 0.5}, env={}).alpha == 0.5
+
     def test_unrelated_env_ignored(self):
         cfg = load_config(env={"PATH": "/usr/bin", "CBSEL_UNRELATED": "x"})
         assert cfg == RunConfig()
+
+
+@dataclass
+class Inner:
+    ids: tuple[int, ...]
+
+
+@dataclass
+class Outer:
+    count: int
+    ratio: float
+    maybe: float | None
+    names: list[str]
+    by_id: dict[int, float]
+    inner: list[Inner]
+    flag: bool = False
+
+
+VALID = {"count": 3, "ratio": 2, "maybe": None, "names": ["a", "b"],
+         "by_id": {"10": 0.5, "2": 1}, "inner": [{"ids": [4, 5]}]}
+
+
+class TestFromJson:
+    def test_reads_every_supported_hint(self):
+        got = from_json(Outer, VALID, PlanError)
+        assert got == Outer(count=3, ratio=2.0, maybe=None, names=["a", "b"],
+                            by_id={10: 0.5, 2: 1.0}, inner=[Inner(ids=(4, 5))])
+        assert type(got.ratio) is float
+        assert type(got.by_id[2]) is float
+        assert from_json(Outer, {**VALID, "maybe": 1.5}, PlanError).maybe == 1.5
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda d: [d], "Outer: expected dict, got list", id="array"),
+        pytest.param(lambda d: {**d, "extra": 1}, "Outer: unknown keys ['extra']",
+                     id="unknown-key"),
+        pytest.param(lambda d: {k: v for k, v in d.items() if k != "count"},
+                     "Outer: missing key 'count'", id="missing-key"),
+        pytest.param(lambda d: {**d, "count": True},
+                     "Outer.count: expected int, got bool", id="true-for-int"),
+        pytest.param(lambda d: {**d, "count": 3.0},
+                     "Outer.count: expected int, got float", id="float-for-int"),
+        pytest.param(lambda d: {**d, "ratio": "2"},
+                     "Outer.ratio: expected float, got str", id="string-for-float"),
+        pytest.param(lambda d: {**d, "flag": 1},
+                     "Outer.flag: expected bool, got int", id="int-for-bool"),
+        pytest.param(lambda d: {**d, "maybe": "x"},
+                     "Outer.maybe: expected float, got str", id="optional"),
+        pytest.param(lambda d: {**d, "names": ["a", 1]},
+                     "Outer.names[1]: expected str, got int", id="list-item"),
+        pytest.param(lambda d: {**d, "names": "ab"},
+                     "Outer.names: expected list, got str", id="not-a-list"),
+        pytest.param(lambda d: {**d, "by_id": {"x": 1.0}},
+                     "Outer.by_id: expected integer keys, got ['x']", id="dict-key"),
+        pytest.param(lambda d: {**d, "by_id": {"2": None}},
+                     "Outer.by_id[2]: expected float, got NoneType", id="dict-value"),
+        pytest.param(lambda d: {**d, "inner": [{"ids": [1, True]}]},
+                     "Outer.inner[0].ids[1]: expected int, got bool",
+                     id="nested-tuple-item"),
+        pytest.param(lambda d: {**d, "inner": [{}]},
+                     "Outer.inner[0]: missing key 'ids'", id="nested-missing-key"),
+    ])
+    def test_rejects_with_the_given_error_naming_the_key(self, edit, message):
+        with pytest.raises(PlanError) as err:
+            from_json(Outer, edit(VALID), PlanError)
+        assert str(err.value) == message
+
+    def test_config_replace_checks_types(self):
+        with pytest.raises(ConfigError, match="round_size"):
+            RunConfig().replace(round_size="5")
+
+    def test_int_widens_to_float_in_a_config_file(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"temperature": 1}))
+        assert type(load_config(path, env={}).temperature) is float

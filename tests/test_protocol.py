@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cbsel import protocol
 from cbsel.config import RunConfig
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import (
@@ -13,11 +15,13 @@ from cbsel.errors import (
     UnknownId,
 )
 from cbsel.features import FeatureStore
+from cbsel.gaussian import estimate, kl_divergence
 from cbsel.learner import PrototypeClassifier
 from cbsel.protocol import (
     STRATEGIES,
     Oracle,
     SessionPlan,
+    SessionReport,
     SessionSpec,
     discovery_ratio,
     evaluate,
@@ -40,7 +44,7 @@ def tiny_world(seed=0, **overrides):
 
 
 def spec(classes, pool, test):
-    return SessionSpec.make(classes, pool, test)
+    return SessionSpec(tuple(classes), tuple(pool), tuple(test))
 
 
 class TestSessionPlanValidation:
@@ -102,6 +106,9 @@ class TestSessionPlanValidation:
         path = tmp_path / "plan.json"
         plan.save(path)
         assert SessionPlan.load(path) == plan
+        again = tmp_path / "again.json"
+        SessionPlan.load(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestOracle:
@@ -166,6 +173,20 @@ class TestSelectedVsFullKl:
         oracle = Oracle.from_store(store)
         kl = selected_vs_full_kl([0, 1, 2], store, oracle)
         assert set(kl) == {0}
+
+    def test_matches_a_per_class_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        store = FeatureStore(rng.standard_normal((60, 4)), labels=rng.integers(0, 5, 60))
+        oracle = Oracle.from_store(store)
+        selected = rng.choice(60, 17, replace=False).tolist()
+        expected = {}
+        for c in range(5):
+            members = [i for i in range(60) if oracle.label(i) == c]
+            chosen = [i for i in members if i in selected]
+            if chosen:
+                expected[c] = kl_divergence(estimate(store.vectors_for(members), 0.01),
+                                            estimate(store.vectors_for(chosen), 0.01))
+        assert selected_vs_full_kl(selected, store, oracle, 0.01) == expected
 
 
 class TestEvaluate:
@@ -307,6 +328,21 @@ class TestRun:
             run(plan, "random", store)
         assert err.value.session == 2
 
+    def test_var_floor_reaches_the_replay_gaussians(self, monkeypatch):
+        stored = []
+        estimate_class_distributions = protocol.estimate_class_distributions
+
+        def spy(*args, **kwargs):
+            out = estimate_class_distributions(*args, **kwargs)
+            stored.extend(out.values())
+            return out
+
+        monkeypatch.setattr(protocol, "estimate_class_distributions", spy)
+        store, plan = tiny_world(seed=4)
+        run(plan, "random", store, RunConfig(var_floor=0.25))
+        assert stored
+        assert all(g.var.min() >= 0.25 for g in stored)
+
     def test_unknown_strategy_is_a_config_error(self):
         # Raised before the first session: a failure inside one would
         # surface as SessionFailure instead.
@@ -349,6 +385,13 @@ class TestReportSerialization:
         assert s["undiscovered_class"] is True
         back = report_from_dict(d)
         assert math.isinf(back.per_session[0].imbalance_ratio)
+
+    def test_session_keys_are_the_session_report_fields(self):
+        store, plan = tiny_world(seed=13)
+        d = report_to_dict(run(plan, "random", store))
+        fields = {f.name for f in dataclasses.fields(SessionReport)}
+        for s in d["per_session"]:
+            assert set(s) == fields | {"undiscovered_class"}
 
     def test_timestamp_exclusion(self):
         store, plan = tiny_world(seed=12, num_sessions=1)
