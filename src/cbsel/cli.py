@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CbselError, OSError, json.JSONDecodeError) as exc:
+    except (CbselError, OSError) as exc:
         manifest = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Run configuration: every tunable with its documented range, merged from
 defaults, then a JSON config file, then CBSEL_* environment variables, then
 explicit flag overrides. Unknown keys are rejected rather than ignored.
-`from_json` and `to_json` read and write the config, world, plan and report files.
+`read_json`, `from_json` and `to_json` read and write the config, world, plan
+and report files.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def replace(self, **overrides) -> "RunConfig":
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        return from_json(RunConfig, self.to_dict() | clean, ConfigError)
-
 
 # Field name -> type: the schema the config file, environment and CLI share.
 TYPES = typing.get_type_hints(RunConfig)
@@ -72,6 +69,16 @@ def from_json(cls, obj, error: type[Exception]):
     type hint: int (not bool), float (ints widen), bool, str, `X | None`,
     `list[X]`, `tuple[X, ...]`, `dict[int, X]` (string keys) or a dataclass."""
     return cls(**_fields(cls, obj, cls.__name__, error))
+
+
+def read_json(path, error: type[Exception]):
+    """The parsed JSON value of the UTF-8 file at `path`; raises `error`
+    naming the file when it does not decode or does not parse."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path} is not a UTF-8 JSON file: {exc}") from None
 
 
 def to_json(obj) -> dict:
@@ -155,12 +162,7 @@ def load_config(path=None, overrides: dict | None = None, env=None) -> RunConfig
     checked once, on the merged config."""
     merged: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        merged.update(_fields(RunConfig, file_cfg, "RunConfig", ConfigError))
+        merged.update(_fields(RunConfig, read_json(path, ConfigError), "RunConfig", ConfigError))
 
     env = os.environ if env is None else env
     for key in TYPES:

@@ -11,12 +11,11 @@ long-tail profile n_i = round(head * ratio^(-i / (C - 1))).
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import from_json
+from .config import from_json, read_json
 from .errors import ConfigError, InfeasibleSeparation
 from .features import FeatureStore
 from .protocol import SessionPlan, SessionSpec
@@ -63,8 +62,7 @@ class WorldConfig:
 
     @classmethod
     def load(cls, path) -> "WorldConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, ConfigError))
 
 
 def pool_sizes(config: WorldConfig) -> list[int]:

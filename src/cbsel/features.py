@@ -156,54 +156,57 @@ def hidden_labels(store: FeatureStore, consumer: str) -> dict[int, int]:
 
 
 def load_features(path) -> FeatureStore:
-    """Load a feature store from a CSV file.
+    """Load a feature store from a UTF-8 CSV file.
 
     The header must read ``id,label,f0,...,f{D-1}``. Every row must supply an
     integer id, an optional integer label, and D finite floats. Ids must be
     dense in [0, N). The returned store is un-normalized.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
-        dim = _parse_header(header)
-        ids: list[int] = []
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        any_label = False
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != dim + 2:
-                raise DimensionMismatch(
-                    f"row {rownum}: expected {dim + 2} columns, got {len(row)}"
-                )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                ids.append(int(row[0]))
-            except ValueError:
-                raise ParseError(f"bad id {row[0]!r}", row=rownum, column=1) from None
-            if row[1].strip() == "":
-                labels.append(NO_LABEL)
-            else:
-                try:
-                    labels.append(int(row[1]))
-                except ValueError:
-                    raise ParseError(f"bad label {row[1]!r}", row=rownum, column=2) from None
-                any_label = True
-            values = []
-            for col, cell in enumerate(row[2:], start=3):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"bad float {cell!r}", row=rownum, column=col) from None
-                if not math.isfinite(v):
-                    raise NonFiniteValue(
-                        f"non-finite value {cell!r} at row {rownum}, column {col}",
-                        row=rownum,
-                        column=col,
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty file") from None
+            dim = _parse_header(header)
+            ids: list[int] = []
+            labels: list[int] = []
+            rows: list[list[float]] = []
+            any_label = False
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != dim + 2:
+                    raise DimensionMismatch(
+                        f"row {rownum}: expected {dim + 2} columns, got {len(row)}"
                     )
-                values.append(v)
-            rows.append(values)
+                try:
+                    ids.append(int(row[0]))
+                except ValueError:
+                    raise ParseError(f"bad id {row[0]!r}", row=rownum, column=1) from None
+                if row[1].strip() == "":
+                    labels.append(NO_LABEL)
+                else:
+                    try:
+                        labels.append(int(row[1]))
+                    except ValueError:
+                        raise ParseError(f"bad label {row[1]!r}", row=rownum, column=2) from None
+                    any_label = True
+                values = []
+                for col, cell in enumerate(row[2:], start=3):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise ParseError(f"bad float {cell!r}", row=rownum, column=col) from None
+                    if not math.isfinite(v):
+                        raise NonFiniteValue(
+                            f"non-finite value {cell!r} at row {rownum}, column {col}",
+                            row=rownum,
+                            column=col,
+                        )
+                    values.append(v)
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     n = len(rows)
     if n == 0:
         raise ParseError("no data rows")

@@ -61,10 +61,15 @@ def estimate(vectors, var_floor: float = VAR_FLOOR) -> DiagonalGaussian:
 def estimate_per_class(vectors: np.ndarray, labels: np.ndarray,
                        var_floor: float = VAR_FLOOR) -> dict[int, DiagonalGaussian]:
     """`estimate` over each label's rows, in their order in `vectors`; keys ascending."""
+    return {c: estimate(vectors[rows], var_floor) for c, rows in group_by_label(labels)}
+
+
+def group_by_label(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(label, positions) per distinct label, labels ascending, each label's
+    positions in their order in `labels`."""
     order = np.argsort(labels, kind="stable")
     classes, starts = np.unique(labels[order], return_index=True)
-    return {c: estimate(vectors[rows], var_floor)
-            for c, rows in zip(classes.tolist(), np.split(order, starts[1:]))}
+    return list(zip(classes.tolist(), np.split(order, starts[1:])))
 
 
 def kl_divergence(p: DiagonalGaussian, q: DiagonalGaussian) -> float:

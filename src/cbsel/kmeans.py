@@ -53,15 +53,10 @@ def kmeans(
     centroids = _plus_plus_init(x, k, rng)
     assign = _assign(x, centroids)
     iterations = 0
-    prev_inertia = np.inf
     for _ in range(max_iter):
         iterations += 1
         new_centroids = _update(x, assign, centroids, k)
         assign = _assign(x, new_centroids)
-        if __debug__:
-            inertia_now = _inertia(x, new_centroids, assign)
-            assert inertia_now <= prev_inertia + 1e-9, "Lloyd inertia increased"
-            prev_inertia = inertia_now
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol:

@@ -23,7 +23,7 @@ from .errors import (
     ZeroVector,
 )
 from .features import FeatureStore
-from .gaussian import VAR_FLOOR, DiagonalGaussian, estimate_per_class, sample
+from .gaussian import VAR_FLOOR, DiagonalGaussian, estimate_per_class, group_by_label, sample
 from .seeding import derive_rng
 
 DEFAULT_TEMPERATURE = 0.07
@@ -75,17 +75,6 @@ class PrototypeClassifier:
 
 def empty_classifier(temperature: float = DEFAULT_TEMPERATURE) -> PrototypeClassifier:
     return PrototypeClassifier(embeddings={}, temperature=temperature, classes_seen=())
-
-
-def predict_proba(clf: PrototypeClassifier, f: np.ndarray) -> np.ndarray:
-    """Softmax over exp(<f, g_c> / temperature), columns ascending by class id.
-
-    `f` must be unit norm; output sums to 1 and is strictly positive.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    if abs(float(np.linalg.norm(f)) - 1.0) > 1e-6:
-        raise NotNormalized("predict_proba requires a unit-norm feature vector")
-    return predict_proba_matrix(clf, f[None, :])[0]
 
 
 def predict_proba_matrix(clf: PrototypeClassifier, vectors: np.ndarray) -> np.ndarray:
@@ -200,9 +189,9 @@ def train_session(
                 alpha * embeddings[c] + (1.0 - alpha) * replay_proto,
                 f"blended prototype of class {c}",
             )
-    for c in discovered:
-        ids = [i for i, lab in labeled if lab == c]
-        embeddings[c] = _unit(store.vectors_for(ids).mean(axis=0), f"prototype of class {c}")
+    vectors = store.vectors_for([i for i, _ in labeled])
+    for c, rows in group_by_label(np.array([c for _, c in labeled], dtype=np.int64)):
+        embeddings[c] = _unit(vectors[rows].mean(axis=0), f"prototype of class {c}")
 
     return PrototypeClassifier(
         embeddings=embeddings,

@@ -24,7 +24,7 @@ from .baselines import (
     margin_select,
     random_select,
 )
-from .config import RunConfig, from_json, to_json
+from .config import RunConfig, from_json, read_json, to_json
 from .errors import (
     CbselError,
     ConfigError,
@@ -108,8 +108,7 @@ class SessionPlan:
 
     @classmethod
     def load(cls, path) -> "SessionPlan":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, PlanError))
 
 
 @dataclass(frozen=True)
@@ -412,5 +411,4 @@ def save_report(report: RunReport, path) -> None:
 
 
 def load_report(path) -> RunReport:
-    with open(path, encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+    return report_from_dict(read_json(path, ParseError))

@@ -67,13 +67,10 @@ def greedy_select_cluster(
     members: FeatureStore,
     k: int,
     var_floor: float = VAR_FLOOR,
-    debug: bool = False,
 ) -> list[int]:
     """Pick k member ids whose empirical Gaussian tracks the cluster's.
 
     Returns ids in pick order; all argmin ties break toward the lowest id.
-    With `debug`, every pick is re-scored with the two-pass estimator and
-    checked against all surviving candidates.
     """
     n = len(members)
     if not 1 <= k <= n:
@@ -96,10 +93,7 @@ def greedy_select_cluster(
         mean = (acc.sum[None, :] + xc) / n1
         var = np.maximum((acc.sumsq[None, :] + xc * xc) / n1 - mean * mean, var_floor)
         kl = kl_divergence_batch(ref, mean, var)
-        best = int(np.argmin(kl))
-        if debug:
-            _check_step(ref, x, picked, cand_rows, kl, best, var_floor)
-        chosen = int(cand_rows[best])
+        chosen = int(cand_rows[np.argmin(kl)])
         picked.append(chosen)
         acc.push(x[chosen])
         remaining[chosen] = False
@@ -182,17 +176,3 @@ def cbs_select(
         ids = assembled
         discarded = []
     return Selection(ids=ids, per_cluster_ids=per_cluster, discarded=discarded)
-
-
-def _check_step(ref, x, picked, cand_rows, kl, best, var_floor):
-    # Replays the streaming scores with the two-pass estimator: the chosen
-    # candidate must be at least as good as every survivor.
-    chosen_kl = kl_divergence(
-        ref, estimate(x[picked + [int(cand_rows[best])]], var_floor)
-    )
-    for pos, row in enumerate(cand_rows):
-        direct = kl_divergence(ref, estimate(x[picked + [int(row)]], var_floor))
-        assert abs(direct - kl[pos]) <= 1e-6 * max(1.0, abs(direct)), (
-            "streaming KL diverged from the two-pass estimate"
-        )
-        assert chosen_kl <= direct + 1e-9, "greedy step picked a dominated candidate"

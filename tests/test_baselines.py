@@ -12,12 +12,17 @@ from cbsel.baselines import (
 )
 from cbsel.errors import BudgetExceedsPool, DegenerateClassifier
 from cbsel.features import FeatureStore, hidden_labels
-from cbsel.learner import PrototypeClassifier, predict_proba
+from cbsel.learner import PrototypeClassifier, predict_proba_matrix
 
 # Shannon entropies (natural log) of the three hand-built distributions.
 H_UNIFORM = 0.6931471805599453   # (0.5, 0.5)
 H_PEAKED = 0.3250829733914482    # (0.9, 0.1)
 H_LEANING = 0.6730116670092565   # (0.6, 0.4)
+
+
+def predict_proba(clf, f):
+    """Class probabilities of one feature vector."""
+    return predict_proba_matrix(clf, f[None, :])[0]
 
 
 def two_class_clf(temperature=0.07):

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cbsel
@@ -312,7 +313,7 @@ class TestReport:
         bad.write_text("{broken")
         rc = main(["report", "--in", str(bad)])
         assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "JSONDecodeError"
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
 def _listed(d):
@@ -400,6 +401,49 @@ class TestMalformedJsonFiles:
         manifest = json.loads(err)
         assert manifest["error"] == error
         assert names in manifest["message"]
+
+
+# 300 seeded random bytes; not UTF-8, since byte 1 (0x82) cannot start a character.
+UNDECODABLE = np.random.default_rng(0).bytes(300)
+UNREADABLE = [
+    ("config", UNDECODABLE, "ConfigError"),
+    ("world", UNDECODABLE, "ConfigError"),
+    ("plan", UNDECODABLE, "PlanError"),
+    ("report", UNDECODABLE, "ParseError"),
+    ("features", UNDECODABLE, "ParseError"),
+    ("config", b"{broken", "ConfigError"),
+    ("world", b"{broken", "ConfigError"),
+    ("plan", b"{broken", "PlanError"),
+    ("report", b"{broken", "ParseError"),
+]
+
+
+class TestUnreadableFiles:
+    """A file that is not UTF-8, or not JSON where JSON is expected, exits 2
+    with a manifest that names the file."""
+
+    @pytest.mark.parametrize("kind,content,error", UNREADABLE, ids=[
+        f"{kind}-{'bytes' if content is UNDECODABLE else 'broken'}"
+        for kind, content, _ in UNREADABLE])
+    def test_exits_2_naming_the_file(self, world, tmp_path, capsys, kind, content, error):
+        bad = tmp_path / f"bad-{kind}"
+        bad.write_bytes(content)
+        out = str(tmp_path / "out.json")
+        argv = {
+            "config": ["select", "--config", str(bad), "--features", str(world["features"]),
+                       "--strategy", "random", "--budget", "3", "--seed", "0", "--out", out],
+            "world": ["generate", "--config", str(bad), "--out-features",
+                      str(tmp_path / "f.csv"), "--out-plan", out],
+            "plan": ["simulate", "--plan", str(bad), "--features", str(world["features"]),
+                     "--strategy", "random", "--out", out],
+            "report": ["report", "--in", str(bad)],
+            "features": ["select", "--features", str(bad), "--strategy", "random",
+                         "--budget", "3", "--seed", "0", "--out", out],
+        }[kind]
+        assert main(argv) == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == error
+        assert str(bad) in manifest["message"]
 
 
 class TestUnlabeledRow:

@@ -38,15 +38,6 @@ class TestRunConfig:
         assert RunConfig(alpha=0.0).alpha == 0.0
         assert RunConfig(alpha=1.0).alpha == 1.0
 
-    def test_replace_skips_none(self):
-        cfg = RunConfig().replace(alpha=None, round_size=7)
-        assert cfg.alpha == 0.5
-        assert cfg.round_size == 7
-
-    def test_replace_unknown_key(self):
-        with pytest.raises(ConfigError):
-            RunConfig().replace(learning_rate=0.1)
-
     def test_to_dict_round_trip(self):
         cfg = RunConfig(alpha=0.25, round_size=5)
         assert RunConfig(**cfg.to_dict()) == cfg
@@ -209,7 +200,7 @@ class TestFromJson:
 
     def test_config_replace_checks_types(self):
         with pytest.raises(ConfigError, match="round_size"):
-            RunConfig().replace(round_size="5")
+            load_config(overrides={"round_size": "5"}, env={})
 
     def test_int_widens_to_float_in_a_config_file(self, tmp_path):
         path = tmp_path / "run.json"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from cbsel import kmeans as kmeans_module
+from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import IndexOutOfRange, KTooLarge, NotNormalized
 from cbsel.features import FeatureStore
-from cbsel.kmeans import Clustering, _assign, _update, cluster_members, kmeans
+from cbsel.kmeans import Clustering, _assign, _inertia, _update, cluster_members, kmeans
 
 
 def unit_store(vectors, ids=None):
@@ -108,6 +110,29 @@ class TestLloydStep:
         centroids = x[rng.choice(len(x), size=7, replace=False)]
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(_assign(x, centroids), np.argmin(d2, axis=1))
+
+    def test_inertia_never_rises(self, monkeypatch):
+        # One session pool shaped like the large-pool benchmark's (15,696
+        # rows, D = 16, k = 100), watched through the loop's own assignment
+        # calls: call 0 follows the k-means++ init, call t follows Lloyd step t.
+        world = WorldConfig(num_sessions=1, classes_per_session=100, dim=16,
+                            pool_per_class=400, test_per_class=1, separation=3.0,
+                            imbalance_ratio=10.0, sigma=0.2, seed=1)
+        store, plan = generate(world)
+        pool = store.subset(plan.sessions[0].pool_ids)
+        inertias = []
+
+        def recording_assign(x, centroids):
+            assign = _assign(x, centroids)
+            inertias.append(_inertia(x, centroids, assign))
+            return assign
+
+        monkeypatch.setattr(kmeans_module, "_assign", recording_assign)
+        result = kmeans(pool, 100, seed=1)
+        steps = inertias[: result.iterations_run + 1]
+        assert len(steps) == result.iterations_run + 1 > 2
+        rises = [t for t in range(1, len(steps)) if steps[t] > steps[t - 1] + 1e-9]
+        assert rises == [], f"Lloyd inertia rose at steps {rises}"
 
 
 class TestEmptyClusterRepair:

@@ -5,7 +5,7 @@ import pytest
 
 from cbsel.errors import BudgetExceedsPool, CombinatorialGuard, KTooLarge
 from cbsel.features import FeatureStore
-from cbsel.gaussian import estimate, kl_divergence
+from cbsel.gaussian import VAR_FLOOR, estimate, kl_divergence
 from cbsel.selection import (
     allocate_budget,
     brute_force_select,
@@ -20,6 +20,25 @@ THREE_POINT_OPTIMUM = 0.0360658873874155
 
 def store_1d(values, ids=None):
     return FeatureStore(np.asarray(values, dtype=np.float64)[:, None], ids=ids)
+
+
+def assert_greedy_steps(members, picked, var_floor=VAR_FLOOR):
+    """Replay a greedy pick order with the two-pass estimator: the first pick
+    is a member nearest the mean, and every later pick's KL is at most each
+    remaining candidate's KL + 1e-9."""
+    ids, x = members.ids.tolist(), members.vectors
+    ref = estimate(x, var_floor)
+    d2 = np.einsum("ij,ij->i", x - ref.mean, x - ref.mean)
+    assert d2[ids.index(picked[0])] == d2.min(), "first pick is off-centre"
+
+    def kl_with(chosen, i):
+        return kl_divergence(ref, estimate(members.vectors_for(chosen + [i]), var_floor))
+
+    for step in range(1, len(picked)):
+        chosen = picked[:step]
+        picked_kl = kl_with(chosen, picked[step])
+        for i in set(ids) - set(chosen):
+            assert picked_kl <= kl_with(chosen, i) + 1e-9, f"step {step} passed over id {i}"
 
 
 class TestAllocateBudget:
@@ -81,14 +100,25 @@ class TestGreedySelect:
         picked = greedy_select_cluster(members, 6)
         assert sorted(picked) == [0, 1, 2, 3, 4, 5]
 
-    def test_debug_mode_validates_every_step(self):
+    def test_replayed_steps_are_best_two_pass_picks(self):
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            m = int(rng.integers(4, 9))
+        for _ in range(200):
+            m = int(rng.integers(4, 30))
             members = FeatureStore(rng.standard_normal((m, 3)))
             k = int(rng.integers(1, m + 1))
-            picked = greedy_select_cluster(members, k, debug=True)
+            picked = greedy_select_cluster(members, k)
             assert len(picked) == len(set(picked)) == k
+            assert_greedy_steps(members, picked)
+
+    def test_replay_rejects_a_non_greedy_order(self):
+        # The member at the mean (2) goes first; {2, 0} matches the cluster
+        # far better than {2, 1}.
+        members = store_1d([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert_greedy_steps(members, [2, 0])
+        with pytest.raises(AssertionError, match="first pick"):
+            assert_greedy_steps(members, [1, 0])
+        with pytest.raises(AssertionError, match="step 1"):
+            assert_greedy_steps(members, [2, 1])
 
     def test_k_out_of_range(self):
         members = store_1d([0.0, 1.0])
