@@ -105,15 +105,20 @@ def _dist2_to(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin ||x - c||^2 = argmin ||c||^2 - 2 x.c: the ||x||^2 term is the
-    # same for every centroid of a row.
-    return np.argmin(np.sum(centroids * centroids, axis=1) - 2.0 * x @ centroids.T, axis=1)
+    # same for every centroid of a row; ties go to the lowest centroid index.
+    # Scaling by -2 is exact and a + (-b) rounds as a - b, so one N x k buffer
+    # holds exactly the bits of ||c||^2 - (2x) @ c.T, which takes three.
+    s = x @ (-2.0 * centroids).T
+    s += np.sum(centroids * centroids, axis=1)
+    return np.argmin(s, axis=1)
 
 
 def _update(x: np.ndarray, assign: np.ndarray, old: np.ndarray, k: int) -> np.ndarray:
     """Member means in one pass; an empty cluster keeps its old centroid."""
+    # bincount adds rows in ascending order from 0.0, as np.add.at does, so the
+    # sums are bit-equal; np.add.reduceat over sorted rows measurably is not.
     counts = np.bincount(assign, minlength=k)
-    sums = np.zeros_like(old)
-    np.add.at(sums, assign, x)
+    sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in x.T], axis=1)
     out = old.copy()
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]
@@ -140,7 +145,8 @@ def _repair_empty(
         empties = np.where(counts == 0)[0]
         if empties.size == 0:
             break
-        d2 = np.einsum("ij,ij->i", x - centroids[assign], x - centroids[assign])
+        diff = x - centroids[assign]
+        d2 = np.einsum("ij,ij->i", diff, diff)
         order = np.argsort(-d2, kind="stable")
         cursor = 0
         for j in empties:

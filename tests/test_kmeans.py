@@ -20,6 +20,32 @@ def blob_store(centers, per_blob=30, sigma=0.02, seed=0):
     return unit_store(np.vstack(blocks))
 
 
+@pytest.fixture(scope="module")
+def large_pool():
+    """One session pool shaped like the large-pool benchmark's (15,696 rows, D = 16)."""
+    world = WorldConfig(num_sessions=1, classes_per_session=100, dim=16,
+                        pool_per_class=400, test_per_class=1, separation=3.0,
+                        imbalance_ratio=10.0, sigma=0.2, seed=1)
+    store, plan = generate(world)
+    return store.subset(plan.sessions[0].pool_ids)
+
+
+def reference_assign(x, centroids):
+    """Reference assignment, ||c||^2 - 2 x.c in plain form; _assign must match its bits."""
+    return np.argmin(np.sum(centroids * centroids, axis=1) - 2.0 * x @ centroids.T, axis=1)
+
+
+def reference_update(x, assign, old, k):
+    """Reference update, member sums with np.add.at; _update must match its bits."""
+    counts = np.bincount(assign, minlength=k)
+    sums = np.zeros_like(old)
+    np.add.at(sums, assign, x)
+    out = old.copy()
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled, None]
+    return out
+
+
 class TestBasics:
     def test_k_equals_one_centroid_is_mean(self):
         store = blob_store([[1.0, 0.0, 0.0]], per_blob=20)
@@ -111,15 +137,55 @@ class TestLloydStep:
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(_assign(x, centroids), np.argmin(d2, axis=1))
 
-    def test_inertia_never_rises(self, monkeypatch):
-        # One session pool shaped like the large-pool benchmark's (15,696
-        # rows, D = 16, k = 100), watched through the loop's own assignment
-        # calls: call 0 follows the k-means++ init, call t follows Lloyd step t.
-        world = WorldConfig(num_sessions=1, classes_per_session=100, dim=16,
-                            pool_per_class=400, test_per_class=1, separation=3.0,
-                            imbalance_ratio=10.0, sigma=0.2, seed=1)
+    def test_update_with_one_dimension(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((50, 1))
+        assign = rng.integers(0, 4, size=50)
+        old = rng.standard_normal((4, 1))
+        np.testing.assert_array_equal(_update(x, assign, old, 4),
+                                      reference_update(x, assign, old, 4))
+
+    def test_update_keeps_trailing_empty_clusters(self):
+        # k exceeds assign.max() + 1, so the sums need bincount's minlength.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 5))
+        assign = rng.integers(0, 3, size=40)
+        old = rng.standard_normal((6, 5))
+        out = _update(x, assign, old, 6)
+        np.testing.assert_array_equal(out, reference_update(x, assign, old, 6))
+        np.testing.assert_array_equal(out[3:], old[3:])
+
+    def test_assign_breaks_ties_toward_the_lower_centroid(self):
+        x = unit_store([[1.0, 0.1], [0.1, 1.0], [0.9, 1.0]]).vectors
+        twin = unit_store([[0.0, 1.0]]).vectors[0]
+        centroids = np.stack([unit_store([[1.0, 0.0]]).vectors[0], twin, twin])
+        np.testing.assert_array_equal(_assign(x, centroids), [0, 1, 1])
+
+    def test_loop_matches_the_reference_step_bit_for_bit(self, large_pool, monkeypatch):
+        # The benchmark-sized pool with k = 100, then five pools shaped like
+        # the quality sweep's (about 300 rows, k = 20).
+        world = WorldConfig(num_sessions=5, classes_per_session=20, dim=16,
+                            pool_per_class=30, test_per_class=10, separation=3.0,
+                            imbalance_ratio=10.0, sigma=0.2, budget=100, seed=0)
         store, plan = generate(world)
-        pool = store.subset(plan.sessions[0].pool_ids)
+        cases = [(large_pool, 100, 1)] + [
+            (store.subset(spec.pool_ids), 20, s) for s, spec in enumerate(plan.sessions)
+        ]
+        for pool, k, seed in cases:
+            got = kmeans(pool, k, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(kmeans_module, "_assign", reference_assign)
+                patch.setattr(kmeans_module, "_update", reference_update)
+                want = kmeans(pool, k, seed=seed)
+            np.testing.assert_array_equal(got.assignments, want.assignments)
+            np.testing.assert_array_equal(got.centroids, want.centroids)
+            assert got.iterations_run == want.iterations_run
+            assert got.inertia == want.inertia
+
+    def test_inertia_never_rises(self, large_pool, monkeypatch):
+        # The benchmark-sized pool with k = 100, watched through the loop's own
+        # assignment calls: call 0 follows the k-means++ init, call t follows
+        # Lloyd step t.
         inertias = []
 
         def recording_assign(x, centroids):
@@ -128,7 +194,7 @@ class TestLloydStep:
             return assign
 
         monkeypatch.setattr(kmeans_module, "_assign", recording_assign)
-        result = kmeans(pool, 100, seed=1)
+        result = kmeans(large_pool, 100, seed=1)
         steps = inertias[: result.iterations_run + 1]
         assert len(steps) == result.iterations_run + 1 > 2
         rises = [t for t in range(1, len(steps)) if steps[t] > steps[t - 1] + 1e-9]
