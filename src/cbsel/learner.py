@@ -140,6 +140,68 @@ def estimate_class_distributions(
     return out
 
 
+def rehearse(
+    clf: PrototypeClassifier,
+    buffer: "MemoryBuffer",
+    replay_per_class: int = DEFAULT_REPLAY_PER_CLASS,
+    seed: int = 0,
+    alpha: float = DEFAULT_ALPHA,
+) -> PrototypeClassifier:
+    """Rehearse the old classes in `buffer`; returns a new classifier.
+
+    For each buffered class, in ascending id order, `replay_per_class`
+    pseudo-features are sampled from its stored Gaussian on the stream
+    `derive_rng(seed, "replay", c)`, and their unit mean is blended with the
+    previous prototype, weight `alpha` on the previous one. With
+    replay_per_class = 0 or alpha = 1 the classifier comes back unchanged.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
+    if replay_per_class < 0:
+        raise ValueError("replay_per_class must be >= 0")
+    if replay_per_class == 0 or alpha == 1.0:
+        return clf
+    embeddings = dict(clf.embeddings)
+    for c in sorted(buffer.distributions):
+        rng = derive_rng(seed, "replay", c)
+        replayed = sample(buffer.distributions[c], replay_per_class, rng)
+        replay_proto = _unit(replayed.mean(axis=0), f"replay mean of class {c}")
+        embeddings[c] = _unit(
+            alpha * embeddings[c] + (1.0 - alpha) * replay_proto,
+            f"blended prototype of class {c}",
+        )
+    return PrototypeClassifier(
+        embeddings=embeddings, temperature=clf.temperature, classes_seen=clf.classes_seen)
+
+
+def new_class_prototypes(
+    clf: PrototypeClassifier, labeled, store: FeatureStore, class_space=None
+) -> dict[int, np.ndarray]:
+    """Prototype of each labeled class: the unit-normalized mean of its
+    labeled features, taken in labeled order.
+
+    Labels must lie inside `class_space` (inferred from the labels when not
+    given) and outside clf.classes_seen; classes in `class_space` with no
+    labeled sample stay undiscovered and get no prototype.
+    """
+    labeled = [(int(i), int(c)) for i, c in labeled]
+    if not labeled:
+        raise EmptyInput("training requires at least one labeled sample")
+    discovered = sorted({c for _, c in labeled})
+    space = set(discovered) if class_space is None else {int(c) for c in class_space}
+    seen = set(clf.classes_seen)
+    bad = [c for c in discovered if c not in space or c in seen]
+    if bad or (space & seen):
+        raise LabelOutsideSessionSpace(
+            f"labels/classes outside the current session space: {sorted(set(bad) | (space & seen))}"
+        )
+    vectors = store.vectors_for([i for i, _ in labeled])
+    return {
+        c: _unit(vectors[rows].mean(axis=0), f"prototype of class {c}")
+        for c, rows in group_by_label(np.array([c for _, c in labeled], dtype=np.int64))
+    }
+
+
 def train_session(
     clf: PrototypeClassifier,
     buffer: "MemoryBuffer",
@@ -152,51 +214,17 @@ def train_session(
 ) -> PrototypeClassifier:
     """One incremental training step; returns a new classifier.
 
-    New classes get prototype = unit-normalized mean of their labeled
-    features. Old classes in `buffer` are rehearsed: `replay_per_class`
-    pseudo-features are sampled from the stored Gaussian and their unit mean
-    is blended with the previous prototype, weight `alpha` on the previous
-    one. With replay_per_class = 0 or alpha = 1 old prototypes are unchanged.
-
-    Labels must lie inside `class_space` (inferred from the labels when not
-    given) and outside classes_seen; classes in `class_space` with no labeled
-    sample stay undiscovered and get no prototype.
+    The new classes get their `new_class_prototypes` and the old classes in
+    `buffer` are rehearsed (`rehearse`, with `replay_per_class`, `seed` and
+    `alpha`). With replay_per_class = 0 or alpha = 1 old prototypes are
+    unchanged.
     """
-    labeled = [(int(i), int(c)) for i, c in labeled]
-    if not labeled:
-        raise EmptyInput("train_session requires at least one labeled sample")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    if replay_per_class < 0:
-        raise ValueError("replay_per_class must be >= 0")
-
-    discovered = sorted({c for _, c in labeled})
-    space = set(discovered) if class_space is None else {int(c) for c in class_space}
-    seen = set(clf.classes_seen)
-    bad = [c for c in discovered if c not in space or c in seen]
-    if bad or (space & seen):
-        raise LabelOutsideSessionSpace(
-            f"labels/classes outside the current session space: {sorted(set(bad) | (space & seen))}"
-        )
-
-    embeddings = dict(clf.embeddings)
-    if replay_per_class > 0 and alpha < 1.0:
-        for c in sorted(buffer.distributions):
-            rng = derive_rng(seed, "replay", c)
-            replayed = sample(buffer.distributions[c], replay_per_class, rng)
-            replay_proto = _unit(replayed.mean(axis=0), f"replay mean of class {c}")
-            embeddings[c] = _unit(
-                alpha * embeddings[c] + (1.0 - alpha) * replay_proto,
-                f"blended prototype of class {c}",
-            )
-    vectors = store.vectors_for([i for i, _ in labeled])
-    for c, rows in group_by_label(np.array([c for _, c in labeled], dtype=np.int64)):
-        embeddings[c] = _unit(vectors[rows].mean(axis=0), f"prototype of class {c}")
-
+    new = new_class_prototypes(clf, labeled, store, class_space)
+    old = rehearse(clf, buffer, replay_per_class, seed, alpha)
     return PrototypeClassifier(
-        embeddings=embeddings,
+        embeddings=old.embeddings | new,
         temperature=clf.temperature,
-        classes_seen=tuple(sorted(seen | set(discovered))),
+        classes_seen=tuple(sorted(set(clf.classes_seen) | set(new))),
     )
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import (
+    SoftmaxStats,
     balanced_random_select,
     coreset_select,
     entropy_select,
@@ -42,8 +43,10 @@ from .learner import (
     PrototypeClassifier,
     empty_classifier,
     estimate_class_distributions,
+    new_class_prototypes,
     predict,
     pseudo_label,
+    rehearse,
     train_session,
 )
 from .seeding import derive_seed
@@ -220,7 +223,9 @@ def _balanced_random(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
 # namespace at call time, so a name rebound on the module (by a tracer, say)
 # is the one that runs. SELECTORS are single-shot calls
 # (pool, budget, seed, num_classes, cfg, oracle) -> Selection; SCORERS rank a
-# pool with a trained classifier and run in rounds inside the protocol.
+# pool with a trained classifier, (store, budget, classifier, old, rows) ->
+# Selection as in `baselines.entropy_select`, and run in rounds inside the
+# protocol.
 SELECTORS = {
     "random": lambda pool, budget, seed, *_: random_select(pool, budget, seed),
     "balanced_random": _balanced_random,
@@ -228,8 +233,8 @@ SELECTORS = {
     "cbs": _cbs,
 }
 SCORERS = {
-    "entropy": lambda store, budget, clf: entropy_select(store, budget, clf),
-    "margin": lambda store, budget, clf: margin_select(store, budget, clf),
+    "entropy": lambda store, budget, clf, old, rows: entropy_select(store, budget, clf, old, rows),
+    "margin": lambda store, budget, clf, old, rows: margin_select(store, budget, clf, old, rows),
 }
 STRATEGIES = SELECTORS | SCORERS
 
@@ -330,39 +335,39 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
 
 
 def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer) -> Selection:
-    """Uncertainty strategies run in rounds with retraining in between.
+    """Uncertainty strategies run in rounds, labeling between rounds.
 
-    Each round scores the not-yet-selected pool with a classifier rebuilt
-    from this session's labels so far (on top of the previous sessions'
-    state). Rounds with fewer than two scoreable classes fall back to a
+    The old classes are rehearsed once per session, on the session's "train"
+    stream, so every round scores against the old prototypes the session
+    ends with, and their softmax statistics over the pool are computed once.
+    Each round rebuilds only this session's new-class prototypes from its
+    labels so far and scores the rows not yet selected (one mask over the
+    pool's rows). Rounds with fewer than two scoreable classes fall back to a
     seeded random pick.
     """
+    old = rehearse(clf, buffer, cfg.replay_per_class,
+                   derive_seed(plan.seed, "session", t, "train"), cfg.alpha)
+    old_stats = SoftmaxStats.of(old, pool.vectors) if old.num_classes else None
+    open_rows = np.ones(len(pool), dtype=bool)
     selected: list[int] = []
     labeled_so_far: list[tuple[int, int]] = []
-    remaining = [int(i) for i in sess.pool_ids]
     round_idx = 0
     while len(selected) < plan.budget:
         k = min(cfg.round_size, plan.budget - len(selected))
-        round_clf = clf
+        new = {}
         if labeled_so_far:
-            round_clf = train_session(
-                clf, buffer, labeled_so_far, work,
-                replay_per_class=cfg.replay_per_class,
-                seed=derive_seed(plan.seed, "session", t, "round", round_idx),
-                class_space=sess.class_space,
-                alpha=cfg.alpha,
-            )
-        sub = pool.subset(remaining)
-        if round_clf.num_classes >= 2:
-            picked = score_fn(sub, k, round_clf)
+            new = new_class_prototypes(old, labeled_so_far, work, sess.class_space)
+        if old.num_classes + len(new) >= 2:
+            new_clf = PrototypeClassifier(new, clf.temperature, tuple(sorted(new)))
+            picked = score_fn(pool, k, new_clf, old_stats, open_rows)
         else:
             picked = random_select(
-                sub, k, derive_seed(plan.seed, "session", t, "fallback", round_idx)
+                pool.subset(pool.ids[open_rows]), k,
+                derive_seed(plan.seed, "session", t, "fallback", round_idx),
             )
         selected.extend(picked.ids)
         labeled_so_far.extend(oracle.labels_for(picked.ids))
-        chosen = set(picked.ids)
-        remaining = [i for i in remaining if i not in chosen]
+        open_rows[pool.ids.searchsorted(picked.ids)] = False
         round_idx += 1
     return Selection(ids=selected)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cbsel.baselines import (
+    SoftmaxStats,
     balanced_random_select,
     coreset_select,
     entropy_select,
@@ -165,6 +166,86 @@ class TestUncertaintySelect:
         store = FeatureStore(np.eye(2))
         with pytest.raises(BudgetExceedsPool):
             entropy_select(store, 3, clf)
+
+
+def full_softmax_scores(logits):
+    """Reference margin and entropy from the full softmax of each row."""
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    top2 = np.sort(p, axis=1)[:, -2:]
+    entropy = -np.sum(np.where(p > 0.0, p * np.log(p), 0.0), axis=1)
+    return top2[:, 1] - top2[:, 0], entropy
+
+
+def sub_classifier(clf, classes):
+    return PrototypeClassifier(
+        embeddings={c: clf.embeddings[c] for c in classes},
+        temperature=clf.temperature,
+        classes_seen=tuple(classes),
+    )
+
+
+def random_clf_and_vectors(num_classes, n, dim, temperature, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((num_classes, dim))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    clf = PrototypeClassifier(
+        embeddings=dict(enumerate(g)), temperature=temperature,
+        classes_seen=tuple(range(num_classes)),
+    )
+    v = rng.standard_normal((n, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v[n // 2] = v[0]  # identical rows
+    return clf, v
+
+
+class TestSoftmaxStats:
+    @pytest.mark.parametrize("blocks", [
+        [[0, 1, 2, 3, 4, 5, 6]],
+        [[0, 2, 4], [1, 3, 5, 6]],
+        [[3], [0, 1, 2, 6], [4, 5]],
+    ])
+    @pytest.mark.parametrize("temperature", [0.07, 1.0])
+    def test_merged_blocks_match_the_full_softmax(self, blocks, temperature):
+        clf, v = random_clf_and_vectors(7, 40, 8, temperature, seed=len(blocks))
+        want_margin, want_entropy = full_softmax_scores(v @ clf.embedding_matrix().T / temperature)
+        stats = SoftmaxStats.of(sub_classifier(clf, blocks[0]), v)
+        for block in blocks[1:]:
+            stats = stats.merge(SoftmaxStats.of(sub_classifier(clf, block), v))
+        assert stats.classes == tuple(range(7))
+        np.testing.assert_allclose(stats.margin(), want_margin, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(stats.entropy(), want_entropy, rtol=0.0, atol=1e-12)
+        assert stats.margin()[0] == stats.margin()[20]
+        assert stats.entropy()[0] == stats.entropy()[20]
+
+    def test_one_column_block(self):
+        clf, v = random_clf_and_vectors(1, 5, 3, 0.07, seed=0)
+        stats = SoftmaxStats.of(clf, v)
+        assert np.all(stats.second == -np.inf)
+        assert np.all(stats.margin() == 1.0)
+        assert np.all(stats.entropy() == 0.0)
+
+    def test_old_block_and_candidate_rows_score_like_one_block(self):
+        clf, v = random_clf_and_vectors(6, 30, 5, 0.07, seed=3)
+        store = FeatureStore(v)
+        rows = np.arange(30) % 3 != 1
+        old = SoftmaxStats.of(sub_classifier(clf, (0, 1, 2, 3)), v)
+        new = sub_classifier(clf, (4, 5))
+        sub = store.subset(store.ids[rows])
+        for select in (entropy_select, margin_select):
+            assert select(store, 7, new, old, rows).ids == select(sub, 7, clf).ids
+
+    def test_old_block_alone_is_scoreable(self):
+        clf, v = random_clf_and_vectors(3, 10, 4, 0.07, seed=4)
+        store = FeatureStore(v)
+        old = SoftmaxStats.of(clf, v)
+        empty = PrototypeClassifier(embeddings={}, temperature=0.07, classes_seen=())
+        assert margin_select(store, 4, empty, old).ids == margin_select(store, 4, clf).ids
+
+    def test_classes_in_both_blocks_rejected(self):
+        clf, v = random_clf_and_vectors(3, 10, 4, 0.07, seed=5)
+        with pytest.raises(ValueError, match="share classes"):
+            entropy_select(FeatureStore(v), 2, clf, SoftmaxStats.of(sub_classifier(clf, (1,)), v))
 
 
 class TestCoresetSelect:

@@ -21,6 +21,7 @@ from cbsel.learner import (
     predict,
     predict_proba_matrix,
     pseudo_label,
+    rehearse,
     train_session,
 )
 
@@ -248,6 +249,21 @@ class TestTrainSession:
         clf2 = train_session(clf1, buffer, second, store, replay_per_class=20, seed=3, alpha=0.5)
         assert not np.array_equal(clf2.embeddings[0], clf1.embeddings[0])
         np.testing.assert_allclose(np.linalg.norm(clf2.embeddings[0]), 1.0, atol=1e-9)
+
+    def test_is_rehearse_plus_the_new_class_prototypes(self):
+        store, labels = blob_world(np.eye(4), per_class=5, sigma=0.05, seed=0, dim=4)
+        pairs = [(int(i), labels[int(i)]) for i in store.ids]
+        first = [p for p in pairs if p[1] in (0, 1)]
+        second = [p for p in pairs if p[1] in (2, 3)]
+        clf1 = train_session(empty_classifier(), MemoryBuffer(), first, store)
+        buffer = MemoryBuffer().update(estimate_class_distributions(first, [], store, {0, 1}))
+        clf2 = train_session(clf1, buffer, second, store, replay_per_class=20, seed=3, alpha=0.5)
+        rehearsed = rehearse(clf1, buffer, replay_per_class=20, seed=3, alpha=0.5)
+        assert rehearsed.classes_seen == (0, 1)
+        for c in (0, 1):
+            np.testing.assert_array_equal(clf2.embeddings[c], rehearsed.embeddings[c])
+        for kwargs in ({"replay_per_class": 0}, {"alpha": 1.0}):
+            assert rehearse(clf1, buffer, seed=3, **kwargs) is clf1
 
     def test_label_outside_session_space(self):
         store = FeatureStore(np.eye(2), normalized=True)

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cbsel import protocol
+from cbsel import learner, protocol
+from cbsel.baselines import random_select
 from cbsel.config import RunConfig
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import (
@@ -16,7 +18,7 @@ from cbsel.errors import (
 )
 from cbsel.features import FeatureStore
 from cbsel.gaussian import estimate, kl_divergence
-from cbsel.learner import PrototypeClassifier
+from cbsel.learner import PrototypeClassifier, predict_proba_matrix, train_session
 from cbsel.protocol import (
     STRATEGIES,
     Oracle,
@@ -32,6 +34,8 @@ from cbsel.protocol import (
     run,
     selected_vs_full_kl,
 )
+from cbsel.seeding import derive_seed
+from cbsel.selection import Selection
 
 
 def tiny_world(seed=0, **overrides):
@@ -301,7 +305,10 @@ class TestRun:
         store, plan = tiny_world(seed=8)
         cfg = RunConfig(round_size=4)
         report = run(plan, "entropy", store, cfg)
-        assert all(len(s.selected_ids) == plan.budget for s in report.per_session)
+        for s, sess in zip(report.per_session, plan.sessions):
+            assert len(s.selected_ids) == plan.budget
+            assert len(set(s.selected_ids)) == plan.budget
+            assert set(s.selected_ids) <= set(sess.pool_ids)
 
     def test_unlabeled_distribution_toggle_runs(self):
         store, plan = tiny_world(seed=9)
@@ -349,6 +356,89 @@ class TestRun:
         store, plan = tiny_world(seed=3)
         with pytest.raises(ConfigError, match="zestful"):
             run(plan, "zestful", store)
+
+
+def full_softmax_pick(strategy, store, budget, clf):
+    """Single-shot entropy or margin pick from the full softmax matrix."""
+    probs = predict_proba_matrix(clf, store.vectors)
+    if strategy == "entropy":
+        key = np.sum(np.where(probs > 0.0, probs * np.log(probs), 0.0), axis=1)
+    else:
+        top2 = np.sort(probs, axis=1)[:, -2:]
+        key = top2[:, 1] - top2[:, 0]
+    order = np.lexsort((store.ids, key))
+    return Selection(ids=[int(store.ids[i]) for i in order[:budget]])
+
+
+def retrain_every_round(strategy):
+    """The round loop as it was before rehearsal moved out of the rounds:
+    retrain with replay before every round, on a per-round stream, and
+    rescore the remaining pool with a full softmax."""
+
+    def select(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
+        selected, labeled_so_far = [], []
+        remaining = [int(i) for i in sess.pool_ids]
+        round_idx = 0
+        while len(selected) < plan.budget:
+            k = min(cfg.round_size, plan.budget - len(selected))
+            round_clf = clf
+            if labeled_so_far:
+                round_clf = train_session(
+                    clf, buffer, labeled_so_far, work,
+                    replay_per_class=cfg.replay_per_class,
+                    seed=derive_seed(plan.seed, "session", t, "round", round_idx),
+                    class_space=sess.class_space, alpha=cfg.alpha,
+                )
+            sub = pool.subset(remaining)
+            if round_clf.num_classes >= 2:
+                picked = full_softmax_pick(strategy, sub, k, round_clf)
+            else:
+                picked = random_select(
+                    sub, k, derive_seed(plan.seed, "session", t, "fallback", round_idx))
+            selected.extend(picked.ids)
+            labeled_so_far.extend(oracle.labels_for(picked.ids))
+            chosen = set(picked.ids)
+            remaining = [i for i in remaining if i not in chosen]
+            round_idx += 1
+        return Selection(ids=selected)
+
+    return select
+
+
+class TestUncertaintyRounds:
+    @pytest.mark.parametrize("strategy", ["margin", "entropy"])
+    @pytest.mark.parametrize("no_replay", [{"replay_per_class": 0}, {"alpha": 1.0}])
+    @pytest.mark.parametrize("world", [
+        {"seed": 8},
+        {"seed": 12, "classes_per_session": 5, "separation": 2.0, "budget": 14},
+    ])
+    def test_without_replay_rounds_pick_like_retraining_every_round(
+            self, monkeypatch, strategy, no_replay, world):
+        store, plan = tiny_world(**world)
+        cfg = RunConfig(round_size=4, **no_replay)
+        got = run(plan, strategy, store, cfg)
+        monkeypatch.setattr(protocol, "_select_uncertainty_rounds", retrain_every_round(strategy))
+        want = run(plan, strategy, store, cfg)
+        assert [s.selected_ids for s in got.per_session] == [s.selected_ids for s in want.per_session]
+
+    def test_each_old_class_is_replayed_at_most_twice_per_session(self, monkeypatch):
+        calls = []
+        derive_rng = learner.derive_rng
+
+        def spy(root, *labels):
+            calls.append((root, *labels))
+            return derive_rng(root, *labels)
+
+        monkeypatch.setattr(learner, "derive_rng", spy)
+        store, plan = tiny_world(seed=8, num_sessions=3)
+        for strategy in ("margin", "entropy"):
+            calls.clear()
+            run(plan, strategy, store, RunConfig(round_size=4))
+            old_classes = sum(len(s.class_space) * (len(plan.sessions) - t)
+                              for t, s in enumerate(plan.sessions, start=1))
+            assert calls
+            assert len(calls) <= 2 * old_classes
+            assert max(Counter(calls).values()) <= 2
 
 
 class TestListingOrder:
