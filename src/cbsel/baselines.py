@@ -163,6 +163,13 @@ def _softmax_stats(store, budget, classifier, old, rows):
 
 def _top(ids: np.ndarray, key: np.ndarray, budget: int) -> Selection:
     """The `budget` ids with the smallest keys, ties to the lowest id."""
+    if budget < len(key):
+        # Only rows keyed at or below the budget-th smallest key can make the
+        # cut, every row tied with it included, so the lexsort is the same
+        # on them alone (a NaN cut keeps every row).
+        cut = np.partition(key, budget - 1)[budget - 1]
+        keep = np.flatnonzero(~(key > cut))
+        ids, key = ids[keep], key[keep]
     return Selection(ids=ids[np.lexsort((ids, key))[:budget]].tolist())
 
 

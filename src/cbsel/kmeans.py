@@ -13,6 +13,8 @@ from .features import FeatureStore
 
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-4
+# Fewest rows per block of _assign's scores (see there).
+ASSIGN_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -106,19 +108,38 @@ def _dist2_to(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin ||x - c||^2 = argmin ||c||^2 - 2 x.c: the ||x||^2 term is the
     # same for every centroid of a row; ties go to the lowest centroid index.
-    # Scaling by -2 is exact and a + (-b) rounds as a - b, so one N x k buffer
-    # holds exactly the bits of ||c||^2 - (2x) @ c.T, which takes three.
-    s = x @ (-2.0 * centroids).T
-    s += np.sum(centroids * centroids, axis=1)
-    return np.argmin(s, axis=1)
+    # Scaling by -2 is exact and a + (-b) rounds as a - b, so the scores hold
+    # exactly the bits of ||c||^2 - (2x) @ c.T. Rows are scored in equal
+    # blocks of at least ASSIGN_BLOCK_ROWS, so one block's scores stay in
+    # cache; each score is the same length-D dot product at any block size
+    # down to that floor. Small blocks would not keep the bits: a one-row
+    # block goes through gemv.
+    n, k = x.shape[0], centroids.shape[0]
+    neg2c = (-2.0 * centroids).T
+    cc = np.sum(centroids * centroids, axis=1)
+    blocks = max(1, n // ASSIGN_BLOCK_ROWS)
+    step, extra = divmod(n, blocks)
+    scores = np.empty((step + (extra > 0), k))
+    out = np.empty(n, dtype=np.intp)
+    a = 0
+    for i in range(blocks):
+        b = a + step + (i < extra)
+        s = np.matmul(x[a:b], neg2c, out=scores[: b - a])
+        s += cc
+        np.argmin(s, axis=1, out=out[a:b])
+        a = b
+    return out
 
 
 def _update(x: np.ndarray, assign: np.ndarray, old: np.ndarray, k: int) -> np.ndarray:
     """Member means in one pass; an empty cluster keeps its old centroid."""
-    # bincount adds rows in ascending order from 0.0, as np.add.at does, so the
-    # sums are bit-equal; np.add.reduceat over sorted rows measurably is not.
+    # One bincount over (cluster, dimension) bins: each bin adds its rows in
+    # ascending order from 0.0, as np.add.at does, so the sums are bit-equal;
+    # np.add.reduceat over sorted rows measurably is not.
+    d = x.shape[1]
     counts = np.bincount(assign, minlength=k)
-    sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in x.T], axis=1)
+    bins = (assign[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=x.ravel(), minlength=k * d).reshape(k, d)
     out = old.copy()
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]

@@ -117,10 +117,20 @@ class SessionPlan:
 @dataclass(frozen=True)
 class Oracle:
     """Id -> class map backing the labeling step and the metrics, plus the
-    ids of the store's rows that carry no label."""
+    ids of the store's rows that carry no label. The map is also kept as
+    ascending id and label arrays, so `labels_of` looks up many ids at once."""
 
     label_map: dict[int, int]
     unlabeled: frozenset[int] = frozenset()
+    _ids: np.ndarray = field(init=False, repr=False, compare=False)
+    _labels: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.label_map)
+        ids = np.fromiter(self.label_map, np.int64, n)
+        order = np.argsort(ids)
+        object.__setattr__(self, "_ids", ids[order])
+        object.__setattr__(self, "_labels", np.fromiter(self.label_map.values(), np.int64, n)[order])
 
     @classmethod
     def from_store(cls, store: FeatureStore) -> "Oracle":
@@ -131,14 +141,30 @@ class Oracle:
         try:
             return self.label_map[int(row_id)]
         except KeyError:
-            error = UnlabeledId if int(row_id) in self.unlabeled else UnknownId
-            raise error(int(row_id)) from None
+            raise self._missing(int(row_id)) from None
 
     def __getitem__(self, row_id: int) -> int:
         return self.label(row_id)
 
+    def labels_of(self, ids) -> np.ndarray:
+        """Labels of `ids`, in the given order; the first id without a label
+        raises UnlabeledId (a row of the store) or UnknownId."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = self._ids.searchsorted(ids)
+        if len(self._ids):
+            found = self._ids.take(rows, mode="clip") == ids
+        else:
+            found = np.zeros(ids.shape, dtype=bool)
+        if not found.all():
+            raise self._missing(int(ids[found.argmin()]))
+        return self._labels[rows]
+
     def labels_for(self, ids) -> list[tuple[int, int]]:
-        return [(int(i), self.label(i)) for i in ids]
+        ids = [int(i) for i in ids]
+        return list(zip(ids, self.labels_of(ids).tolist()))
+
+    def _missing(self, row_id: int) -> CbselError:
+        return (UnlabeledId if row_id in self.unlabeled else UnknownId)(row_id)
 
 
 @dataclass
@@ -187,7 +213,7 @@ def selected_vs_full_kl(selected_ids, pool_store: FeatureStore, oracle: Oracle,
                         var_floor: float = VAR_FLOOR) -> dict[int, float]:
     """Per class: KL from the full-pool class Gaussian to the selected-subset
     class Gaussian. Classes with no selected sample are omitted."""
-    labels = np.fromiter(map(oracle.label, pool_store.ids.tolist()), np.int64, len(pool_store))
+    labels = oracle.labels_of(pool_store.ids)
     chosen = np.isin(pool_store.ids, np.asarray(selected_ids, dtype=np.int64))
     full = estimate_per_class(pool_store.vectors, labels, var_floor)
     sel = estimate_per_class(pool_store.vectors[chosen], labels[chosen], var_floor)
@@ -199,8 +225,7 @@ def evaluate(clf: PrototypeClassifier, test_store: FeatureStore, oracle: Oracle)
     if len(test_store) == 0:
         raise EmptyTestSet("evaluation requires at least one test sample")
     predicted = predict(clf, test_store.vectors)
-    truth = np.asarray([oracle.label(i) for i in test_store.ids], dtype=np.int64)
-    return float(np.mean(predicted == truth))
+    return float(np.mean(predicted == oracle.labels_of(test_store.ids)))
 
 
 def _cbs(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
@@ -308,14 +333,14 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
             pseudo = sorted(pseudo_map.items())
     buffer = buffer.update(estimate_class_distributions(labeled, pseudo, work, discovered, cfg.var_floor))
 
-    test_ids = list(past_test_ids) + list(sess.test_ids)
+    test_ids = np.asarray(list(past_test_ids) + list(sess.test_ids), dtype=np.int64)
     test_store = work.subset(test_ids)
     accuracy = evaluate(clf, test_store, oracle)
-    new_classes = set(sess.class_space)
-    new_ids = [i for i in test_ids if oracle.label(i) in new_classes]
+    test_labels = oracle.labels_of(test_ids)
+    new_ids = test_ids[np.isin(test_labels, sess.class_space)]
     accuracy_new = evaluate(clf, work.subset(new_ids), oracle)
-    old_ids = [i for i in test_ids if oracle.label(i) in past_classes]
-    accuracy_old = evaluate(clf, work.subset(old_ids), oracle) if old_ids else None
+    old_ids = test_ids[np.isin(test_labels, list(past_classes))]
+    accuracy_old = evaluate(clf, work.subset(old_ids), oracle) if old_ids.size else None
 
     counts = {int(c): 0 for c in sess.class_space}
     for _, c in labeled:
@@ -340,10 +365,11 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
     The old classes are rehearsed once per session, on the session's "train"
     stream, so every round scores against the old prototypes the session
     ends with, and their softmax statistics over the pool are computed once.
-    Each round rebuilds only this session's new-class prototypes from its
-    labels so far and scores the rows not yet selected (one mask over the
-    pool's rows). Rounds with fewer than two scoreable classes fall back to a
-    seeded random pick.
+    Each round rebuilds only the prototypes of the classes labeled in the
+    round before, from all their labels so far in labeled order (so each
+    equals a rebuild from every label), and scores the rows not yet selected
+    (one mask over the pool's rows). Rounds with fewer than two scoreable
+    classes fall back to a seeded random pick.
     """
     old = rehearse(clf, buffer, cfg.replay_per_class,
                    derive_seed(plan.seed, "session", t, "train"), cfg.alpha)
@@ -351,12 +377,15 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
     open_rows = np.ones(len(pool), dtype=bool)
     selected: list[int] = []
     labeled_so_far: list[tuple[int, int]] = []
+    last_round: list[tuple[int, int]] = []
+    new: dict[int, np.ndarray] = {}
     round_idx = 0
     while len(selected) < plan.budget:
         k = min(cfg.round_size, plan.budget - len(selected))
-        new = {}
-        if labeled_so_far:
-            new = new_class_prototypes(old, labeled_so_far, work, sess.class_space)
+        if last_round:
+            fresh = {c for _, c in last_round}
+            new = new | new_class_prototypes(
+                old, [(i, c) for i, c in labeled_so_far if c in fresh], work, sess.class_space)
         if old.num_classes + len(new) >= 2:
             new_clf = PrototypeClassifier(new, clf.temperature, tuple(sorted(new)))
             picked = score_fn(pool, k, new_clf, old_stats, open_rows)
@@ -366,7 +395,8 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
                 derive_seed(plan.seed, "session", t, "fallback", round_idx),
             )
         selected.extend(picked.ids)
-        labeled_so_far.extend(oracle.labels_for(picked.ids))
+        last_round = oracle.labels_for(picked.ids)
+        labeled_so_far.extend(last_round)
         open_rows[pool.ids.searchsorted(picked.ids)] = False
         round_idx += 1
     return Selection(ids=selected)

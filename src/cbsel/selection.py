@@ -4,7 +4,7 @@ distribution-matching picks, and the exhaustive oracle the greedy replaces.
 Per cluster, the first pick is the member closest to the cluster mean; each
 later pick is the member whose addition minimizes the KL divergence from the
 cluster's Gaussian to the selected set's Gaussian. Candidate moments come
-from a streaming accumulator, so one greedy step costs O(candidates * D).
+from a streaming accumulator, so one greedy step costs O(members * D).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceedsPool, CombinatorialGuard, KTooLarge
 from .features import FeatureStore
-from .gaussian import VAR_FLOOR, MomentAccumulator, estimate, kl_divergence, kl_divergence_batch
+from .gaussian import VAR_FLOOR, MomentAccumulator, estimate, kl_divergence
 from .kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL, cluster_members, kmeans
 from .seeding import derive_rng, derive_seed
 
@@ -83,20 +83,45 @@ def greedy_select_cluster(
 
     picked = [first]
     acc = MomentAccumulator(members.dim).push(x[first])
-    remaining = np.ones(n, dtype=bool)
-    remaining[first] = False
+    done = np.zeros(n, dtype=bool)
+    done[first] = True
 
+    # Every step scores all members with the float operations of
+    # kl_divergence_batch, in its order, into buffers made once; picked rows
+    # are then masked to +inf. Rows are in ascending id order and argmin
+    # takes the first minimum, so ties still go to the lowest open id.
+    xx = x * x
+    mean, var, kl_terms, tmp = (np.empty_like(x) for _ in range(4))
+    kl = np.empty(n)
     while len(picked) < k:
-        cand_rows = np.where(remaining)[0]
-        xc = x[cand_rows]
         n1 = acc.n + 1
-        mean = (acc.sum[None, :] + xc) / n1
-        var = np.maximum((acc.sumsq[None, :] + xc * xc) / n1 - mean * mean, var_floor)
-        kl = kl_divergence_batch(ref, mean, var)
-        chosen = int(cand_rows[np.argmin(kl)])
+        np.add(x, acc.sum, out=mean)
+        mean /= n1
+        np.add(xx, acc.sumsq, out=var)
+        var /= n1
+        np.multiply(mean, mean, out=tmp)
+        var -= tmp
+        np.maximum(var, var_floor, out=var)
+        np.divide(ref.var, var, out=kl_terms)
+        np.subtract(mean, ref.mean, out=tmp)
+        np.square(tmp, out=tmp)
+        tmp /= var
+        kl_terms += tmp
+        np.divide(var, ref.var, out=tmp)
+        np.log(tmp, out=tmp)
+        kl_terms += tmp
+        kl_terms -= 1.0
+        np.sum(kl_terms, axis=1, out=kl)
+        kl *= 0.5
+        kl[done] = np.inf
+        chosen = int(np.argmin(kl))
+        if done[chosen]:
+            # Every open row scored +inf too (an overflowing KL); the first
+            # open row is then the first minimum among them.
+            chosen = int(np.argmin(done))
         picked.append(chosen)
         acc.push(x[chosen])
-        remaining[chosen] = False
+        done[chosen] = True
 
     return [int(ids[i]) for i in picked]
 

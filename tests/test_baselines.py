@@ -5,6 +5,7 @@ import pytest
 
 from cbsel.baselines import (
     SoftmaxStats,
+    _top,
     balanced_random_select,
     coreset_select,
     entropy_select,
@@ -246,6 +247,29 @@ class TestSoftmaxStats:
         clf, v = random_clf_and_vectors(3, 10, 4, 0.07, seed=5)
         with pytest.raises(ValueError, match="share classes"):
             entropy_select(FeatureStore(v), 2, clf, SoftmaxStats.of(sub_classifier(clf, (1,)), v))
+
+
+class TestTop:
+    @staticmethod
+    def full_lexsort(ids, key, budget):
+        """Reference: sort every row by (key, id) and keep the first `budget`."""
+        return ids[np.lexsort((ids, key))[:budget]].tolist()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_a_full_lexsort_with_ties_at_the_cut(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        # Few distinct keys, so most cuts fall inside a run of ties.
+        key = rng.integers(0, 4, n).astype(np.float64) / 3.0
+        ids = np.sort(rng.choice(10 * n, size=n, replace=False))
+        for budget in sorted({1, n, int(rng.integers(1, n + 1))}):
+            assert _top(ids, key, budget).ids == self.full_lexsort(ids, key, budget)
+            assert _top(ids[::-1], key[::-1], budget).ids == \
+                self.full_lexsort(ids[::-1], key[::-1], budget)
+
+    def test_all_keys_tied(self):
+        ids = np.array([7, 3, 9, 1])
+        assert _top(ids, np.zeros(4), 2).ids == [1, 3]
 
 
 class TestCoresetSelect:

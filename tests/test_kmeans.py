@@ -20,16 +20,6 @@ def blob_store(centers, per_blob=30, sigma=0.02, seed=0):
     return unit_store(np.vstack(blocks))
 
 
-@pytest.fixture(scope="module")
-def large_pool():
-    """One session pool shaped like the large-pool benchmark's (15,696 rows, D = 16)."""
-    world = WorldConfig(num_sessions=1, classes_per_session=100, dim=16,
-                        pool_per_class=400, test_per_class=1, separation=3.0,
-                        imbalance_ratio=10.0, sigma=0.2, seed=1)
-    store, plan = generate(world)
-    return store.subset(plan.sessions[0].pool_ids)
-
-
 def reference_assign(x, centroids):
     """Reference assignment, ||c||^2 - 2 x.c in plain form; _assign must match its bits."""
     return np.argmin(np.sum(centroids * centroids, axis=1) - 2.0 * x @ centroids.T, axis=1)
@@ -160,6 +150,19 @@ class TestLloydStep:
         twin = unit_store([[0.0, 1.0]]).vectors[0]
         centroids = np.stack([unit_store([[1.0, 0.0]]).vectors[0], twin, twin])
         np.testing.assert_array_equal(_assign(x, centroids), [0, 1, 1])
+
+    @pytest.mark.parametrize("n", [1023, 1024, 2047, 2048, 2049, 15696])
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("k", [2, 100])
+    def test_blocked_assign_matches_the_reference_bit_for_bit(self, n, d, k):
+        # One block below 2,048 rows, two or more above. Each centroid has a
+        # twin one ulp away in every coordinate, so every row's choice within
+        # its nearest pair rests on the last bits of the two scores.
+        rng = np.random.default_rng([n, d, k])
+        x = unit_store(rng.standard_normal((n, d))).vectors
+        half = x[rng.choice(n, size=k // 2, replace=False)]
+        centroids = np.vstack([half, np.nextafter(half, np.inf)])
+        np.testing.assert_array_equal(_assign(x, centroids), reference_assign(x, centroids))
 
     def test_loop_matches_the_reference_step_bit_for_bit(self, large_pool, monkeypatch):
         # The benchmark-sized pool with k = 100, then five pools shaped like

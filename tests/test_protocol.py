@@ -15,10 +15,16 @@ from cbsel.errors import (
     PlanError,
     SessionFailure,
     UnknownId,
+    UnlabeledId,
 )
 from cbsel.features import FeatureStore
 from cbsel.gaussian import estimate, kl_divergence
-from cbsel.learner import PrototypeClassifier, predict_proba_matrix, train_session
+from cbsel.learner import (
+    PrototypeClassifier,
+    new_class_prototypes,
+    predict_proba_matrix,
+    train_session,
+)
 from cbsel.protocol import (
     STRATEGIES,
     Oracle,
@@ -127,6 +133,23 @@ class TestOracle:
         oracle = Oracle.from_store(FeatureStore(np.eye(2), labels=[0, 1]))
         with pytest.raises(UnknownId):
             oracle.label(9)
+
+    def test_labels_of_keeps_the_given_order(self):
+        oracle = Oracle.from_store(FeatureStore(np.eye(4), ids=[8, 2, 6, 4], labels=[1, 0, 3, 2]))
+        np.testing.assert_array_equal(oracle.labels_of([6, 2, 8, 6]), [3, 0, 1, 3])
+        assert oracle.labels_of([]).shape == (0,)
+
+    def test_labels_of_names_the_first_id_without_a_label(self):
+        # Row 1 of the store has no label; id 9 is not in the store at all.
+        oracle = Oracle.from_store(FeatureStore(np.eye(3), labels=[4, -1, 6]))
+        with pytest.raises(UnknownId) as unknown:
+            oracle.labels_of([0, 9, 1])
+        assert unknown.value.row_id == 9
+        with pytest.raises(UnlabeledId) as unlabeled:
+            oracle.labels_of([2, 1, 9])
+        assert unlabeled.value.row_id == 1
+        with pytest.raises(UnknownId):
+            Oracle(label_map={}).labels_of([0])
 
 
 class TestMetrics:
@@ -420,6 +443,37 @@ class TestUncertaintyRounds:
         monkeypatch.setattr(protocol, "_select_uncertainty_rounds", retrain_every_round(strategy))
         want = run(plan, strategy, store, cfg)
         assert [s.selected_ids for s in got.per_session] == [s.selected_ids for s in want.per_session]
+
+    @pytest.mark.parametrize("strategy", ["margin", "entropy"])
+    def test_round_prototypes_equal_a_rebuild_from_every_label(self, monkeypatch, strategy):
+        # Each round's classifier holds the new-class prototypes; they must be
+        # the bits new_class_prototypes gives from every label so far.
+        rounds = []
+        select = protocol._select_uncertainty_rounds
+
+        def spy(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
+            seen = []
+
+            def scoring(store, budget, round_clf, old, rows):
+                seen.append((round_clf, int(np.count_nonzero(~rows))))
+                return score_fn(store, budget, round_clf, old, rows)
+
+            selection = select(t, sess, plan, scoring, cfg, work, pool, oracle, clf, buffer)
+            for round_clf, n in seen:
+                want = {}
+                if n:
+                    labeled = oracle.labels_for(selection.ids[:n])
+                    want = new_class_prototypes(clf, labeled, work, sess.class_space)
+                assert round_clf.classes_seen == tuple(sorted(want))
+                for c, proto in want.items():
+                    np.testing.assert_array_equal(round_clf.embeddings[c], proto)
+                rounds.append(n)
+            return selection
+
+        monkeypatch.setattr(protocol, "_select_uncertainty_rounds", spy)
+        store, plan = tiny_world(seed=12, classes_per_session=5, separation=2.0, budget=14)
+        run(plan, strategy, store, RunConfig(round_size=3))
+        assert len(rounds) >= 8 and max(rounds) >= 12
 
     def test_each_old_class_is_replayed_at_most_twice_per_session(self, monkeypatch):
         calls = []

@@ -5,7 +5,9 @@ import pytest
 
 from cbsel.errors import BudgetExceedsPool, CombinatorialGuard, KTooLarge
 from cbsel.features import FeatureStore
-from cbsel.gaussian import VAR_FLOOR, estimate, kl_divergence
+from cbsel.gaussian import VAR_FLOOR, MomentAccumulator, estimate, kl_divergence, kl_divergence_batch
+from cbsel.kmeans import cluster_members, kmeans
+from cbsel.seeding import derive_seed
 from cbsel.selection import (
     allocate_budget,
     brute_force_select,
@@ -39,6 +41,31 @@ def assert_greedy_steps(members, picked, var_floor=VAR_FLOOR):
         picked_kl = kl_with(chosen, picked[step])
         for i in set(ids) - set(chosen):
             assert picked_kl <= kl_with(chosen, i) + 1e-9, f"step {step} passed over id {i}"
+
+
+def reference_greedy(members, k, var_floor=VAR_FLOOR):
+    """The greedy step as a gather of the open rows and kl_divergence_batch
+    on them; greedy_select_cluster must pick exactly what it picks."""
+    ids, x = members.ids, members.vectors
+    ref = estimate(x, var_floor)
+    d2 = np.einsum("ij,ij->i", x - ref.mean, x - ref.mean)
+    first = int(np.argmin(d2))
+    picked = [first]
+    acc = MomentAccumulator(members.dim).push(x[first])
+    remaining = np.ones(len(members), dtype=bool)
+    remaining[first] = False
+    while len(picked) < k:
+        cand_rows = np.where(remaining)[0]
+        xc = x[cand_rows]
+        n1 = acc.n + 1
+        mean = (acc.sum[None, :] + xc) / n1
+        var = np.maximum((acc.sumsq[None, :] + xc * xc) / n1 - mean * mean, var_floor)
+        kl = kl_divergence_batch(ref, mean, var)
+        chosen = int(cand_rows[np.argmin(kl)])
+        picked.append(chosen)
+        acc.push(x[chosen])
+        remaining[chosen] = False
+    return [int(ids[i]) for i in picked]
 
 
 class TestAllocateBudget:
@@ -119,6 +146,41 @@ class TestGreedySelect:
             assert_greedy_steps(members, [1, 0])
         with pytest.raises(AssertionError, match="step 1"):
             assert_greedy_steps(members, [2, 1])
+
+    def test_every_large_pool_cluster_picks_like_the_reference(self, large_pool):
+        # The clusters and per-cluster budgets cbs_select gives the
+        # benchmark-sized pool at budget 3,000.
+        clustering = kmeans(large_pool, 100, derive_seed(1, "kmeans"))
+        plan = allocate_budget(clustering.sizes(), 3000)
+        for j, k in enumerate(plan.per_cluster):
+            members = large_pool.subset(cluster_members(clustering, j))
+            assert greedy_select_cluster(members, k) == reference_greedy(members, k)
+
+    def test_random_clusters_pick_like_the_reference(self):
+        rng = np.random.default_rng(17)
+        shapes = [(1, 1), (1, 4), (7, 1)] + [
+            (int(rng.integers(1, 60)), int(rng.choice([1, 2, 5, 16]))) for _ in range(197)]
+        for case, (m, d) in enumerate(shapes):
+            x = rng.standard_normal((m, d))
+            if case % 3 == 0 and m > 2:
+                # Duplicate rows: exact ties between candidates.
+                x[rng.integers(0, m, m // 2)] = x[rng.integers(0, m, m // 2)]
+            elif case % 3 == 1:
+                # A row at the centre, then rows in mirrored pairs about it:
+                # each pair ties in real arithmetic, so rounding orders it.
+                half = x[1: 1 + (m - 1) // 2]
+                x[1 + (m - 1) // 2: m - (m - 1) % 2] = 2 * x[0] - half
+            members = FeatureStore(x, ids=rng.permutation(10 * m)[:m])
+            k = m if case % 4 == 0 else int(rng.integers(1, m + 1))
+            assert greedy_select_cluster(members, k) == reference_greedy(members, k), case
+
+    def test_candidates_all_at_infinity_take_the_lowest_open_id(self):
+        # With a var_floor this small, both candidates' KL overflows to +inf:
+        # each has zero variance with the first pick (id 0) along one axis.
+        members = FeatureStore(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        with np.errstate(over="ignore"):
+            assert greedy_select_cluster(members, 2, var_floor=1e-320) == [0, 1]
+            assert reference_greedy(members, 2, var_floor=1e-320) == [0, 1]
 
     def test_k_out_of_range(self):
         members = store_1d([0.0, 1.0])
