@@ -15,10 +15,13 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import os
 import statistics
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, load_config
@@ -104,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", type=str, required=True, help="comma-separated")
     p.add_argument("--seeds", type=str, required=True, help="comma-separated")
     p.add_argument("--out-dir", type=str, required=True)
-    p.add_argument("--workers", type=int, default=4,
-                   help="accepted for compatibility and ignored: cells run one at a time")
+    p.add_argument("--workers", type=int, default=_usable_cpus(),
+                   help="worker processes that run cells at once (default: the number "
+                        "of usable CPUs); 1 runs every cell in this process")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -175,25 +179,30 @@ def _cmd_sweep(args) -> int:
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     os.makedirs(args.out_dir, exist_ok=True)
 
     cells = [(s, b, r) for s in strategies for b in budgets for r in seeds]
-    results: dict[tuple[str, int, int], RunReport] = {}
-    failures: list[dict] = []
-    for strategy, budget, seed in cells:
+    sweep = (plan, work, cfg, args.out_dir)
+    workers = min(args.workers, len(cells))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # Forked workers inherit the sweep's inputs; only cells and results
+        # are pickled. Futures are read in cell order, so the outputs match
+        # the in-process loop.
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_init_sweep, initargs=(sweep,)) as pool:
+            futures = [pool.submit(_run_cell, cell) for cell in cells]
+            outcomes = [_outcome(cell, future) for cell, future in zip(cells, futures)]
+    else:
+        _init_sweep(sweep)
         try:
-            report = run(dataclasses.replace(plan, budget=budget, seed=seed),
-                         strategy, work, cfg)
-        except Exception as exc:
-            failures.append({
-                "strategy": strategy, "budget": budget, "seed": seed,
-                "error": type(exc).__name__, "message": str(exc),
-            })
-            continue
-        results[(strategy, budget, seed)] = report
-        path = os.path.join(args.out_dir, f"report_{strategy}_b{budget}_s{seed}.json")
-        _atomic_write(report_json(report), path)
+            outcomes = list(map(_run_cell, cells))
+        finally:
+            _init_sweep(None)
 
+    results = {cell: o for cell, o in zip(cells, outcomes) if isinstance(o, RunReport)}
+    failures = [o for o in outcomes if not isinstance(o, RunReport)]
     _atomic_write(_summary_csv(results), os.path.join(args.out_dir, "summary.csv"))
     if failures:
         failures.sort(key=lambda f: (f["strategy"], f["budget"], f["seed"]))
@@ -206,6 +215,52 @@ def _cmd_sweep(args) -> int:
         return 1
     print(f"all {len(cells)} cells done -> {args.out_dir}")
     return 0
+
+
+# (plan, normalized store, config, output directory) of the sweep this
+# process runs cells for: set in the sweep's own process or in each worker.
+_SWEEP: tuple | None = None
+
+
+def _init_sweep(sweep: tuple | None) -> None:
+    global _SWEEP
+    _SWEEP = sweep
+
+
+def _run_cell(cell: tuple[str, int, int]) -> RunReport | dict:
+    """Run one (strategy, budget, seed) cell and write its report; a cell
+    that raises comes back as its failure record."""
+    plan, work, cfg, out_dir = _SWEEP
+    strategy, budget, seed = cell
+    try:
+        report = run(dataclasses.replace(plan, budget=budget, seed=seed),
+                     strategy, work, cfg)
+    except Exception as exc:
+        return _failure(cell, exc)
+    _atomic_write(report_json(report),
+                  os.path.join(out_dir, f"report_{strategy}_b{budget}_s{seed}.json"))
+    return report
+
+
+def _outcome(cell: tuple[str, int, int], future) -> RunReport | dict:
+    """A cell's result, or a failure record when its worker died."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return _failure(cell, exc)
+
+
+def _failure(cell: tuple[str, int, int], exc: BaseException) -> dict:
+    strategy, budget, seed = cell
+    return {"strategy": strategy, "budget": budget, "seed": seed,
+            "error": type(exc).__name__, "message": str(exc)}
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _int_list(text: str, flag: str) -> list[int]:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import cbsel
+from cbsel import cli
 from cbsel.cli import _config_from_args, build_parser, main
 from cbsel.config import ENV_PREFIX, RunConfig, load_config
 from cbsel.errors import ConfigError
@@ -273,6 +276,69 @@ class TestSweep:
         assert manifest["error"] == "ConfigError"
         assert flag in manifest["message"]
         assert not (tmp_path / "sweep").exists()
+
+    def _sweep(self, world, out_dir, *extra):
+        return main(["sweep", "--plan", str(world["plan"]),
+                     "--features", str(world["features"]),
+                     "--out-dir", str(out_dir), *extra])
+
+    def test_outputs_do_not_depend_on_workers(self, world, tmp_path):
+        grid = ["--strategies", "random,cbs,margin", "--budgets", "6,999",
+                "--seeds", "1,2"]
+        outputs = []
+        for workers in (1, 2, 3):
+            out_dir = tmp_path / f"w{workers}"
+            assert self._sweep(world, out_dir, *grid, "--workers", str(workers)) == 1
+            assert multiprocessing.active_children() == []
+            files = {}
+            for path in sorted(out_dir.iterdir()):
+                files[path.name] = [line for line in path.read_bytes().splitlines(True)
+                                    if b'"created_at"' not in line]
+            outputs.append(files)
+        assert sorted(outputs[0]) == sorted(
+            [f"report_{s}_b6_s{r}.json" for s in ("random", "cbs", "margin") for r in (1, 2)]
+            + ["failures.json", "summary.csv"])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_a_config_error(self, world, tmp_path, capsys, workers):
+        out_dir = tmp_path / "sweep"
+        rc = self._sweep(world, out_dir, "--strategies", "random", "--budgets", "6",
+                         "--seeds", "1", "--workers", workers)
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ConfigError"
+        assert "--workers" in manifest["message"]
+        assert not out_dir.exists()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="worker processes need the fork start method")
+    def test_dead_worker_fails_its_cells_not_the_sweep(self, world, tmp_path,
+                                                       monkeypatch, capsys):
+        real_run = cli.run
+
+        def run_or_die(plan, strategy, store, cfg):
+            if strategy == "cbs":
+                os._exit(3)
+            return real_run(plan, strategy, store, cfg)
+
+        monkeypatch.setattr(cli, "run", run_or_die)
+        out_dir = tmp_path / "sweep"
+        rc = self._sweep(world, out_dir, "--strategies", "random,cbs", "--budgets", "6",
+                         "--seeds", "1,2", "--workers", "2")
+        assert rc == 1
+        assert multiprocessing.active_children() == []
+        assert "Traceback" not in capsys.readouterr().err
+        failures = json.loads((out_dir / "failures.json").read_text())["failures"]
+        failed = {(f["strategy"], f["seed"]) for f in failures}
+        assert {("cbs", 1), ("cbs", 2)} <= failed
+        assert all(f["error"] == "BrokenProcessPool" for f in failures)
+        survivors = {(s, r) for s in ("random", "cbs") for r in (1, 2)} - failed
+        for s, r in survivors:
+            assert (out_dir / f"report_{s}_b6_s{r}.json").exists()
+        lines = (out_dir / "summary.csv").read_text().splitlines()
+        assert len(lines) == (2 if survivors else 1)
 
 
 class TestReport:
