@@ -15,13 +15,10 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing
 import os
 import statistics
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, load_config
@@ -167,6 +164,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Imported here, not at module level: commands that never sweep should
+    # not carry the process-pool modules in their memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cfg = _config_from_args(args)
     plan = SessionPlan.load(args.plan)
     store = load_features(args.features)
@@ -244,6 +246,8 @@ def _run_cell(cell: tuple[str, int, int]) -> RunReport | dict:
 
 def _outcome(cell: tuple[str, int, int], future) -> RunReport | dict:
     """A cell's result, or a failure record when its worker died."""
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
     except BrokenProcessPool as exc:

@@ -28,6 +28,12 @@ from .errors import (
 
 NO_LABEL = -1
 _LABEL_CONSUMERS = ("oracle", "metrics")
+# Rows `save_features` formats into one string per write.
+_WRITE_BLOCK_ROWS = 1024
+# Characters only the row-by-row validator reads: a quote changes csv's
+# cells, and np.loadtxt strips these four controls around a float where
+# float() rejects them.
+_SLOW_PATH_CHARS = '"\x1c\x1d\x1e\x1f'
 
 
 class FeatureStore:
@@ -161,20 +167,70 @@ def load_features(path) -> FeatureStore:
     The header must read ``id,label,f0,...,f{D-1}``. Every row must supply an
     integer id, an optional integer label, and D finite floats. Ids must be
     dense in [0, N). The returned store is un-normalized.
+
+    Most files are parsed at numpy speed by `_load_fast`. Any file it cannot
+    show it reads exactly as the row-by-row validator would goes to the
+    validator, which then returns the same store or raises the error for a
+    bad file; the two paths accept the same files.
     """
     try:
+        store = _load_fast(path)
+    except Exception:  # any failure of the fast parse is the validator's to judge
+        store = None
+    return _load_validated(path) if store is None else store
+
+
+def _load_fast(path) -> FeatureStore | None:
+    """The store `_load_validated` returns for `path`, or None where this
+    parse cannot show that its arrays are the validator's.
+
+    The file's lines are the ones csv.reader reads, split at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``. Without a quote, csv's cells are a line's
+    text split at its commas, so this parse takes only files without a
+    `_SLOW_PATH_CHARS` character or a cell longer than csv's field size
+    limit, and with D + 1 commas on every line after the header. Ids and
+    labels are parsed by the validator's ``int()``/``strip()`` rules and the
+    D float columns by `np.loadtxt`, which must give one row per line. Any
+    exception, `FeatureStore`'s check for a non-finite value among them,
+    also means None.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if any(c in line for line in lines for c in _SLOW_PATH_CHARS):
+        return None
+    limit = csv.field_size_limit()
+    if max(map(len, lines)) > limit and any(
+            len(cell) > limit for line in lines for cell in line.split(",")):
+        return None
+    dim = _parse_header(lines[0].rstrip("\r\n").split(","))
+    body = lines[1:]
+    if not body or any(line.count(",") != dim + 1 for line in body):
+        return None
+    heads = [line.split(",", 2)[:2] for line in body]
+    ids = [int(id_cell) for id_cell, _ in heads]
+    labels = [NO_LABEL if cell.strip() == "" else int(cell) for _, cell in heads]
+    any_label = any(cell.strip() != "" for _, cell in heads)
+    vectors = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
+                         quotechar=None, usecols=range(2, dim + 2), ndmin=2)
+    if vectors.shape != (len(body), dim):
+        return None
+    return _dense_store(ids, labels, any_label, vectors)  # raises on a non-finite value
+
+
+def _load_validated(path) -> FeatureStore:
+    """Row-by-row reader that names the row and column of the first bad cell."""
+    try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("empty file") from None
+            records = _csv_records(fh)
+            header = next(records, None)
+            if header is None:
+                raise ParseError("empty file")
             dim = _parse_header(header)
             ids: list[int] = []
             labels: list[int] = []
             rows: list[list[float]] = []
             any_label = False
-            for rownum, row in enumerate(reader, start=2):
+            for rownum, row in enumerate(records, start=2):
                 if len(row) != dim + 2:
                     raise DimensionMismatch(
                         f"row {rownum}: expected {dim + 2} columns, got {len(row)}"
@@ -207,13 +263,34 @@ def load_features(path) -> FeatureStore:
                 rows.append(values)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
-    n = len(rows)
+    return _dense_store(ids, labels, any_label, rows)
+
+
+def _csv_records(fh):
+    """csv.reader's records of `fh`; a csv.Error becomes a ParseError naming
+    the 1-based row being read (the header is row 1)."""
+    reader = csv.reader(fh)
+    row = 1
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"unreadable CSV row: {exc}", row=row) from None
+        yield record
+        row += 1
+
+
+def _dense_store(ids: list[int], labels: list[int], any_label: bool, vectors) -> FeatureStore:
+    """The store of parsed rows, once their ids are checked dense in [0, N)."""
+    n = len(ids)
     if n == 0:
         raise ParseError("no data rows")
     if sorted(ids) != list(range(n)):
         raise ParseError("ids must be unique and dense in [0, N)")
     return FeatureStore(
-        np.asarray(rows, dtype=np.float64),
+        np.asarray(vectors, dtype=np.float64),
         ids=np.asarray(ids, dtype=np.int64),
         labels=np.asarray(labels, dtype=np.int64) if any_label else None,
         normalized=False,
@@ -221,19 +298,27 @@ def load_features(path) -> FeatureStore:
 
 
 def save_features(store: FeatureStore, path) -> None:
-    """Write a store in the CSV ingestion format (17 significant digits)."""
-    label_map = store._labels
+    """Write a store in the CSV ingestion format (17 significant digits).
+
+    The bytes are those `csv.writer` writes with its default dialect,
+    ``\\r\\n`` line endings included; no cell this format holds needs
+    quoting. Rows are formatted and written `_WRITE_BLOCK_ROWS` at a time,
+    so the text held in memory does not grow with the number of rows.
+    """
+    row_format = "%d,%s," + ",".join(["%.17g"] * store.dim) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"f{d}" for d in range(store.dim)])
-        for r in range(len(store)):
-            label = ""
-            if label_map is not None and int(label_map[r]) != NO_LABEL:
-                label = str(int(label_map[r]))
-            writer.writerow(
-                [int(store.ids[r]), label]
-                + [format(v, ".17g") for v in store.vectors[r]]
-            )
+        fh.write(",".join(["id", "label"] + [f"f{d}" for d in range(store.dim)]) + "\r\n")
+        for start in range(0, len(store), _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            ids = store.ids[block].tolist()
+            if store._labels is None:
+                labels = [""] * len(ids)
+            else:
+                labels = ["" if y == NO_LABEL else str(y) for y in store._labels[block].tolist()]
+            fh.write("".join([
+                row_format % (i, label, *v)
+                for i, label, v in zip(ids, labels, store.vectors[block].tolist())
+            ]))
 
 
 def _parse_header(header: list[str]) -> int:

@@ -512,6 +512,18 @@ class TestUnreadableFiles:
         assert str(bad) in manifest["message"]
 
 
+class TestOversizedCell:
+    def test_simulate_exits_2_with_a_parse_error(self, world, tmp_path, capsys):
+        # A cell longer than csv's field size limit (131,072 characters).
+        features = tmp_path / "f.csv"
+        features.write_text("id,label,f0\n0,1,0.5\n1,1," + "0" * 131_072 + "1\n")
+        assert main(["simulate", "--plan", str(world["plan"]), "--features", str(features),
+                     "--strategy", "random", "--out", str(tmp_path / "out.json")]) == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ParseError"
+        assert "(row 3)" in manifest["message"]
+
+
 class TestUnlabeledRow:
     def test_is_named_by_simulate_and_select(self, tmp_path, capsys):
         features = tmp_path / "f.csv"
