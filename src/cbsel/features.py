@@ -246,6 +246,9 @@ def _load_validated(path) -> FeatureStore:
                         labels.append(int(row[1]))
                     except ValueError:
                         raise ParseError(f"bad label {row[1]!r}", row=rownum, column=2) from None
+                    if not -(2**63) <= labels[-1] < 2**63:
+                        raise ParseError(
+                            f"label {row[1]!r} is outside the int64 range", row=rownum, column=2)
                     any_label = True
                 values = []
                 for col, cell in enumerate(row[2:], start=3):

@@ -31,45 +31,87 @@ class DiagonalGaussian:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
         object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
-        if self.mean.shape != self.var.shape or self.mean.ndim != 1:
-            raise DimensionMismatch("mean and var must be 1-D arrays of the same length")
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.var))):
-            raise ValueError("non-finite Gaussian parameters")
-        if np.any(self.var <= 0.0):
-            raise ValueError("variances must be positive (floor not applied?)")
+        _check_moments(self.mean, self.var, 1)
+
+    @classmethod
+    def per_row(cls, means: np.ndarray, variances: np.ndarray, counts) -> list["DiagonalGaussian"]:
+        """One Gaussian per row of (C, D) float64 stacks, holding views of
+        them. The stacks are checked once, as a Gaussian checks its own."""
+        _check_moments(means, variances, 2)
+        out = []
+        for mean, var, count in zip(means, variances, counts.tolist()):
+            g = object.__new__(cls)
+            object.__setattr__(g, "mean", mean)
+            object.__setattr__(g, "var", var)
+            object.__setattr__(g, "count", count)
+            out.append(g)
+        return out
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
 
+def _check_moments(mean: np.ndarray, var: np.ndarray, ndim: int) -> None:
+    if mean.shape != var.shape or mean.ndim != ndim:
+        raise DimensionMismatch(f"mean and var must be {ndim}-D arrays of the same shape")
+    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+        raise ValueError("non-finite Gaussian parameters")
+    if (var <= 0.0).any():
+        raise ValueError("variances must be positive (floor not applied?)")
+
+
 def estimate(vectors, var_floor: float = VAR_FLOOR) -> DiagonalGaussian:
     """Two-pass population estimate: mean = sum/n, var = mean squared deviation.
 
-    Variances are clamped to `var_floor`. Raises EmptyInput on n = 0.
+    The one-group case of `estimate_grouped`. Variances are clamped to
+    `var_floor`. Raises EmptyInput on n = 0.
     """
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.shape[0] == 0:
+    n = arr.shape[0]
+    if n == 0:
         raise EmptyInput("cannot estimate a Gaussian from zero vectors")
-    mean = arr.mean(axis=0)
-    var = np.maximum(((arr - mean) ** 2).mean(axis=0), var_floor)
-    return DiagonalGaussian(mean, var, arr.shape[0])
+    means, variances = _group_moments(arr, np.zeros(n, dtype=np.intp), np.array([n]), var_floor)
+    return DiagonalGaussian(means[0], variances[0], n)
+
+
+def estimate_grouped(vectors: np.ndarray, labels: np.ndarray, var_floor: float = VAR_FLOOR):
+    """`estimate` of every label's rows in one pass.
+
+    Returns (classes, means, variances, counts): the distinct labels
+    ascending, their (C, D) means and floored variances, and their row
+    counts. Each class's sums add its rows in their order in `vectors`.
+    """
+    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    means, variances = _group_moments(np.asarray(vectors, dtype=np.float64), inverse, counts, var_floor)
+    return classes, means, variances, counts
+
+
+def _group_moments(arr, group, counts, var_floor):
+    """(C, D) means and floored variances of the rows of each group; row i
+    is in group `group[i]` and group c has `counts[c]` rows."""
+    # One bincount over (group, dimension) bins, as kmeans._update sums: each
+    # bin adds its rows in row order from 0.0, which for D >= 2 gives the bits
+    # of arr.mean(axis=0) on the group's rows. For D = 1 numpy sums the
+    # contiguous column pairwise instead, so those bits differ.
+    k, d = counts.shape[0], arr.shape[1]
+    bins = (group[:, None] * d + np.arange(d)).ravel()
+    n = counts[:, None]
+    means = np.bincount(bins, weights=arr.ravel(), minlength=k * d).reshape(k, d) / n
+    dev = arr - means[group]
+    dev *= dev
+    variances = np.bincount(bins, weights=dev.ravel(), minlength=k * d).reshape(k, d) / n
+    np.maximum(variances, var_floor, out=variances)
+    return means, variances
 
 
 def estimate_per_class(vectors: np.ndarray, labels: np.ndarray,
                        var_floor: float = VAR_FLOOR) -> dict[int, DiagonalGaussian]:
     """`estimate` over each label's rows, in their order in `vectors`; keys ascending."""
-    return {c: estimate(vectors[rows], var_floor) for c, rows in group_by_label(labels)}
-
-
-def group_by_label(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(label, positions) per distinct label, labels ascending, each label's
-    positions in their order in `labels`."""
-    order = np.argsort(labels, kind="stable")
-    classes, starts = np.unique(labels[order], return_index=True)
-    return list(zip(classes.tolist(), np.split(order, starts[1:])))
+    classes, means, variances, counts = estimate_grouped(vectors, labels, var_floor)
+    return dict(zip(classes.tolist(), DiagonalGaussian.per_row(means, variances, counts)))
 
 
 def kl_divergence(p: DiagonalGaussian, q: DiagonalGaussian) -> float:

@@ -23,7 +23,7 @@ from .errors import (
     ZeroVector,
 )
 from .features import FeatureStore
-from .gaussian import VAR_FLOOR, DiagonalGaussian, estimate_per_class, group_by_label, sample
+from .gaussian import VAR_FLOOR, DiagonalGaussian, estimate_grouped, estimate_per_class
 from .seeding import derive_rng
 
 DEFAULT_TEMPERATURE = 0.07
@@ -31,11 +31,16 @@ DEFAULT_ALPHA = 0.5
 DEFAULT_REPLAY_PER_CLASS = 20
 
 
-def _unit(v: np.ndarray, what: str) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ZeroVector(f"cannot normalize a zero vector ({what})")
-    return v / norm
+def _unit_rows(v: np.ndarray, classes, what: str) -> np.ndarray:
+    """Each row of the (C, D) `v` divided by its norm; ZeroVector names the
+    first class in `classes` whose row is zero."""
+    # (C, 1, D) @ (C, D, 1) runs one dot per row, as np.linalg.norm does for
+    # one vector, so every norm has the bits of the one-vector norm.
+    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+    zero = norms[:, 0] == 0.0
+    if zero.any():
+        raise ZeroVector(f"cannot normalize a zero vector ({what} of class {classes[zero.argmax()]})")
+    return v / norms
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,14 @@ class PrototypeClassifier:
 
     `classes_seen` is the ascending-sorted union of every completed session's
     discovered classes; it only grows. Instances are immutable; training
-    returns a new classifier.
+    returns a new classifier. The prototypes are stacked once, in
+    classes_seen order, into the read-only `embedding_matrix()`.
     """
 
     embeddings: dict[int, np.ndarray]
     temperature: float = DEFAULT_TEMPERATURE
     classes_seen: tuple[int, ...] = ()
+    _matrix: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.temperature <= 0.0:
@@ -58,9 +65,14 @@ class PrototypeClassifier:
             raise ValueError("classes_seen must be ascending and unique")
         if set(self.embeddings) != set(self.classes_seen):
             raise ValueError("embeddings keys must match classes_seen")
-        for c, g in self.embeddings.items():
-            if abs(float(np.linalg.norm(g)) - 1.0) > 1e-6:
-                raise NotNormalized(f"embedding for class {c} is not unit norm")
+        if self.classes_seen:
+            matrix = np.stack([self.embeddings[c] for c in self.classes_seen])
+            bad = np.abs(np.linalg.norm(matrix, axis=1) - 1.0) > 1e-6
+            if bad.any():
+                raise NotNormalized(
+                    f"embedding for class {self.classes_seen[bad.argmax()]} is not unit norm")
+            matrix.flags.writeable = False
+            object.__setattr__(self, "_matrix", matrix)
 
     @property
     def num_classes(self) -> int:
@@ -70,7 +82,7 @@ class PrototypeClassifier:
         """Rows ordered like classes_seen (ascending class id)."""
         if not self.classes_seen:
             raise NoClasses("classifier has no classes yet")
-        return np.stack([self.embeddings[c] for c in self.classes_seen])
+        return self._matrix
 
 
 def empty_classifier(temperature: float = DEFAULT_TEMPERATURE) -> PrototypeClassifier:
@@ -108,7 +120,7 @@ def pseudo_label(clf: PrototypeClassifier, store: FeatureStore, allowed) -> dict
     missing = [c for c in allowed if c not in clf.embeddings]
     if missing:
         raise ValueError(f"allowed classes not in classifier: {missing}")
-    g = np.stack([clf.embeddings[c] for c in allowed])
+    g = clf.embedding_matrix()[np.searchsorted(clf.classes_seen, allowed)]
     logits = store.vectors @ g.T
     cols = np.argmax(logits, axis=1)
     return {int(i): allowed[int(k)] for i, k in zip(store.ids, cols)}
@@ -152,26 +164,31 @@ def rehearse(
     For each buffered class, in ascending id order, `replay_per_class`
     pseudo-features are sampled from its stored Gaussian on the stream
     `derive_rng(seed, "replay", c)`, and their unit mean is blended with the
-    previous prototype, weight `alpha` on the previous one. With
-    replay_per_class = 0 or alpha = 1 the classifier comes back unchanged.
+    previous prototype, weight `alpha` on the previous one. The classes are
+    shifted, scaled, averaged, blended and normalized as one (C, k, D) stack.
+    With replay_per_class = 0, alpha = 1 or an empty buffer the classifier
+    comes back unchanged.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     if replay_per_class < 0:
         raise ValueError("replay_per_class must be >= 0")
-    if replay_per_class == 0 or alpha == 1.0:
+    classes = sorted(buffer.distributions)
+    if replay_per_class == 0 or alpha == 1.0 or not classes:
         return clf
-    embeddings = dict(clf.embeddings)
-    for c in sorted(buffer.distributions):
-        rng = derive_rng(seed, "replay", c)
-        replayed = sample(buffer.distributions[c], replay_per_class, rng)
-        replay_proto = _unit(replayed.mean(axis=0), f"replay mean of class {c}")
-        embeddings[c] = _unit(
-            alpha * embeddings[c] + (1.0 - alpha) * replay_proto,
-            f"blended prototype of class {c}",
-        )
+    dists = [buffer.distributions[c] for c in classes]
+    means = np.stack([g.mean for g in dists])
+    replayed = np.empty((len(classes), replay_per_class, means.shape[1]))
+    for j, c in enumerate(classes):
+        derive_rng(seed, "replay", c).standard_normal(out=replayed[j])
+    replayed *= np.sqrt(np.stack([g.var for g in dists]))[:, None, :]
+    replayed += means[:, None, :]
+    replay_protos = _unit_rows(replayed.mean(axis=1), classes, "replay mean")
+    previous = np.stack([clf.embeddings[c] for c in classes])
+    blended = _unit_rows(alpha * previous + (1.0 - alpha) * replay_protos, classes, "blended prototype")
     return PrototypeClassifier(
-        embeddings=embeddings, temperature=clf.temperature, classes_seen=clf.classes_seen)
+        embeddings=clf.embeddings | dict(zip(classes, blended)),
+        temperature=clf.temperature, classes_seen=clf.classes_seen)
 
 
 def new_class_prototypes(
@@ -195,11 +212,10 @@ def new_class_prototypes(
         raise LabelOutsideSessionSpace(
             f"labels/classes outside the current session space: {sorted(set(bad) | (space & seen))}"
         )
-    vectors = store.vectors_for([i for i, _ in labeled])
-    return {
-        c: _unit(vectors[rows].mean(axis=0), f"prototype of class {c}")
-        for c, rows in group_by_label(np.array([c for _, c in labeled], dtype=np.int64))
-    }
+    classes, means, _, _ = estimate_grouped(
+        store.vectors_for([i for i, _ in labeled]), np.array([c for _, c in labeled], dtype=np.int64))
+    classes = classes.tolist()
+    return dict(zip(classes, _unit_rows(means, classes, "prototype")))
 
 
 def train_session(
@@ -211,16 +227,19 @@ def train_session(
     seed: int = 0,
     class_space=None,
     alpha: float = DEFAULT_ALPHA,
+    rehearsed: PrototypeClassifier | None = None,
 ) -> PrototypeClassifier:
     """One incremental training step; returns a new classifier.
 
     The new classes get their `new_class_prototypes` and the old classes in
     `buffer` are rehearsed (`rehearse`, with `replay_per_class`, `seed` and
     `alpha`). With replay_per_class = 0 or alpha = 1 old prototypes are
-    unchanged.
+    unchanged. A caller that already holds `rehearse`'s result for these
+    arguments passes it as `rehearsed`, and the old classes are not drawn
+    again.
     """
     new = new_class_prototypes(clf, labeled, store, class_space)
-    old = rehearse(clf, buffer, replay_per_class, seed, alpha)
+    old = rehearse(clf, buffer, replay_per_class, seed, alpha) if rehearsed is None else rehearsed
     return PrototypeClassifier(
         embeddings=old.embeddings | new,
         temperature=clf.temperature,

@@ -37,7 +37,7 @@ from .errors import (
     UnlabeledId,
 )
 from .features import FeatureStore, hidden_labels
-from .gaussian import VAR_FLOOR, estimate_per_class, kl_divergence
+from .gaussian import VAR_FLOOR, estimate_grouped
 from .learner import (
     MemoryBuffer,
     PrototypeClassifier,
@@ -212,20 +212,33 @@ def discovery_ratio(per_class_counts) -> float:
 def selected_vs_full_kl(selected_ids, pool_store: FeatureStore, oracle: Oracle,
                         var_floor: float = VAR_FLOOR) -> dict[int, float]:
     """Per class: KL from the full-pool class Gaussian to the selected-subset
-    class Gaussian. Classes with no selected sample are omitted."""
+    class Gaussian. Classes with no selected sample are omitted.
+
+    Both sides are estimated in one grouped pass each, and every class's
+    divergence is one row of a (C, D) array of `kl_divergence` terms.
+    """
     labels = oracle.labels_of(pool_store.ids)
     chosen = np.isin(pool_store.ids, np.asarray(selected_ids, dtype=np.int64))
-    full = estimate_per_class(pool_store.vectors, labels, var_floor)
-    sel = estimate_per_class(pool_store.vectors[chosen], labels[chosen], var_floor)
-    return {c: float(kl_divergence(full[c], g)) for c, g in sel.items()}
+    full_classes, full_mean, full_var, _ = estimate_grouped(pool_store.vectors, labels, var_floor)
+    classes, mean, var, _ = estimate_grouped(pool_store.vectors[chosen], labels[chosen], var_floor)
+    rows = full_classes.searchsorted(classes)
+    p_mean, p_var = full_mean[rows], full_var[rows]
+    terms = p_var / var + (mean - p_mean) ** 2 / var + np.log(var / p_var) - 1.0
+    return dict(zip(classes.tolist(), (0.5 * np.sum(terms, axis=1)).tolist()))
 
 
-def evaluate(clf: PrototypeClassifier, test_store: FeatureStore, oracle: Oracle) -> float:
-    """Top-1 accuracy of the argmax prediction over classes seen so far."""
+def evaluate(clf: PrototypeClassifier, test_store: FeatureStore, oracle: Oracle,
+             groups=()) -> tuple[float | None, ...]:
+    """Top-1 accuracies of the argmax prediction over classes seen so far,
+    from one prediction of the rows: over all rows, then over the rows
+    labeled in each of `groups` (class-id collections), None for a group
+    with no test row."""
     if len(test_store) == 0:
         raise EmptyTestSet("evaluation requires at least one test sample")
-    predicted = predict(clf, test_store.vectors)
-    return float(np.mean(predicted == oracle.labels_of(test_store.ids)))
+    labels = oracle.labels_of(test_store.ids)
+    hits = predict(clf, test_store.vectors) == labels
+    in_groups = [hits[np.isin(labels, list(g))] for g in groups]
+    return (float(np.mean(hits)), *(float(np.mean(h)) if h.size else None for h in in_groups))
 
 
 def _cbs(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
@@ -306,8 +319,9 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
 def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
                  past_test_ids, past_classes):
     pool = work.subset(sess.pool_ids)
+    rehearsed = None
     if strategy in SCORERS:
-        selection = _select_uncertainty_rounds(
+        selection, rehearsed = _select_uncertainty_rounds(
             t, sess, plan, SCORERS[strategy], cfg, work, pool, oracle, clf, buffer)
     else:
         selection = SELECTORS[strategy](
@@ -321,6 +335,7 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
         seed=derive_seed(plan.seed, "session", t, "train"),
         class_space=sess.class_space,
         alpha=cfg.alpha,
+        rehearsed=rehearsed,
     )
 
     discovered = sorted({c for _, c in labeled})
@@ -333,14 +348,11 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
             pseudo = sorted(pseudo_map.items())
     buffer = buffer.update(estimate_class_distributions(labeled, pseudo, work, discovered, cfg.var_floor))
 
-    test_ids = np.asarray(list(past_test_ids) + list(sess.test_ids), dtype=np.int64)
-    test_store = work.subset(test_ids)
-    accuracy = evaluate(clf, test_store, oracle)
-    test_labels = oracle.labels_of(test_ids)
-    new_ids = test_ids[np.isin(test_labels, sess.class_space)]
-    accuracy_new = evaluate(clf, work.subset(new_ids), oracle)
-    old_ids = test_ids[np.isin(test_labels, list(past_classes))]
-    accuracy_old = evaluate(clf, work.subset(old_ids), oracle) if old_ids.size else None
+    test_store = work.subset(list(past_test_ids) + list(sess.test_ids))
+    accuracy, accuracy_new, accuracy_old = evaluate(
+        clf, test_store, oracle, groups=(sess.class_space, past_classes))
+    if accuracy_new is None:
+        raise EmptyTestSet(f"session {t} has no test sample of its own classes")
 
     counts = {int(c): 0 for c in sess.class_space}
     for _, c in labeled:
@@ -359,12 +371,14 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
     return clf, buffer, sess_report
 
 
-def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer) -> Selection:
-    """Uncertainty strategies run in rounds, labeling between rounds.
+def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
+    """Uncertainty strategies run in rounds, labeling between rounds; returns
+    the Selection and the rehearsed classifier.
 
     The old classes are rehearsed once per session, on the session's "train"
     stream, so every round scores against the old prototypes the session
     ends with, and their softmax statistics over the pool are computed once.
+    The session's training step takes that rehearsed classifier as it is.
     Each round rebuilds only the prototypes of the classes labeled in the
     round before, from all their labels so far in labeled order (so each
     equals a rebuild from every label), and scores the rows not yet selected
@@ -399,7 +413,7 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
         labeled_so_far.extend(last_round)
         open_rows[pool.ids.searchsorted(picked.ids)] = False
         round_idx += 1
-    return Selection(ids=selected)
+    return Selection(ids=selected), old
 
 
 def report_to_dict(report: RunReport, include_timestamp: bool = True) -> dict:

@@ -195,6 +195,18 @@ class TestSimulate:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "PlanError"
 
+    def test_label_past_int64_exits_2(self, world, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        lines = world["features"].read_text().splitlines(keepends=True)
+        row_id, _, values = lines[1].split(",", 2)
+        features.write_text(lines[0] + f"{row_id},99999999999999999999,{values}" + "".join(lines[2:]))
+        rc = main(["simulate", "--plan", str(world["plan"]), "--features", str(features),
+                   "--strategy", "random", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ParseError"
+        assert manifest["message"].endswith("(row 2, column 2)")
+
 
 class TestSweep:
     def test_grid_outputs(self, world, tmp_path):

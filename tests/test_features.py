@@ -206,6 +206,12 @@ class TestCsvValidation:
         assert err.value.row == 3
         assert err.value.column is None
 
+    def test_label_past_int64_is_a_parse_error_naming_the_cell(self, tmp_path):
+        path = self.write(tmp_path, "id,label,f0\n0,1,0.5\n1,99999999999999999999,0.5\n")
+        with pytest.raises(ParseError) as err:
+            load_features(path)
+        assert (err.value.row, err.value.column) == (3, 2)
+
     def test_cell_at_the_field_size_limit_is_read(self, tmp_path):
         cell = "0" * (csv.field_size_limit() - 1) + "1"
         path = self.write(tmp_path, f"id,label,f0\n0,1,{cell}\n")
@@ -394,6 +400,10 @@ class TestCsvReaderAgreesWithTheValidator:
         "overflow": (b"id,label,f0\n0,1,1e999\n", NonFiniteValue, False),
         "not_utf8": (b"id,label,f0\n0,1,0.5\xff\n", ParseError, False),
         "header_only": (b"id,label,f0\n", ParseError, False),
+        "label_past_int64": (b"id,label,f0\n0,1,0.5\n1,99999999999999999999,0.5\n", ParseError, False),
+        "label_below_int64": (b"id,label,f0\n0,-9223372036854775809,0.5\n", ParseError, False),
+        "label_at_int64_bounds": (
+            b"id,label,f0\n0,9223372036854775807,0.5\n1,-9223372036854775808,0.5\n", "store", True),
         "empty": (b"", ParseError, False),
     }
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from cbsel.gaussian import (
     DiagonalGaussian,
     MomentAccumulator,
     estimate,
+    estimate_grouped,
+    estimate_per_class,
     kl_divergence,
     kl_divergence_batch,
     sample,
@@ -50,6 +54,86 @@ class TestEstimate:
     def test_custom_floor(self):
         g = estimate(np.array([[1.0], [1.0]]), var_floor=0.5)
         assert g.var[0] == 0.5
+
+
+def reference_estimate(x, var_floor=VAR_FLOOR):
+    """The per-class estimate the grouped pass replaced: numpy's row means."""
+    mean = x.mean(axis=0)
+    return mean, np.maximum(((x - mean) ** 2).mean(axis=0), var_floor)
+
+
+def grouped_labels(case, n, rng):
+    return {
+        "mixed": rng.integers(0, 7, n),
+        "singletons": np.arange(n)[::-1],
+        "one_class": np.full(n, 4),
+        "unsorted_sparse": rng.choice([17, -3, 10**12, 5, 999], n),
+    }[case]
+
+
+class TestEstimateGrouped:
+    @pytest.mark.parametrize("case", ["mixed", "singletons", "one_class", "unsorted_sparse"])
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_matches_the_per_class_reference_bit_for_bit(self, dim, case):
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((301, dim)) * rng.uniform(1e-3, 1e3, dim) + rng.uniform(-5, 5, dim)
+        labels = grouped_labels(case, len(x), rng)
+        classes, means, variances, counts = estimate_grouped(x, labels, 1e-4)
+        assert classes.tolist() == sorted(set(labels.tolist()))
+        per_class = estimate_per_class(x, labels, 1e-4)
+        assert list(per_class) == classes.tolist()
+        for c, mean, var, n in zip(classes, means, variances, counts):
+            rows = x[labels == c]
+            want_mean, want_var = reference_estimate(rows, 1e-4)
+            assert n == len(rows) == per_class[c].count
+            for got in (mean, per_class[c].mean):
+                assert got.tobytes() == want_mean.tobytes()
+            for got in (var, per_class[c].var):
+                assert got.tobytes() == want_var.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_estimate_is_the_one_group_case(self, dim):
+        x = np.random.default_rng(dim).standard_normal((257, dim))
+        g = estimate(x)
+        want_mean, want_var = reference_estimate(x)
+        assert g.mean.tobytes() == want_mean.tobytes()
+        assert g.var.tobytes() == want_var.tobytes()
+        assert g.count == 257
+
+    def test_one_dimension_sums_rows_in_order(self):
+        # numpy sums a contiguous column pairwise; the grouped pass adds rows
+        # in order, so D = 1 means are the in-order sum over n.
+        x = np.random.default_rng(5).standard_normal(1000) * 1e3
+        in_order = functools.reduce(operator.add, x.tolist(), 0.0) / len(x)
+        assert estimate(x[:, None]).mean[0] == in_order
+
+    def test_no_rows_gives_no_classes(self):
+        classes, means, variances, counts = estimate_grouped(np.zeros((0, 3)), np.zeros(0, int))
+        assert classes.size == counts.size == 0
+        assert means.shape == variances.shape == (0, 3)
+
+
+class TestPerRow:
+    def test_equals_one_gaussian_per_row(self):
+        rng = np.random.default_rng(4)
+        means, variances = rng.standard_normal((3, 5)), rng.uniform(0.1, 2.0, (3, 5))
+        got = DiagonalGaussian.per_row(means, variances, np.array([4, 1, 9]))
+        for g, m, v, n in zip(got, means, variances, [4, 1, 9]):
+            want = DiagonalGaussian(m, v, n)
+            assert (g.mean.tobytes(), g.var.tobytes(), g.count) == (
+                want.mean.tobytes(), want.var.tobytes(), want.count)
+            assert type(g.count) is int
+
+    @pytest.mark.parametrize("means, variances, error", [
+        (np.zeros((2, 3)), np.ones((2, 4)), DimensionMismatch),
+        (np.zeros(3), np.ones(3), DimensionMismatch),
+        (np.array([[0.0, np.nan]]), np.ones((1, 2)), ValueError),
+        (np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, np.inf]]), ValueError),
+        (np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 1.0]]), ValueError),
+    ])
+    def test_checks_the_stacks_like_one_gaussian(self, means, variances, error):
+        with pytest.raises(error):
+            DiagonalGaussian.per_row(means, variances, np.ones(len(means), dtype=int))
 
 
 class TestKlDivergence:

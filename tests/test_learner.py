@@ -10,20 +10,23 @@ from cbsel.errors import (
     LabelOutsideSessionSpace,
     NoClasses,
     NotNormalized,
+    ZeroVector,
 )
 from cbsel.features import FeatureStore
-from cbsel.gaussian import estimate
+from cbsel.gaussian import DiagonalGaussian, estimate, sample
 from cbsel.learner import (
     MemoryBuffer,
     PrototypeClassifier,
     empty_classifier,
     estimate_class_distributions,
+    new_class_prototypes,
     predict,
     predict_proba_matrix,
     pseudo_label,
     rehearse,
     train_session,
 )
+from cbsel.seeding import derive_rng
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -110,6 +113,21 @@ class TestClassifierInvariants:
             PrototypeClassifier(
                 embeddings={0: np.array([2.0, 0.0])}, temperature=1.0, classes_seen=(0,)
             )
+
+    def test_not_normalized_names_the_first_bad_class(self):
+        eye = np.eye(3)
+        with pytest.raises(NotNormalized, match="class 4 is not unit norm"):
+            PrototypeClassifier(
+                embeddings={2: eye[0], 4: 2.0 * eye[1], 7: 0.5 * eye[2]},
+                temperature=1.0, classes_seen=(2, 4, 7),
+            )
+
+    def test_embedding_matrix_is_the_read_only_stack(self):
+        clf = orthogonal_clf(3)
+        matrix = clf.embedding_matrix()
+        np.testing.assert_array_equal(matrix, np.eye(3))
+        assert matrix is clf.embedding_matrix()
+        assert not matrix.flags.writeable
 
     def test_classes_must_match_embeddings(self):
         with pytest.raises(ValueError):
@@ -217,6 +235,77 @@ class TestEstimateClassDistributions:
         with pytest.raises(EmptyClass) as err:
             estimate_class_distributions([(0, 0)], [], store, classes={0, 1})
         assert err.value.class_id == 1
+
+    def test_empty_class_with_pseudo_labels_names_the_lowest(self):
+        store = FeatureStore(np.eye(3), normalized=True)
+        with pytest.raises(EmptyClass) as err:
+            estimate_class_distributions([(0, 0)], [(1, 2), (2, 2)], store, classes={9, 0, 2, 5})
+        assert err.value.class_id == 5
+
+
+def reference_rehearse(clf, buffer, replay_per_class, seed, alpha):
+    """The per-class loop the stacked `rehearse` replaced; returns embeddings."""
+    def unit(v):
+        return v / float(np.linalg.norm(v))
+
+    embeddings = dict(clf.embeddings)
+    for c in sorted(buffer.distributions):
+        replayed = sample(buffer.distributions[c], replay_per_class, derive_rng(seed, "replay", c))
+        embeddings[c] = unit(alpha * embeddings[c] + (1.0 - alpha) * unit(replayed.mean(axis=0)))
+    return embeddings
+
+
+def random_unit(rng, n, dim):
+    v = rng.standard_normal((n, dim))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+class TestRehearse:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("replay_per_class", [1, 20])
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_matches_the_per_class_loop_bit_for_bit(self, dim, replay_per_class, alpha):
+        rng = np.random.default_rng(dim + replay_per_class)
+        classes = (3, 7, 11, 40, 41)
+        protos = random_unit(rng, len(classes), dim)
+        clf = PrototypeClassifier(dict(zip(classes, protos)), 0.07, classes)
+        buffer = MemoryBuffer({
+            c: DiagonalGaussian(protos[j] + 0.1 * rng.standard_normal(dim),
+                                rng.uniform(1e-6, 0.05, dim), 10)
+            for j, c in enumerate(classes[:4])
+        })
+        got = rehearse(clf, buffer, replay_per_class, seed=13, alpha=alpha)
+        want = reference_rehearse(clf, buffer, replay_per_class, 13, alpha)
+        assert got.classes_seen == classes
+        for c in classes:
+            assert got.embeddings[c].tobytes() == want[c].tobytes()
+        assert got.embedding_matrix().tobytes() == np.stack([want[c] for c in classes]).tobytes()
+
+    def test_empty_buffer_returns_the_classifier(self):
+        clf = orthogonal_clf(2)
+        assert rehearse(clf, MemoryBuffer(), replay_per_class=20, seed=1, alpha=0.5) is clf
+
+    def test_opposite_blend_is_a_zero_vector_naming_the_class(self):
+        # In one dimension every replay mean normalizes to [1.0], so an old
+        # prototype of [-1.0] blends to exactly zero at alpha = 0.5.
+        clf = PrototypeClassifier({0: np.array([1.0]), 5: np.array([-1.0])}, 0.07, (0, 5))
+        g = DiagonalGaussian(np.array([5.0]), np.array([1e-6]), 3)
+        with pytest.raises(ZeroVector, match="blended prototype of class 5"):
+            rehearse(clf, MemoryBuffer({0: g, 5: g}), replay_per_class=4, seed=2, alpha=0.5)
+
+
+class TestNewClassPrototypes:
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_match_the_per_class_loop_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        store = FeatureStore(rng.standard_normal((90, dim)), normalized=True)
+        ids = rng.permutation(90)[:60].tolist()
+        labeled = list(zip(ids, rng.choice([8, 2, 30], 60).tolist()))
+        got = new_class_prototypes(empty_classifier(), labeled, store)
+        assert list(got) == [2, 8, 30]
+        for c, proto in got.items():
+            mean = store.vectors_for([i for i, lab in labeled if lab == c]).mean(axis=0)
+            assert proto.tobytes() == (mean / float(np.linalg.norm(mean))).tobytes()
 
 
 class TestTrainSession:

@@ -225,7 +225,7 @@ class TestEvaluate:
         x = rng.standard_normal((10, 2))
         x /= np.linalg.norm(x, axis=1)[:, None]
         store = FeatureStore(x, labels=[0] * 10, normalized=True)
-        assert evaluate(clf, store, Oracle.from_store(store)) == 1.0
+        assert evaluate(clf, store, Oracle.from_store(store)) == (1.0,)
 
     def test_chance_level_for_random_embeddings(self):
         accs = []
@@ -240,7 +240,7 @@ class TestEvaluate:
             x /= np.linalg.norm(x, axis=1)[:, None]
             labels = np.repeat([0, 1], 50)
             store = FeatureStore(x, labels=labels, normalized=True)
-            accs.append(evaluate(clf, store, Oracle.from_store(store)))
+            accs.extend(evaluate(clf, store, Oracle.from_store(store)))
         assert abs(float(np.mean(accs)) - 0.5) <= 0.1
 
     def test_perfect_prototypes(self):
@@ -255,7 +255,29 @@ class TestEvaluate:
         clf = PrototypeClassifier(
             embeddings=protos, temperature=0.07, classes_seen=tuple(sorted(sess.class_space))
         )
-        assert evaluate(clf, store.subset(sess.test_ids), oracle) == 1.0
+        assert evaluate(clf, store.subset(sess.test_ids), oracle) == (1.0,)
+
+    @pytest.mark.parametrize("sessions", [1, 2])
+    def test_grouped_accuracies_equal_three_evaluate_calls(self, sessions):
+        store, plan = tiny_world(seed=6)
+        store = store.l2_normalize()
+        oracle = Oracle.from_store(store)
+        specs = plan.sessions[:sessions]
+        new = specs[-1].class_space
+        old = [c for s in specs[:-1] for c in s.class_space]
+        classes = tuple(sorted((*new, *old)))
+        g = np.random.default_rng(1).standard_normal((len(classes), store.dim))
+        clf = PrototypeClassifier(
+            dict(zip(classes, g / np.linalg.norm(g, axis=1)[:, None])), 0.07, classes)
+        ids = np.array([i for s in specs for i in s.test_ids])
+        labels = oracle.labels_of(ids)
+        want = (
+            *evaluate(clf, store.subset(ids), oracle),
+            *evaluate(clf, store.subset(ids[np.isin(labels, new)]), oracle),
+            *(evaluate(clf, store.subset(ids[np.isin(labels, old)]), oracle) if old else (None,)),
+        )
+        assert evaluate(clf, store.subset(ids), oracle, groups=(new, old)) == want
+        assert 0.0 < want[0] < 1.0
 
     def test_empty_test_set(self):
         clf = PrototypeClassifier(
@@ -358,6 +380,15 @@ class TestRun:
             run(plan, "random", store)
         assert err.value.session == 2
 
+    def test_session_without_own_test_rows_fails(self):
+        store, plan = tiny_world(seed=3)
+        first, second = plan.sessions
+        plan = dataclasses.replace(plan, sessions=(first, dataclasses.replace(second, test_ids=())))
+        with pytest.raises(SessionFailure, match="no test sample of its own classes") as err:
+            run(plan, "random", store)
+        assert err.value.session == 2
+        assert isinstance(err.value.__cause__, EmptyTestSet)
+
     def test_var_floor_reaches_the_replay_gaussians(self, monkeypatch):
         stored = []
         estimate_class_distributions = protocol.estimate_class_distributions
@@ -396,7 +427,8 @@ def full_softmax_pick(strategy, store, budget, clf):
 def retrain_every_round(strategy):
     """The round loop as it was before rehearsal moved out of the rounds:
     retrain with replay before every round, on a per-round stream, and
-    rescore the remaining pool with a full softmax."""
+    rescore the remaining pool with a full softmax. It hands no rehearsed
+    classifier on, so the training step rehearses for itself."""
 
     def select(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
         selected, labeled_so_far = [], []
@@ -423,7 +455,7 @@ def retrain_every_round(strategy):
             chosen = set(picked.ids)
             remaining = [i for i in remaining if i not in chosen]
             round_idx += 1
-        return Selection(ids=selected)
+        return Selection(ids=selected), None
 
     return select
 
@@ -458,7 +490,7 @@ class TestUncertaintyRounds:
                 seen.append((round_clf, int(np.count_nonzero(~rows))))
                 return score_fn(store, budget, round_clf, old, rows)
 
-            selection = select(t, sess, plan, scoring, cfg, work, pool, oracle, clf, buffer)
+            selection, rehearsed = select(t, sess, plan, scoring, cfg, work, pool, oracle, clf, buffer)
             for round_clf, n in seen:
                 want = {}
                 if n:
@@ -468,14 +500,16 @@ class TestUncertaintyRounds:
                 for c, proto in want.items():
                     np.testing.assert_array_equal(round_clf.embeddings[c], proto)
                 rounds.append(n)
-            return selection
+            return selection, rehearsed
 
         monkeypatch.setattr(protocol, "_select_uncertainty_rounds", spy)
         store, plan = tiny_world(seed=12, classes_per_session=5, separation=2.0, budget=14)
         run(plan, strategy, store, RunConfig(round_size=3))
         assert len(rounds) >= 8 and max(rounds) >= 12
 
-    def test_each_old_class_is_replayed_at_most_twice_per_session(self, monkeypatch):
+    def test_each_old_class_is_replayed_once_per_session(self, monkeypatch):
+        # The rounds rehearse the old classes and the training step reuses
+        # that classifier, so each old class draws from one replay stream.
         calls = []
         derive_rng = learner.derive_rng
 
@@ -490,9 +524,8 @@ class TestUncertaintyRounds:
             run(plan, strategy, store, RunConfig(round_size=4))
             old_classes = sum(len(s.class_space) * (len(plan.sessions) - t)
                               for t, s in enumerate(plan.sessions, start=1))
-            assert calls
-            assert len(calls) <= 2 * old_classes
-            assert max(Counter(calls).values()) <= 2
+            assert len(calls) == old_classes
+            assert max(Counter(calls).values()) == 1
 
 
 class TestListingOrder:
