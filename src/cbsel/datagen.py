@@ -6,6 +6,10 @@ Class centers are drawn uniformly on the sphere and then pushed apart until
 every pair is at least `separation * sigma` apart. Within a session the pool
 size of the class at position i among C classes follows the exponential
 long-tail profile n_i = round(head * ratio^(-i / (C - 1))).
+
+Each class draws its pool rows and then its test rows from its own stream,
+`derive_rng(seed, "class", c)`, into one (N, D) noise buffer laid out in id
+order; the world is then shifted, scaled and normalized in one pass.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .protocol import SessionPlan, SessionSpec
 from .seeding import derive_rng
 
 _MAX_REPULSION_ROUNDS = 10_000
+# Elements of one block of the close-center search's difference tensor: 512 KB,
+# small enough to stay in cache, which measured faster than larger blocks.
+_CLOSE_PAIR_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,29 @@ def _sphere_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return pts / norms[:, None]
 
 
+def _close_pairs(centers: np.ndarray, min_dist: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j, closer than min_dist, in row-major order.
+
+    Each block of rows is compared with itself and the rows after it, so
+    memory stays O(block * C * D) instead of the C x C x D difference tensor.
+    Every pair's distance is the same `np.linalg.norm(a - b)` reduction over
+    one contiguous row of D values, so it has the bits of the full tensor.
+    """
+    c, dim = centers.shape
+    block = max(1, _CLOSE_PAIR_ELEMENTS // (c * dim))
+    found_i: list[np.ndarray] = []
+    found_j: list[np.ndarray] = []
+    for a in range(0, c, block):
+        b = min(a + block, c)
+        dist = np.linalg.norm(centers[a:b, None, :] - centers[None, a:, :], axis=2)
+        close = dist < min_dist
+        close &= ~np.tri(b - a, c - a, dtype=bool)  # keep only j > i
+        rows, cols = np.nonzero(close)
+        found_i.append(rows + a)
+        found_j.append(cols + a)
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
 def place_centers(config: WorldConfig) -> np.ndarray:
     """Unit-sphere class centers with pairwise distance >= separation * sigma."""
     rng = derive_rng(config.seed, "centers")
@@ -92,15 +122,10 @@ def place_centers(config: WorldConfig) -> np.ndarray:
     min_dist = config.separation * config.sigma
     step = 0.5 * min_dist
     for _ in range(_MAX_REPULSION_ROUNDS):
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        bad_i, bad_j = np.where(dist < min_dist)
+        bad_i, bad_j = _close_pairs(centers, min_dist)
         if bad_i.size == 0:
             return centers
         for i, j in zip(bad_i, bad_j):
-            if i >= j:
-                continue
             # recompute at push time: earlier pairs may have moved i or j
             gap = centers[i] - centers[j]
             d = float(np.linalg.norm(gap))
@@ -121,38 +146,57 @@ def generate(config: WorldConfig) -> tuple[FeatureStore, SessionPlan]:
 
     Ids are dense in [0, N), assigned session by session: each session lays
     out its pool rows (class by class, head to tail) and then its balanced
-    test rows. Features are center + sigma * noise, scaled to unit norm.
-    Regeneration with the same config is byte-identical.
+    test rows. Each class draws its pool rows and then its test rows from its
+    own stream `derive_rng(seed, "class", c)`, straight into their rows of one
+    (N, D) buffer; the whole world is then transformed in one pass:
+    center + sigma * noise, scaled to unit norm. A class with a zero-norm row
+    is rebuilt from a fresh copy of its stream, redrawing that row before its
+    test rows. Regeneration with the same config is byte-identical.
     """
     centers = place_centers(config)
     sizes = pool_sizes(config)
+    per_class = config.classes_per_session
+    num_test = config.test_per_class
+    pool_total = sum(sizes)
+    session_rows = pool_total + per_class * num_test
+    pool_starts = np.cumsum([0, *sizes[:-1]])
 
-    vec_blocks: list[np.ndarray] = []
-    labels: list[int] = []
+    x = np.empty((config.num_sessions * session_rows, config.dim))  # noise, then features
+    row_class = np.empty(x.shape[0], dtype=np.int64)
     sessions: list[SessionSpec] = []
-    next_id = 0
     for t in range(config.num_sessions):
-        class_ids = [t * config.classes_per_session + i
-                     for i in range(config.classes_per_session)]
-        pool_ids: list[int] = []
-        test_blocks: list[tuple[int, np.ndarray]] = []
+        base = t * session_rows
+        class_ids = tuple(range(t * per_class, (t + 1) * per_class))
         for i, c in enumerate(class_ids):
             rng = derive_rng(config.seed, "class", c)
-            pool = _blob(rng, centers[c], config.sigma, sizes[i])
-            test_blocks.append((c, _blob(rng, centers[c], config.sigma, config.test_per_class)))
-            vec_blocks.append(pool)
-            labels.extend([c] * sizes[i])
-            pool_ids.extend(range(next_id, next_id + sizes[i]))
-            next_id += sizes[i]
-        test_ids: list[int] = []
-        for c, block in test_blocks:
-            vec_blocks.append(block)
-            labels.extend([c] * config.test_per_class)
-            test_ids.extend(range(next_id, next_id + config.test_per_class))
-            next_id += config.test_per_class
-        sessions.append(SessionSpec(tuple(class_ids), tuple(pool_ids), tuple(test_ids)))
+            pool = slice(base + pool_starts[i], base + pool_starts[i] + sizes[i])
+            test_start = base + pool_total + i * num_test
+            test = slice(test_start, test_start + num_test)
+            rng.standard_normal(out=x[pool])
+            rng.standard_normal(out=x[test])
+            row_class[pool] = c
+            row_class[test] = c
+        sessions.append(SessionSpec(
+            class_ids,
+            tuple(range(base, base + pool_total)),
+            tuple(range(base + pool_total, base + session_rows)),
+        ))
 
-    store = FeatureStore(np.vstack(vec_blocks), labels=labels, normalized=True)
+    x *= config.sigma
+    x += centers[row_class]
+    norms = np.linalg.norm(x, axis=1)
+    zero = norms == 0.0
+    if np.any(zero):
+        for c in np.unique(row_class[zero]).tolist():
+            rows = row_class == c
+            rng = derive_rng(config.seed, "class", c)
+            i = c % per_class
+            pool = _blob(rng, centers[c], config.sigma, sizes[i])
+            x[rows] = np.vstack((pool, _blob(rng, centers[c], config.sigma, num_test)))
+            norms[rows] = 1.0
+    x /= norms[:, None]
+
+    store = FeatureStore(x, labels=row_class, normalized=True)
     plan = SessionPlan(
         sessions=tuple(sessions), budget=config.budget, seed=config.seed
     ).validate()
@@ -160,6 +204,10 @@ def generate(config: WorldConfig) -> tuple[FeatureStore, SessionPlan]:
 
 
 def _blob(rng: np.random.Generator, center: np.ndarray, sigma: float, n: int) -> np.ndarray:
+    """n unit rows around center, redrawing zero-norm rows from rng at once.
+
+    `generate` calls this only to rebuild a class that drew a zero-norm row.
+    """
     x = center[None, :] + sigma * rng.standard_normal((n, center.shape[0]))
     norms = np.linalg.norm(x, axis=1)
     while np.any(norms == 0.0):
