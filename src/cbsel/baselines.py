@@ -3,9 +3,11 @@ balanced-random (needs oracle labels, so it is a reference point rather than
 a deployable strategy), entropy, margin, and k-center coreset.
 
 Every strategy returns a Selection with exactly B unique pool ids. Entropy
-and margin score samples with a trained classifier through `SoftmaxStats`;
-`protocol` runs them in rounds, keeping the statistics of the old classes'
-columns from round to round, so here a call scores once.
+and margin score a pool from a `LogitTable`: cosine logits of every pool row
+against the classes whose prototypes change between rounds, next to the
+`SoftmaxStats` of the classes that stay fixed. `protocol` runs them in
+rounds and updates the table between them, so here a call scores once and
+computes only the statistics its key reads.
 """
 
 from __future__ import annotations
@@ -65,48 +67,25 @@ def balanced_random_select(store: FeatureStore, budget: int, seed: int, oracle) 
 
 @dataclass(frozen=True)
 class SoftmaxStats:
-    """Per-row statistics of a block of logit columns: enough to merge blocks
-    over disjoint classes and to read off the margin and the entropy of the
-    softmax over all of them.
+    """Per-row statistics of the softmax over some classes' logits.
 
-    For the logits l of one row over `classes`: `top` is the max logit m,
-    `second` the runner-up (-inf for a one-column block), z = sum exp(l - m)
-    and s = sum exp(l - m) * l. Merging is exact in real arithmetic.
+    For the logits l of one row: `top` is the max logit m, `second` the
+    runner-up (-inf with one class), z = sum exp(l - m) and
+    s = sum exp(l - m) * l. `second` and `s` are None when their maker was
+    not asked for them.
     """
 
     classes: tuple[int, ...]
     top: np.ndarray
-    second: np.ndarray
+    second: np.ndarray | None
     z: np.ndarray
-    s: np.ndarray
+    s: np.ndarray | None
 
     @classmethod
     def of(cls, classifier: PrototypeClassifier, vectors: np.ndarray) -> "SoftmaxStats":
-        """The block of all the classifier's cosine logits, one row per vector."""
-        logits = vectors @ classifier.embedding_matrix().T / classifier.temperature
-        n = logits.shape[1]
-        top = logits.max(axis=1)
-        if n > 1:
-            second = np.partition(logits, n - 2, axis=1)[:, n - 2]
-        else:
-            second = np.full(len(logits), -np.inf)
-        e = np.exp(logits - top[:, None])
-        return cls(classifier.classes_seen, top, second, e.sum(axis=1),
-                   np.einsum("ij,ij->i", e, logits))
-
-    def merge(self, other: "SoftmaxStats") -> "SoftmaxStats":
-        top = np.maximum(self.top, other.top)
-        # The runner-up of the union is the lower of the two maxima or the
-        # runner-up of the block holding the higher one, whichever is larger.
-        second = np.maximum(np.minimum(self.top, other.top),
-                            np.where(self.top >= other.top, self.second, other.second))
-        a, b = np.exp(self.top - top), np.exp(other.top - top)
-        return SoftmaxStats(tuple(sorted(self.classes + other.classes)), top, second,
-                            a * self.z + b * other.z, a * self.s + b * other.s)
-
-    def take(self, rows) -> "SoftmaxStats":
-        return SoftmaxStats(self.classes, self.top[rows], self.second[rows],
-                            self.z[rows], self.s[rows])
+        """All the classifier's cosine logits, one row per vector."""
+        logits = classifier.embedding_matrix() @ vectors.T / classifier.temperature
+        return softmax_stats(classifier.classes_seen, logits)
 
     def margin(self) -> np.ndarray:
         """Top-1 minus top-2 probability."""
@@ -117,48 +96,118 @@ class SoftmaxStats:
         return self.top + np.log(self.z) - self.s / self.z
 
 
-def entropy_select(store: FeatureStore, budget: int, classifier: PrototypeClassifier,
-                   old: SoftmaxStats | None = None, rows: np.ndarray | None = None) -> Selection:
-    """Top-B by Shannon entropy of the predictive distribution, descending.
+def top_two(logits: np.ndarray, top: np.ndarray | None = None,
+            second: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Max and runner-up of each column of `logits` (one row per class), from
+    one running pass over its rows that carries on from an earlier block's
+    `top` and `second` when given. Exact, ties included: the runner-up is
+    the second largest value counted with repeats, -inf for one value."""
+    rows = iter(logits)
+    if top is None:
+        top = next(rows).copy()
+        second = np.full_like(top, -np.inf)
+    else:
+        top, second = top.copy(), second.copy()
+    low = np.empty_like(top)
+    for row in rows:
+        np.minimum(top, row, out=low)
+        np.maximum(second, low, out=second)
+        np.maximum(top, row, out=top)
+    return top, second
 
-    The distribution is the softmax over the classifier's classes together
-    with the classes `old` summarises: `old` holds their statistics over
-    every row of the store, so only the classifier's columns are computed,
-    and the classifier may then have no class at all. `rows`, a boolean mask
-    over the store's rows, names the candidates (all rows when None).
+
+def softmax_stats(classes, logits: np.ndarray, old: SoftmaxStats | None = None,
+                  second: bool = True, s: bool = True,
+                  work: np.ndarray | None = None) -> SoftmaxStats:
+    """`SoftmaxStats` of the class-major `logits` (a row per class of
+    `classes`, a column per sample) together with the classes `old`
+    summarises over the same samples; `second` and `s` only when asked for.
+    `work`, shaped like `logits`, takes the exponentials."""
+    if old is not None and set(old.classes) & set(classes):
+        raise ValueError("old statistics and the logits share classes")
+    if second:
+        top, runner_up = top_two(logits, *(() if old is None else (old.top, old.second)))
+    else:
+        top, runner_up = logits.max(axis=0), None
+        if old is not None:
+            np.maximum(top, old.top, out=top)
+    e = np.subtract(logits, top, out=work)
+    np.exp(e, out=e)
+    z = e.sum(axis=0)
+    total = np.einsum("ij,ij->j", e, logits) if s else None
+    if old is not None:
+        scale = np.exp(old.top - top)
+        z += scale * old.z
+        if s:
+            total += scale * old.s
+        classes = (*old.classes, *classes)
+    return SoftmaxStats(tuple(sorted(classes)), top, runner_up, z, total)
+
+
+class LogitTable:
+    """Cosine logits of a pool's rows against classes whose prototypes change
+    between scoring rounds, next to the `SoftmaxStats` of the classes that
+    stay fixed (`old`).
+
+    The table holds one row of logits per class, in the order the classes
+    were first set, and one column per pool row; `update` recomputes the
+    rows of the classes it is given with one matmul. `stats` reads the
+    softmax over the fixed and the set classes together.
     """
-    ids, stats = _softmax_stats(store, budget, classifier, old, rows)
-    return _top(ids, -stats.entropy(), budget)
+
+    def __init__(self, vectors: np.ndarray, temperature: float, capacity: int,
+                 old: SoftmaxStats | None = None):
+        self.vectors = vectors
+        self.temperature = temperature
+        self.old = old
+        self.logits = np.empty((capacity, len(vectors)))
+        self._work = np.empty_like(self.logits)
+        self._slot: dict[int, int] = {}
+
+    @property
+    def num_classes(self) -> int:
+        return len(self._slot) + (0 if self.old is None else len(self.old.classes))
+
+    def update(self, classes, prototypes: np.ndarray) -> None:
+        """Set the logits of `classes` from their unit (C, D) `prototypes`."""
+        slots = [self._slot.setdefault(int(c), len(self._slot)) for c in classes]
+        self.logits[slots] = prototypes @ self.vectors.T / self.temperature
+
+    def stats(self, second: bool = True, s: bool = True) -> SoftmaxStats:
+        """`SoftmaxStats` over every class of the table, one row per pool row."""
+        n = len(self._slot)
+        if not n:
+            return self.old
+        return softmax_stats(tuple(self._slot), self.logits[:n], self.old, second, s,
+                             self._work[:n])
 
 
-def margin_select(store: FeatureStore, budget: int, classifier: PrototypeClassifier,
-                  old: SoftmaxStats | None = None, rows: np.ndarray | None = None) -> Selection:
-    """Top-B by smallest top1 - top2 probability gap, ascending; `old` and
+def entropy_select(store: FeatureStore, budget: int, table: LogitTable,
+                   rows: np.ndarray | None = None) -> Selection:
+    """Top-B by Shannon entropy of the softmax over the table's classes,
+    descending. The table holds logits of every store row; `rows`, a boolean
+    mask over them, names the candidates (all rows when None)."""
+    return _pick(store, budget, table, rows, lambda: -table.stats(second=False).entropy())
+
+
+def margin_select(store: FeatureStore, budget: int, table: LogitTable,
+                  rows: np.ndarray | None = None) -> Selection:
+    """Top-B by smallest top1 - top2 probability gap, ascending; `table` and
     `rows` are as in `entropy_select`."""
-    ids, stats = _softmax_stats(store, budget, classifier, old, rows)
-    return _top(ids, stats.margin(), budget)
+    return _pick(store, budget, table, rows, lambda: table.stats(s=False).margin())
 
 
-def _softmax_stats(store, budget, classifier, old, rows):
-    """Candidate ids and their `SoftmaxStats` over the classifier's classes
-    and those of `old`."""
-    ids, vectors = store.ids, store.vectors
-    if rows is not None:
-        ids, vectors = ids[rows], vectors[rows]
+def _pick(store, budget, table, rows, keys) -> Selection:
+    """The `budget` candidates with the smallest `keys()`, which keys every
+    store row."""
+    if len(store) != len(table.vectors):
+        raise ValueError(f"the table has {len(table.vectors)} rows, the store {len(store)}")
+    ids = store.ids if rows is None else store.ids[rows]
     _check_budget(ids, budget)
-    have = () if old is None else old.classes
-    num_classes = len(have) + classifier.num_classes
-    if num_classes < 2:
-        raise DegenerateClassifier(f"uncertainty scoring needs >= 2 classes, got {num_classes}")
-    if set(have) & set(classifier.classes_seen):
-        raise ValueError("old statistics and classifier share classes")
-    stats = old
-    if old is not None and rows is not None:
-        stats = old.take(rows)
-    if classifier.num_classes:
-        fresh = SoftmaxStats.of(classifier, vectors)
-        stats = fresh if stats is None else stats.merge(fresh)
-    return ids, stats
+    if table.num_classes < 2:
+        raise DegenerateClassifier(f"uncertainty scoring needs >= 2 classes, got {table.num_classes}")
+    key = keys()
+    return _top(ids, key if rows is None else key[rows], budget)
 
 
 def _top(ids: np.ndarray, key: np.ndarray, budget: int) -> Selection:

@@ -154,11 +154,8 @@ def hidden_labels(store: FeatureStore, consumer: str) -> dict[int, int]:
         )
     if store._labels is None:
         return {}
-    return {
-        int(i): int(y)
-        for i, y in zip(store.ids, store._labels)
-        if int(y) != NO_LABEL
-    }
+    keep = store._labels != NO_LABEL
+    return dict(zip(store.ids[keep].tolist(), store._labels[keep].tolist()))
 
 
 def load_features(path) -> FeatureStore:

@@ -84,8 +84,9 @@ def cluster_members(clustering: Clustering, j: int) -> list[int]:
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
+    diff = np.empty_like(x)
     chosen = [int(rng.integers(n))]
-    d2 = _dist2_to(x, x[chosen[0]])
+    d2 = _dist2_to(x, x[chosen[0]], diff)
     while len(chosen) < k:
         total = float(d2.sum())
         if total > 0.0:
@@ -96,12 +97,14 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
         chosen.append(idx)
-        d2 = np.minimum(d2, _dist2_to(x, x[idx]))
+        d2 = np.minimum(d2, _dist2_to(x, x[idx], diff))
     return x[chosen].copy()
 
 
-def _dist2_to(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    diff = x - c[None, :]
+def _dist2_to(x: np.ndarray, c: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of `x` to `c`; `diff`, shaped like `x`,
+    holds the differences."""
+    np.subtract(x, c, out=diff)
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -109,25 +112,24 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin ||x - c||^2 = argmin ||c||^2 - 2 x.c: the ||x||^2 term is the
     # same for every centroid of a row; ties go to the lowest centroid index.
     # Scaling by -2 is exact and a + (-b) rounds as a - b, so the scores hold
-    # exactly the bits of ||c||^2 - (2x) @ c.T. Rows are scored in equal
-    # blocks of at least ASSIGN_BLOCK_ROWS, so one block's scores stay in
-    # cache; each score is the same length-D dot product at any block size
-    # down to that floor. Small blocks would not keep the bits: a one-row
-    # block goes through gemv.
+    # exactly the bits of ||c||^2 - (2x) @ c.T. Rows are scored in blocks
+    # that start at multiples of ASSIGN_BLOCK_ROWS, the last one taking the
+    # remainder, so one block's scores stay in cache and every block of a
+    # pool that has ASSIGN_BLOCK_ROWS rows has at least that many: there
+    # each score is the same length-D dot product as in one unblocked
+    # product, with single-threaded BLAS on every kernel tried. Small blocks
+    # would not keep the bits: a one-row block goes through gemv.
     n, k = x.shape[0], centroids.shape[0]
     neg2c = (-2.0 * centroids).T
     cc = np.sum(centroids * centroids, axis=1)
-    blocks = max(1, n // ASSIGN_BLOCK_ROWS)
-    step, extra = divmod(n, blocks)
-    scores = np.empty((step + (extra > 0), k))
+    last = max(0, n // ASSIGN_BLOCK_ROWS - 1) * ASSIGN_BLOCK_ROWS
+    scores = np.empty((n - last, k))
     out = np.empty(n, dtype=np.intp)
-    a = 0
-    for i in range(blocks):
-        b = a + step + (i < extra)
+    for a in range(0, last + 1, ASSIGN_BLOCK_ROWS):
+        b = n if a == last else a + ASSIGN_BLOCK_ROWS
         s = np.matmul(x[a:b], neg2c, out=scores[: b - a])
         s += cc
         np.argmin(s, axis=1, out=out[a:b])
-        a = b
     return out
 
 

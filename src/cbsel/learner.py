@@ -31,7 +31,7 @@ DEFAULT_ALPHA = 0.5
 DEFAULT_REPLAY_PER_CLASS = 20
 
 
-def _unit_rows(v: np.ndarray, classes, what: str) -> np.ndarray:
+def unit_rows(v: np.ndarray, classes, what: str) -> np.ndarray:
     """Each row of the (C, D) `v` divided by its norm; ZeroVector names the
     first class in `classes` whose row is zero."""
     # (C, 1, D) @ (C, D, 1) runs one dot per row, as np.linalg.norm does for
@@ -183,9 +183,9 @@ def rehearse(
         derive_rng(seed, "replay", c).standard_normal(out=replayed[j])
     replayed *= np.sqrt(np.stack([g.var for g in dists]))[:, None, :]
     replayed += means[:, None, :]
-    replay_protos = _unit_rows(replayed.mean(axis=1), classes, "replay mean")
+    replay_protos = unit_rows(replayed.mean(axis=1), classes, "replay mean")
     previous = np.stack([clf.embeddings[c] for c in classes])
-    blended = _unit_rows(alpha * previous + (1.0 - alpha) * replay_protos, classes, "blended prototype")
+    blended = unit_rows(alpha * previous + (1.0 - alpha) * replay_protos, classes, "blended prototype")
     return PrototypeClassifier(
         embeddings=clf.embeddings | dict(zip(classes, blended)),
         temperature=clf.temperature, classes_seen=clf.classes_seen)
@@ -215,7 +215,7 @@ def new_class_prototypes(
     classes, means, _, _ = estimate_grouped(
         store.vectors_for([i for i, _ in labeled]), np.array([c for _, c in labeled], dtype=np.int64))
     classes = classes.tolist()
-    return dict(zip(classes, _unit_rows(means, classes, "prototype")))
+    return dict(zip(classes, unit_rows(means, classes, "prototype")))
 
 
 def train_session(

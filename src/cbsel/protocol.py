@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import (
+    LogitTable,
     SoftmaxStats,
     balanced_random_select,
     coreset_select,
@@ -30,6 +31,7 @@ from .errors import (
     CbselError,
     ConfigError,
     EmptyTestSet,
+    LabelOutsideSessionSpace,
     ParseError,
     PlanError,
     SessionFailure,
@@ -43,11 +45,11 @@ from .learner import (
     PrototypeClassifier,
     empty_classifier,
     estimate_class_distributions,
-    new_class_prototypes,
     predict,
     pseudo_label,
     rehearse,
     train_session,
+    unit_rows,
 )
 from .seeding import derive_seed
 from .selection import Selection, cbs_select
@@ -261,7 +263,7 @@ def _balanced_random(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
 # namespace at call time, so a name rebound on the module (by a tracer, say)
 # is the one that runs. SELECTORS are single-shot calls
 # (pool, budget, seed, num_classes, cfg, oracle) -> Selection; SCORERS rank a
-# pool with a trained classifier, (store, budget, classifier, old, rows) ->
+# pool from a `LogitTable` of its rows, (store, budget, table, rows) ->
 # Selection as in `baselines.entropy_select`, and run in rounds inside the
 # protocol.
 SELECTORS = {
@@ -271,8 +273,8 @@ SELECTORS = {
     "cbs": _cbs,
 }
 SCORERS = {
-    "entropy": lambda store, budget, clf, old, rows: entropy_select(store, budget, clf, old, rows),
-    "margin": lambda store, budget, clf, old, rows: margin_select(store, budget, clf, old, rows),
+    "entropy": lambda store, budget, table, rows: entropy_select(store, budget, table, rows),
+    "margin": lambda store, budget, table, rows: margin_select(store, budget, table, rows),
 }
 STRATEGIES = SELECTORS | SCORERS
 
@@ -379,41 +381,56 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
     stream, so every round scores against the old prototypes the session
     ends with, and their softmax statistics over the pool are computed once.
     The session's training step takes that rehearsed classifier as it is.
-    Each round rebuilds only the prototypes of the classes labeled in the
-    round before, from all their labels so far in labeled order (so each
-    equals a rebuild from every label), and scores the rows not yet selected
-    (one mask over the pool's rows). Rounds with fewer than two scoreable
-    classes fall back to a seeded random pick.
+    The session's classes share one `LogitTable` over the pool: each round
+    recomputes only the rows of the classes labeled in the round before,
+    from per-class label sums carried across rounds (added in labeled order,
+    so each prototype has the bits of a rebuild from every label), and
+    scores the rows not yet selected (one mask over the pool's rows). Rounds
+    with fewer than two scoreable classes fall back to a seeded random pick.
     """
     old = rehearse(clf, buffer, cfg.replay_per_class,
                    derive_seed(plan.seed, "session", t, "train"), cfg.alpha)
-    old_stats = SoftmaxStats.of(old, pool.vectors) if old.num_classes else None
+    space = np.array(sorted(sess.class_space), dtype=np.int64)
+    table = LogitTable(pool.vectors, clf.temperature, len(space),
+                       SoftmaxStats.of(old, pool.vectors) if old.num_classes else None)
+    sums = np.zeros((len(space), pool.dim))
+    counts = np.zeros(len(space), dtype=np.int64)
+    fresh = np.zeros(0, dtype=np.intp)
     open_rows = np.ones(len(pool), dtype=bool)
     selected: list[int] = []
-    labeled_so_far: list[tuple[int, int]] = []
-    last_round: list[tuple[int, int]] = []
-    new: dict[int, np.ndarray] = {}
     round_idx = 0
     while len(selected) < plan.budget:
         k = min(cfg.round_size, plan.budget - len(selected))
-        if last_round:
-            fresh = {c for _, c in last_round}
-            new = new | new_class_prototypes(
-                old, [(i, c) for i, c in labeled_so_far if c in fresh], work, sess.class_space)
-        if old.num_classes + len(new) >= 2:
-            new_clf = PrototypeClassifier(new, clf.temperature, tuple(sorted(new)))
-            picked = score_fn(pool, k, new_clf, old_stats, open_rows)
+        if fresh.size:
+            classes = space[fresh]
+            table.update(classes, unit_rows(sums[fresh] / counts[fresh, None], classes, "prototype"))
+        if table.num_classes >= 2:
+            picked = score_fn(pool, k, table, open_rows)
         else:
             picked = random_select(
                 pool.subset(pool.ids[open_rows]), k,
                 derive_seed(plan.seed, "session", t, "fallback", round_idx),
             )
         selected.extend(picked.ids)
-        last_round = oracle.labels_for(picked.ids)
-        labeled_so_far.extend(last_round)
-        open_rows[pool.ids.searchsorted(picked.ids)] = False
+        rows = pool.ids.searchsorted(picked.ids)
+        at = _positions_in(space, oracle.labels_of(picked.ids))
+        np.add.at(sums, at, pool.vectors[rows])
+        counts += np.bincount(at, minlength=len(space))
+        fresh = np.unique(at)
+        open_rows[rows] = False
         round_idx += 1
     return Selection(ids=selected), old
+
+
+def _positions_in(space: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Index of each label in the ascending class array `space`;
+    LabelOutsideSessionSpace lists the labels it lacks."""
+    at = space.searchsorted(labels)
+    bad = space.take(at, mode="clip") != labels
+    if bad.any():
+        raise LabelOutsideSessionSpace(
+            f"labels/classes outside the current session space: {sorted(set(labels[bad].tolist()))}")
+    return at
 
 
 def report_to_dict(report: RunReport, include_timestamp: bool = True) -> dict:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbsel.baselines import (
+    LogitTable,
     SoftmaxStats,
     _top,
     balanced_random_select,
@@ -11,6 +14,8 @@ from cbsel.baselines import (
     entropy_select,
     margin_select,
     random_select,
+    softmax_stats,
+    top_two,
 )
 from cbsel.errors import BudgetExceedsPool, DegenerateClassifier
 from cbsel.features import FeatureStore, hidden_labels
@@ -25,6 +30,19 @@ H_LEANING = 0.6730116670092565   # (0.6, 0.4)
 def predict_proba(clf, f):
     """Class probabilities of one feature vector."""
     return predict_proba_matrix(clf, f[None, :])[0]
+
+
+def table_of(clf, vectors, old=None):
+    """A LogitTable over `vectors` holding every class of `clf`."""
+    table = LogitTable(vectors, clf.temperature, clf.num_classes, old)
+    if clf.num_classes:
+        table.update(clf.classes_seen, clf.embedding_matrix())
+    return table
+
+
+def merged_stats(clf, vectors, old):
+    """`SoftmaxStats` of `clf`'s logits of `vectors` merged with `old`."""
+    return softmax_stats(clf.classes_seen, clf.embedding_matrix() @ vectors.T / clf.temperature, old)
 
 
 def two_class_clf(temperature=0.07):
@@ -135,9 +153,9 @@ class TestUncertaintySelect:
         np.testing.assert_allclose(predict_proba(clf, f_leaning), [0.6, 0.4], atol=1e-9)
 
         store = FeatureStore(np.stack([f_uniform, f_peaked, f_leaning]))
-        sel = entropy_select(store, 2, clf)
+        sel = entropy_select(store, 2, table_of(clf, store.vectors))
         assert sel.ids == [0, 2]
-        sel = margin_select(store, 2, clf)
+        sel = margin_select(store, 2, table_of(clf, store.vectors))
         assert sel.ids == [0, 2]
 
     def test_frozen_entropy_values(self):
@@ -149,8 +167,8 @@ class TestUncertaintySelect:
         clf = two_class_clf()
         f = feature_with_top_prob(0.7, clf.temperature)
         store = FeatureStore(np.tile(f, (4, 1)))
-        assert entropy_select(store, 2, clf).ids == [0, 1]
-        assert margin_select(store, 2, clf).ids == [0, 1]
+        assert entropy_select(store, 2, table_of(clf, store.vectors)).ids == [0, 1]
+        assert margin_select(store, 2, table_of(clf, store.vectors)).ids == [0, 1]
 
     def test_degenerate_classifier(self):
         clf = PrototypeClassifier(
@@ -158,15 +176,15 @@ class TestUncertaintySelect:
         )
         store = FeatureStore(np.eye(2))
         with pytest.raises(DegenerateClassifier):
-            entropy_select(store, 1, clf)
+            entropy_select(store, 1, table_of(clf, store.vectors))
         with pytest.raises(DegenerateClassifier):
-            margin_select(store, 1, clf)
+            margin_select(store, 1, table_of(clf, store.vectors))
 
     def test_budget_check(self):
         clf = two_class_clf()
         store = FeatureStore(np.eye(2))
         with pytest.raises(BudgetExceedsPool):
-            entropy_select(store, 3, clf)
+            entropy_select(store, 3, table_of(clf, store.vectors))
 
 
 def full_softmax_scores(logits):
@@ -212,7 +230,7 @@ class TestSoftmaxStats:
         want_margin, want_entropy = full_softmax_scores(v @ clf.embedding_matrix().T / temperature)
         stats = SoftmaxStats.of(sub_classifier(clf, blocks[0]), v)
         for block in blocks[1:]:
-            stats = stats.merge(SoftmaxStats.of(sub_classifier(clf, block), v))
+            stats = merged_stats(sub_classifier(clf, block), v, stats)
         assert stats.classes == tuple(range(7))
         np.testing.assert_allclose(stats.margin(), want_margin, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(stats.entropy(), want_entropy, rtol=0.0, atol=1e-12)
@@ -231,22 +249,86 @@ class TestSoftmaxStats:
         store = FeatureStore(v)
         rows = np.arange(30) % 3 != 1
         old = SoftmaxStats.of(sub_classifier(clf, (0, 1, 2, 3)), v)
-        new = sub_classifier(clf, (4, 5))
+        table = table_of(sub_classifier(clf, (4, 5)), v, old)
         sub = store.subset(store.ids[rows])
         for select in (entropy_select, margin_select):
-            assert select(store, 7, new, old, rows).ids == select(sub, 7, clf).ids
+            assert select(store, 7, table, rows).ids == select(sub, 7, table_of(clf, sub.vectors)).ids
 
     def test_old_block_alone_is_scoreable(self):
         clf, v = random_clf_and_vectors(3, 10, 4, 0.07, seed=4)
         store = FeatureStore(v)
-        old = SoftmaxStats.of(clf, v)
-        empty = PrototypeClassifier(embeddings={}, temperature=0.07, classes_seen=())
-        assert margin_select(store, 4, empty, old).ids == margin_select(store, 4, clf).ids
+        old_only = LogitTable(v, 0.07, 0, SoftmaxStats.of(clf, v))
+        assert margin_select(store, 4, old_only).ids == margin_select(store, 4, table_of(clf, v)).ids
 
     def test_classes_in_both_blocks_rejected(self):
         clf, v = random_clf_and_vectors(3, 10, 4, 0.07, seed=5)
+        table = table_of(clf, v, SoftmaxStats.of(sub_classifier(clf, (1,)), v))
         with pytest.raises(ValueError, match="share classes"):
-            entropy_select(FeatureStore(v), 2, clf, SoftmaxStats.of(sub_classifier(clf, (1,)), v))
+            entropy_select(FeatureStore(v), 2, table)
+
+    @pytest.mark.parametrize("second, s", [(True, False), (False, True)])
+    def test_a_statistic_not_asked_for_is_left_out(self, second, s):
+        clf, v = random_clf_and_vectors(5, 20, 4, 0.07, seed=6)
+        old = SoftmaxStats.of(sub_classifier(clf, (0, 1)), v)
+        full = table_of(sub_classifier(clf, (2, 3, 4)), v, old).stats()
+        part = table_of(sub_classifier(clf, (2, 3, 4)), v, old).stats(second=second, s=s)
+        assert (part.second is None) != second and (part.s is None) != s
+        for name in ("top", "z") + (("second",) if second else ("s",)):
+            np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
+
+
+class TestLogitTable:
+    def test_updates_replace_the_rows_of_their_classes(self):
+        clf, v = random_clf_and_vectors(5, 30, 6, 0.07, seed=7)
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((5, 6))
+        stale = PrototypeClassifier(
+            dict(enumerate(g / np.linalg.norm(g, axis=1, keepdims=True))), 0.07, tuple(range(5)))
+        table = LogitTable(v, 0.07, 5)
+        # Classes arrive out of id order and (3, 1) are set twice: the first
+        # time from stale prototypes that the second update replaces.
+        table.update((3, 1), stale.embedding_matrix()[[3, 1]])
+        table.update((4, 0), clf.embedding_matrix()[[4, 0]])
+        table.update((1, 3, 2), clf.embedding_matrix()[[1, 3, 2]])
+        assert table.num_classes == 5
+        want = SoftmaxStats.of(clf, v)
+        got = table.stats()
+        assert got.classes == want.classes
+        np.testing.assert_array_equal(got.top, want.top)
+        np.testing.assert_array_equal(got.second, want.second)
+        np.testing.assert_allclose(got.z, want.z, rtol=1e-14)
+        np.testing.assert_allclose(got.s, want.s, rtol=1e-14)
+
+    def test_store_and_table_rows_must_agree(self):
+        clf, v = random_clf_and_vectors(3, 10, 4, 0.07, seed=9)
+        with pytest.raises(ValueError, match="rows"):
+            margin_select(FeatureStore(v[:9]), 2, table_of(clf, v))
+
+
+class TestTopTwo:
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=12)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_max_and_partition(self, rows):
+        # Few distinct values, so most rows hold ties at the top.
+        logits = np.array(rows, dtype=np.float64)
+        n = logits.shape[1]
+        top, second = top_two(logits.T)
+        np.testing.assert_array_equal(top, logits.max(axis=1))
+        if n == 1:
+            assert np.all(second == -np.inf)
+        else:
+            np.testing.assert_array_equal(second, np.partition(logits, n - 2, axis=1)[:, n - 2])
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=8),
+        st.integers(1, n - 1))))
+    @settings(max_examples=200, deadline=None)
+    def test_a_pass_carried_on_from_a_block_equals_one_pass(self, case):
+        rows, cut = case
+        logits = np.array(rows, dtype=np.float64).T
+        for got, want in zip(top_two(logits[cut:], *top_two(logits[:cut])), top_two(logits)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTop:

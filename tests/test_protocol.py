@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from cbsel import learner, protocol
-from cbsel.baselines import random_select
+from cbsel.baselines import LogitTable, SoftmaxStats, _top, random_select, softmax_stats
 from cbsel.config import RunConfig
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import (
     ConfigError,
     EmptyTestSet,
+    LabelOutsideSessionSpace,
     PlanError,
     SessionFailure,
     UnknownId,
@@ -478,34 +479,107 @@ class TestUncertaintyRounds:
 
     @pytest.mark.parametrize("strategy", ["margin", "entropy"])
     def test_round_prototypes_equal_a_rebuild_from_every_label(self, monkeypatch, strategy):
-        # Each round's classifier holds the new-class prototypes; they must be
-        # the bits new_class_prototypes gives from every label so far.
+        # Every round after the first sets the prototypes of the classes
+        # labeled in the round before, from label sums carried across rounds;
+        # they must be the bits new_class_prototypes gives from every label
+        # so far, and no other class may be set.
+        updates, sessions = [], []
+        update = LogitTable.update
+
+        def spy_update(table, classes, prototypes):
+            updates.append((list(classes), prototypes.copy()))
+            update(table, classes, prototypes)
+
+        select = protocol._select_uncertainty_rounds
+
+        def spy(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
+            first = len(updates)
+            selection, rehearsed = select(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer)
+            sessions.append((updates[first:], selection, sess, plan, cfg, work, oracle, clf))
+            return selection, rehearsed
+
+        monkeypatch.setattr(LogitTable, "update", spy_update)
+        monkeypatch.setattr(protocol, "_select_uncertainty_rounds", spy)
+        store, plan = tiny_world(seed=12, classes_per_session=5, separation=2.0, budget=14)
+        run(plan, strategy, store, RunConfig(round_size=3))
+        assert len(sessions) == 2
+        for session_updates, selection, sess, plan, cfg, work, oracle, clf in sessions:
+            assert len(session_updates) == math.ceil(plan.budget / cfg.round_size) - 1
+            for r, (classes, prototypes) in enumerate(session_updates):
+                n = (r + 1) * cfg.round_size
+                labeled = oracle.labels_for(selection.ids[:n])
+                assert classes == sorted({c for _, c in labeled[n - cfg.round_size:]})
+                want = new_class_prototypes(clf, labeled, work, sess.class_space)
+                for c, prototype in zip(classes, prototypes):
+                    np.testing.assert_array_equal(prototype, want[c])
+
+    @pytest.mark.parametrize("strategy", ["margin", "entropy"])
+    @pytest.mark.parametrize("round_size, world", [
+        (3, {"seed": 12, "classes_per_session": 5, "separation": 2.0, "budget": 14}),
+        # One label a round, so exactly one class is fresh in each round.
+        (1, {"seed": 12, "classes_per_session": 5, "separation": 2.0, "budget": 14}),
+        # About 1,100 pool rows a session, past BLAS's small-matrix path.
+        (4, {"seed": 13, "classes_per_session": 8, "dim": 16, "pool_per_class": 140,
+             "separation": 2.0, "budget": 24}),
+    ])
+    def test_rounds_pick_like_scoring_from_scratch(self, monkeypatch, strategy, round_size, world):
+        # Each scored round against a from-scratch scoring of its open rows:
+        # SoftmaxStats.of the old classes over a copy of the open rows,
+        # merged with the logits of a classifier rebuilt from every label so
+        # far. The
+        # table computes its columns over the whole pool and in other
+        # products, so the statistics agree to a few ulps rather than bit
+        # for bit; the picks must be equal.
         rounds = []
         select = protocol._select_uncertainty_rounds
 
         def spy(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
             seen = []
 
-            def scoring(store, budget, round_clf, old, rows):
-                seen.append((round_clf, int(np.count_nonzero(~rows))))
-                return score_fn(store, budget, round_clf, old, rows)
+            def scoring(store, budget, table, rows):
+                picked = score_fn(store, budget, table, rows)
+                seen.append((table.stats(), rows.copy(), picked.ids))
+                return picked
 
             selection, rehearsed = select(t, sess, plan, scoring, cfg, work, pool, oracle, clf, buffer)
-            for round_clf, n in seen:
-                want = {}
-                if n:
-                    labeled = oracle.labels_for(selection.ids[:n])
-                    want = new_class_prototypes(clf, labeled, work, sess.class_space)
-                assert round_clf.classes_seen == tuple(sorted(want))
-                for c, proto in want.items():
-                    np.testing.assert_array_equal(round_clf.embeddings[c], proto)
-                rounds.append(n)
+            for stats, rows, picked in seen:
+                vectors = pool.vectors[rows]
+                want = SoftmaxStats.of(rehearsed, vectors) if rehearsed.num_classes else None
+                labeled = oracle.labels_for(selection.ids[:np.count_nonzero(~rows)])
+                if labeled:
+                    new = new_class_prototypes(clf, labeled, work, sess.class_space)
+                    round_clf = PrototypeClassifier(new, clf.temperature, tuple(sorted(new)))
+                    logits = round_clf.embedding_matrix() @ vectors.T / clf.temperature
+                    want = softmax_stats(round_clf.classes_seen, logits, want)
+                assert stats.classes == want.classes
+                # In ulps of the largest logit 1/T for top and second, of z for
+                # z, and of z/T for s (which cancels); the worlds below
+                # measured at most 4, 14 and 6.
+                unit = 1.0 / clf.temperature
+                for name, scale, ulps in (("top", unit, 8), ("second", unit, 8),
+                                          ("z", want.z, 32), ("s", want.z * unit, 16)):
+                    error = np.abs(getattr(stats, name)[rows] - getattr(want, name))
+                    assert np.all(error <= ulps * np.spacing(scale)), name
+                key = want.margin() if strategy == "margin" else -want.entropy()
+                assert picked == _top(pool.ids[rows], key, len(picked)).ids
+                rounds.append(t)
             return selection, rehearsed
 
         monkeypatch.setattr(protocol, "_select_uncertainty_rounds", spy)
-        store, plan = tiny_world(seed=12, classes_per_session=5, separation=2.0, budget=14)
-        run(plan, strategy, store, RunConfig(round_size=3))
-        assert len(rounds) >= 8 and max(rounds) >= 12
+        store, plan = tiny_world(num_sessions=3, **world)
+        run(plan, strategy, store, RunConfig(round_size=round_size))
+        assert len(rounds) >= 3 * math.ceil(plan.budget / round_size) - 3
+        assert set(rounds) == {1, 2, 3}
+
+    def test_a_label_outside_the_session_space_is_a_typed_error(self):
+        store, plan = tiny_world(seed=8)
+        first, second = plan.sessions
+        plan = dataclasses.replace(plan, sessions=(first, dataclasses.replace(
+            second, class_space=second.class_space[1:])))
+        with pytest.raises(SessionFailure) as err:
+            run(plan, "margin", store, RunConfig(round_size=4))
+        assert err.value.session == 2
+        assert isinstance(err.value.__cause__, LabelOutsideSessionSpace)
 
     def test_each_old_class_is_replayed_once_per_session(self, monkeypatch):
         # The rounds rehearse the old classes and the training step reuses
