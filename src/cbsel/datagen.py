@@ -3,9 +3,10 @@ sphere, split into sessions with disjoint class spaces, long-tailed pool
 sizes, and balanced test sets.
 
 Class centers are drawn uniformly on the sphere and then pushed apart until
-every pair is at least `separation * sigma` apart. Within a session the pool
-size of the class at position i among C classes follows the exponential
-long-tail profile n_i = round(head * ratio^(-i / (C - 1))).
+every pair is at least `separation * sigma` apart (in one dimension, where
+the sphere is the two points -1 and +1, they are placed directly). Within a
+session the pool size of the class at position i among C classes follows
+the exponential long-tail profile n_i = round(head * ratio^(-i / (C - 1))).
 
 Each class draws its pool rows and then its test rows from its own stream,
 `derive_rng(seed, "class", c)`, into one (N, D) noise buffer laid out in id
@@ -116,10 +117,28 @@ def _close_pairs(centers: np.ndarray, min_dist: float) -> tuple[np.ndarray, np.n
 
 
 def place_centers(config: WorldConfig) -> np.ndarray:
-    """Unit-sphere class centers with pairwise distance >= separation * sigma."""
+    """Unit-sphere class centers with pairwise distance >= separation * sigma.
+
+    In one dimension the sphere is the two points -1 and +1, 2 apart, so two
+    or more classes fit only as a pair at most 2 apart; anything else raises
+    InfeasibleSeparation at once. Two classes drawn on the same pole are
+    placed directly, the later one on the other pole.
+    """
     rng = derive_rng(config.seed, "centers")
     centers = _sphere_points(rng, config.num_classes, config.dim)
     min_dist = config.separation * config.sigma
+    if config.dim == 1 and config.num_classes > 1:
+        if config.num_classes > 2:
+            raise InfeasibleSeparation(0, f"{config.num_classes} classes in one dimension, "
+                                          "which has room for two")
+        if min_dist > 2.0:
+            raise InfeasibleSeparation(0, f"a minimum distance of {min_dist} in one "
+                                          "dimension, where centers are at most 2 apart")
+        if centers[0, 0] == centers[1, 0] and min_dist < 2.0:
+            # The pushes below stay under 1 here, so they would never flip a
+            # pole. (At exactly 2 they do, at random, and that loop stays.)
+            centers[1] = -centers[1]
+            return centers
     step = 0.5 * min_dist
     for _ in range(_MAX_REPULSION_ROUNDS):
         bad_i, bad_j = _close_pairs(centers, min_dist)

@@ -111,12 +111,10 @@ class EmptyTestSet(CbselError):
 
 
 class InfeasibleSeparation(CbselError):
-    def __init__(self, attempted: int):
+    def __init__(self, attempted: int, reason: str = ""):
         self.attempted = attempted
-        super().__init__(
-            f"could not place class centers at the requested separation "
-            f"after {attempted} repulsion rounds"
-        )
+        reason = reason or f"no placement after {attempted} repulsion rounds"
+        super().__init__(f"could not place class centers at the requested separation: {reason}")
 
 
 class PlanError(CbselError):

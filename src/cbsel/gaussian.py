@@ -100,7 +100,8 @@ def _group_moments(arr, group, counts, var_floor):
     bins = (group[:, None] * d + np.arange(d)).ravel()
     n = counts[:, None]
     means = np.bincount(bins, weights=arr.ravel(), minlength=k * d).reshape(k, d) / n
-    dev = arr - means[group]
+    dev = means[group]  # then overwritten: one N x D temporary, not two
+    np.subtract(arr, dev, out=dev)
     dev *= dev
     variances = np.bincount(bins, weights=dev.ravel(), minlength=k * d).reshape(k, d) / n
     np.maximum(variances, var_floor, out=variances)
@@ -136,21 +137,6 @@ def kl_divergence(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
     )
 
 
-def kl_divergence_batch(
-    p: DiagonalGaussian, means: np.ndarray, variances: np.ndarray
-) -> np.ndarray:
-    """Vectorized kl_divergence(p, q_i) over rows of candidate moments."""
-    if means.shape[1] != p.dim:
-        raise DimensionMismatch(f"dim {p.dim} vs {means.shape[1]}")
-    return 0.5 * np.sum(
-        p.var[None, :] / variances
-        + (means - p.mean[None, :]) ** 2 / variances
-        + np.log(variances / p.var[None, :])
-        - 1.0,
-        axis=1,
-    )
-
-
 def sample(g: DiagonalGaussian, k: int, rng: np.random.Generator) -> np.ndarray:
     """Draw k independent vectors, component d ~ Normal(mean[d], var[d])."""
     if k < 1:
@@ -161,9 +147,10 @@ def sample(g: DiagonalGaussian, k: int, rng: np.random.Generator) -> np.ndarray:
 class MomentAccumulator:
     """Streaming sum / sum-of-squares over a multiset of vectors.
 
-    Supports exact push/pop so the greedy selection loop can score a
-    candidate in O(D) instead of re-estimating from scratch. Single-owner
-    mutable; clone with `copy()` before sharing.
+    Supports exact push/pop, so a candidate is scored in O(D) instead of
+    re-estimating from scratch; the greedy keeps the same running sums, one
+    row per cluster. Single-owner mutable; clone with `copy()` before
+    sharing.
     """
 
     __slots__ = ("dim", "n", "sum", "sumsq")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, KTooLarge, NotNormalized
+from .errors import KTooLarge, NotNormalized
 from .features import FeatureStore
 
 DEFAULT_MAX_ITER = 100
@@ -54,17 +54,19 @@ def kmeans(
 
     centroids = _plus_plus_init(x, k, rng)
     assign = _assign(x, centroids)
+    bins = np.empty(x.shape, dtype=np.int64)
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        new_centroids = _update(x, assign, centroids, k)
+        new_centroids = _update(x, assign, centroids, k, bins)
         assign = _assign(x, new_centroids)
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol:
             break
 
-    assign, centroids = _repair_empty(x, assign, centroids, k)
+    assign, centroids = _repair_empty(x, assign, centroids, k, bins)
+    del bins  # _inertia's N x D differences take its place
     return Clustering(
         k=k,
         ids=store.ids.copy(),
@@ -73,13 +75,6 @@ def kmeans(
         iterations_run=iterations,
         inertia=_inertia(x, centroids, assign),
     )
-
-
-def cluster_members(clustering: Clustering, j: int) -> list[int]:
-    """Ids assigned to cluster j, in ascending id order."""
-    if not 0 <= j < clustering.k:
-        raise IndexOutOfRange(f"cluster index {j} out of [0, {clustering.k})")
-    return clustering.ids[clustering.assignments == j].tolist()
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,15 +128,22 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _update(x: np.ndarray, assign: np.ndarray, old: np.ndarray, k: int) -> np.ndarray:
-    """Member means in one pass; an empty cluster keeps its old centroid."""
+def _update(x: np.ndarray, assign: np.ndarray, old: np.ndarray, k: int,
+            bins: np.ndarray | None = None) -> np.ndarray:
+    """Member means in one pass; an empty cluster keeps its old centroid.
+    `bins`, an int64 array shaped like `x`, is overwritten if given."""
     # One bincount over (cluster, dimension) bins: each bin adds its rows in
     # ascending order from 0.0, as np.add.at does, so the sums are bit-equal;
-    # np.add.reduceat over sorted rows measurably is not.
+    # np.add.reduceat over sorted rows measurably is not. A caller that
+    # updates many times passes one bins buffer, so no step faults in a
+    # fresh N x D array.
     d = x.shape[1]
     counts = np.bincount(assign, minlength=k)
-    bins = (assign[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(bins, weights=x.ravel(), minlength=k * d).reshape(k, d)
+    if bins is None:
+        bins = np.empty(x.shape, dtype=np.int64)
+    np.multiply(assign[:, None], d, out=bins)
+    bins += np.arange(d)
+    sums = np.bincount(bins.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
     out = old.copy()
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]
@@ -154,7 +156,7 @@ def _inertia(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
 
 
 def _repair_empty(
-    x: np.ndarray, assign: np.ndarray, centroids: np.ndarray, k: int
+    x: np.ndarray, assign: np.ndarray, centroids: np.ndarray, k: int, bins: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Donate the farthest-from-centroid points to empty clusters.
 
@@ -181,8 +183,8 @@ def _repair_empty(
             counts[assign[i]] -= 1
             counts[j] += 1
             assign[i] = j
-        centroids = _update(x, assign, centroids, k)
+        centroids = _update(x, assign, centroids, k, bins)
         if attempt < k:
             assign = _assign(x, centroids)
-            centroids = _update(x, assign, centroids, k)
+            centroids = _update(x, assign, centroids, k, bins)
     return assign, centroids

@@ -1,10 +1,11 @@
 """Lightweight incremental learner: one unit-norm prototype per class with
-cosine-softmax predictions, pseudo-labeling of the unselected pool remainder,
-per-class Gaussian estimation from labeled plus pseudo-labeled features, and
-replay of pseudo-features sampled from the stored class Gaussians.
+predictions from cosine logits, pseudo-labeling of the unselected pool
+remainder, per-class Gaussian estimation from labeled plus pseudo-labeled
+features, and replay of pseudo-features sampled from the stored class
+Gaussians.
 
-Class probability vectors are always ordered by ascending class id, so every
-argmax tie resolves to the lowest class id.
+Logit columns are always ordered by ascending class id, so every argmax tie
+resolves to the lowest class id.
 """
 
 from __future__ import annotations
@@ -89,22 +90,12 @@ def empty_classifier(temperature: float = DEFAULT_TEMPERATURE) -> PrototypeClass
     return PrototypeClassifier(embeddings={}, temperature=temperature, classes_seen=())
 
 
-def predict_proba_matrix(clf: PrototypeClassifier, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of cosine logits; (N, num_classes), columns ascending
-    by class id. Callers are responsible for unit-norm rows."""
-    g = clf.embedding_matrix()
-    logits = vectors @ g.T / clf.temperature
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def predict(clf: PrototypeClassifier, vectors: np.ndarray) -> np.ndarray:
-    """Argmax class ids; ties resolve to the lowest class id."""
-    probs = predict_proba_matrix(clf, vectors)
-    cols = np.argmax(probs, axis=1)
-    classes = np.asarray(clf.classes_seen, dtype=np.int64)
-    return classes[cols]
+    """Argmax class ids of the cosine logits, as `pseudo_label` takes them;
+    ties resolve to the lowest class id. The softmax is monotone in the
+    logits, so the temperature does not enter."""
+    cols = np.argmax(vectors @ clf.embedding_matrix().T, axis=1)
+    return np.asarray(clf.classes_seen, dtype=np.int64)[cols]
 
 
 def pseudo_label(clf: PrototypeClassifier, store: FeatureStore, allowed) -> dict[int, int]:
@@ -161,10 +152,12 @@ def rehearse(
 ) -> PrototypeClassifier:
     """Rehearse the old classes in `buffer`; returns a new classifier.
 
-    For each buffered class, in ascending id order, `replay_per_class`
-    pseudo-features are sampled from its stored Gaussian on the stream
-    `derive_rng(seed, "replay", c)`, and their unit mean is blended with the
-    previous prototype, weight `alpha` on the previous one. The classes are
+    For each buffered class, `replay_per_class` pseudo-features are sampled
+    from its stored Gaussian, and their unit mean is blended with the
+    previous prototype, weight `alpha` on the previous one. The standard
+    normal draws of every class come from one stream,
+    `derive_rng(seed, "replay")`, in ascending class order, so a class's
+    draws depend on which classes are buffered before it. The classes are
     shifted, scaled, averaged, blended and normalized as one (C, k, D) stack.
     With replay_per_class = 0, alpha = 1 or an empty buffer the classifier
     comes back unchanged.
@@ -179,8 +172,7 @@ def rehearse(
     dists = [buffer.distributions[c] for c in classes]
     means = np.stack([g.mean for g in dists])
     replayed = np.empty((len(classes), replay_per_class, means.shape[1]))
-    for j, c in enumerate(classes):
-        derive_rng(seed, "replay", c).standard_normal(out=replayed[j])
+    derive_rng(seed, "replay").standard_normal(out=replayed)
     replayed *= np.sqrt(np.stack([g.var for g in dists]))[:, None, :]
     replayed += means[:, None, :]
     replay_protos = unit_rows(replayed.mean(axis=1), classes, "replay mean")

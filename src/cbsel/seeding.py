@@ -3,6 +3,11 @@
 Every run owns a single root seed. Components derive their own streams by
 hashing (root, *labels), so adding a strategy or toggling an unrelated
 option never reshuffles the randomness seen by an existing component.
+
+Within a component, one stream may serve several parts in a fixed order.
+Replay draws all of a session's old classes from one stream, in ascending
+class order, so a class's replay draws depend on which old classes there
+are; the session plan fixes that set.
 """
 
 import hashlib

@@ -19,7 +19,8 @@ from cbsel.baselines import (
 )
 from cbsel.errors import BudgetExceedsPool, DegenerateClassifier
 from cbsel.features import FeatureStore, hidden_labels
-from cbsel.learner import PrototypeClassifier, predict_proba_matrix
+from cbsel.learner import PrototypeClassifier
+from reference_impls import predict_proba_matrix
 
 # Shannon entropies (natural log) of the three hand-built distributions.
 H_UNIFORM = 0.6931471805599453   # (0.5, 0.5)

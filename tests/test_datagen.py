@@ -94,6 +94,29 @@ class TestPlaceCenters:
             place_centers(cfg)
         assert err.value.attempted == 25
 
+    def test_one_dimension_same_pole_pair_is_placed_at_once(self, monkeypatch):
+        # Both centers of this world are drawn at the same pole. No repulsion
+        # round may run: the later class takes the other pole directly.
+        monkeypatch.setattr(datagen, "_MAX_REPULSION_ROUNDS", 0)
+        cfg = config(num_sessions=2, classes_per_session=1, dim=1, seed=2)
+        drawn = datagen._sphere_points(derive_rng(2, "centers"), 2, 1)
+        assert drawn[0, 0] == drawn[1, 0]
+        centers = place_centers(cfg)
+        np.testing.assert_array_equal(centers, [drawn[0], -drawn[0]])
+        store, plan = generate(cfg)
+        np.testing.assert_array_equal(np.sort(np.unique(store.vectors)), [-1.0, 1.0])
+
+    @pytest.mark.parametrize("overrides, reason", [
+        (dict(num_sessions=3), "3 classes in one dimension"),
+        (dict(separation=11.0, sigma=0.2), "minimum distance of 2.2"),
+    ])
+    def test_one_dimension_infeasible_raises_at_once(self, monkeypatch, overrides, reason):
+        monkeypatch.setattr(datagen, "_MAX_REPULSION_ROUNDS", 3)
+        cfg = config(**{"num_sessions": 2, "classes_per_session": 1, "dim": 1, **overrides})
+        with pytest.raises(InfeasibleSeparation, match=reason) as err:
+            place_centers(cfg)
+        assert err.value.attempted == 0
+
 
 class TestGenerate:
     def test_store_and_plan_shapes(self):

@@ -5,7 +5,8 @@ from cbsel import kmeans as kmeans_module
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import IndexOutOfRange, KTooLarge, NotNormalized
 from cbsel.features import FeatureStore
-from cbsel.kmeans import Clustering, _assign, _inertia, _update, cluster_members, kmeans
+from cbsel.kmeans import Clustering, _assign, _inertia, _update, kmeans
+from reference_impls import cluster_members
 
 
 def unit_store(vectors, ids=None):
@@ -25,8 +26,9 @@ def reference_assign(x, centroids):
     return np.argmin(np.sum(centroids * centroids, axis=1) - 2.0 * x @ centroids.T, axis=1)
 
 
-def reference_update(x, assign, old, k):
-    """Reference update, member sums with np.add.at; _update must match its bits."""
+def reference_update(x, assign, old, k, bins=None):
+    """Reference update, member sums with np.add.at; _update must match its
+    bits. `bins` (the program's scratch buffer) is not used."""
     counts = np.bincount(assign, minlength=k)
     sums = np.zeros_like(old)
     np.add.at(sums, assign, x)
@@ -134,6 +136,18 @@ class TestLloydStep:
         old = rng.standard_normal((4, 1))
         np.testing.assert_array_equal(_update(x, assign, old, 4),
                                       reference_update(x, assign, old, 4))
+
+    def test_update_overwrites_a_used_bins_buffer(self):
+        # kmeans hands every step the same buffer, still holding the bins of
+        # the step before.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((60, 3))
+        old = rng.standard_normal((4, 3))
+        bins = np.full(x.shape, 7, dtype=np.int64)
+        for _ in range(3):
+            assign = rng.integers(0, 4, size=60)
+            np.testing.assert_array_equal(_update(x, assign, old, 4, bins),
+                                          reference_update(x, assign, old, 4))
 
     def test_update_keeps_trailing_empty_clusters(self):
         # k exceeds assign.max() + 1, so the sums need bincount's minlength.

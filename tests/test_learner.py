@@ -21,12 +21,12 @@ from cbsel.learner import (
     estimate_class_distributions,
     new_class_prototypes,
     predict,
-    predict_proba_matrix,
     pseudo_label,
     rehearse,
     train_session,
 )
 from cbsel.seeding import derive_rng
+from reference_impls import predict_proba_matrix
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -105,6 +105,29 @@ class TestPredictProba:
     def test_no_classes(self):
         with pytest.raises(NoClasses):
             predict_proba(empty_classifier(), np.array([1.0]))
+
+
+class TestPredict:
+    def test_ties_go_to_the_lowest_class(self):
+        # Each row is equally near two prototypes: its logits for them are
+        # the same product, so argmax takes the lower class id.
+        clf = PrototypeClassifier({4: np.array([1.0, 0.0]), 9: np.array([0.0, 1.0]),
+                                   2: np.array([-1.0, 0.0])}, 0.07, (2, 4, 9))
+        rows = np.array([[INV_SQRT2, INV_SQRT2], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(predict(clf, rows), [4, 2, 9, 4])
+
+    def test_is_the_argmax_of_the_logits_at_any_temperature(self):
+        rng = np.random.default_rng(4)
+        protos = random_unit(rng, 6, 5)
+        rows = random_unit(rng, 200, 5)
+        for tau in (0.01, 0.07, 1.0):
+            clf = PrototypeClassifier(dict(zip(range(10, 16), protos)), tau, tuple(range(10, 16)))
+            want = 10 + np.argmax(rows @ protos.T, axis=1)
+            np.testing.assert_array_equal(predict(clf, rows), want)
+
+    def test_no_classes(self):
+        with pytest.raises(NoClasses):
+            predict(empty_classifier(), np.ones((1, 1)))
 
 
 class TestClassifierInvariants:
@@ -244,13 +267,16 @@ class TestEstimateClassDistributions:
 
 
 def reference_rehearse(clf, buffer, replay_per_class, seed, alpha):
-    """The per-class loop the stacked `rehearse` replaced; returns embeddings."""
+    """The per-class loop the stacked `rehearse` replaced, drawing every class
+    in ascending order from the session's one replay stream; returns
+    embeddings."""
     def unit(v):
         return v / float(np.linalg.norm(v))
 
     embeddings = dict(clf.embeddings)
+    rng = derive_rng(seed, "replay")
     for c in sorted(buffer.distributions):
-        replayed = sample(buffer.distributions[c], replay_per_class, derive_rng(seed, "replay", c))
+        replayed = sample(buffer.distributions[c], replay_per_class, rng)
         embeddings[c] = unit(alpha * embeddings[c] + (1.0 - alpha) * unit(replayed.mean(axis=0)))
     return embeddings
 

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from cbsel.gaussian import estimate, kl_divergence
 from cbsel.learner import (
     PrototypeClassifier,
     new_class_prototypes,
-    predict_proba_matrix,
     train_session,
 )
 from cbsel.protocol import (
@@ -43,6 +41,7 @@ from cbsel.protocol import (
 )
 from cbsel.seeding import derive_seed
 from cbsel.selection import Selection
+from reference_impls import predict_proba_matrix
 
 
 def tiny_world(seed=0, **overrides):
@@ -583,7 +582,8 @@ class TestUncertaintyRounds:
 
     def test_each_old_class_is_replayed_once_per_session(self, monkeypatch):
         # The rounds rehearse the old classes and the training step reuses
-        # that classifier, so each old class draws from one replay stream.
+        # that classifier, so every session with old classes draws them all
+        # from one replay stream, and a session without any draws none.
         calls = []
         derive_rng = learner.derive_rng
 
@@ -596,10 +596,8 @@ class TestUncertaintyRounds:
         for strategy in ("margin", "entropy"):
             calls.clear()
             run(plan, strategy, store, RunConfig(round_size=4))
-            old_classes = sum(len(s.class_space) * (len(plan.sessions) - t)
-                              for t, s in enumerate(plan.sessions, start=1))
-            assert len(calls) == old_classes
-            assert max(Counter(calls).values()) == 1
+            assert calls == [(derive_seed(plan.seed, "session", t, "train"), "replay")
+                             for t in range(2, len(plan.sessions) + 1)]
 
 
 class TestListingOrder:

@@ -2,17 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import BudgetExceedsPool, CombinatorialGuard, KTooLarge
 from cbsel.features import FeatureStore
-from cbsel.gaussian import VAR_FLOOR, MomentAccumulator, estimate, kl_divergence, kl_divergence_batch
-from cbsel.kmeans import cluster_members, kmeans
+from cbsel.gaussian import VAR_FLOOR, MomentAccumulator, estimate, kl_divergence
+from cbsel.kmeans import kmeans
 from cbsel.seeding import derive_seed
 from cbsel.selection import (
     allocate_budget,
     brute_force_select,
     cbs_select,
     greedy_select_cluster,
+    greedy_select_clusters,
+)
+from reference_impls import (
+    cluster_members,
+    kl_divergence_batch,
+    loop_cbs_select,
+    loop_greedy_select_clusters,
 )
 
 # KL from the cluster of 1-D points {0, 1, 2} to the subset {0, 2}:
@@ -269,3 +279,104 @@ class TestCbsSelect:
         store = self.blob_store(per_blob=10)
         with pytest.raises(BudgetExceedsPool):
             cbs_select(store, num_classes=2, budget=21, seed=0)
+
+
+def assert_same_selection(got, want):
+    assert got.per_cluster_ids == want.per_cluster_ids
+    assert got.ids == want.ids
+    assert got.discarded == want.discarded
+
+
+def clustered_store(sizes, dim, seed, grid=None):
+    """A store whose rows are dealt to clusters of the given sizes in a
+    shuffled order, with ids in ascending row order; `grid` draws every
+    value from that many integers, so rows repeat and candidates tie."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    x = (rng.integers(0, grid, (n, dim)).astype(float) if grid
+         else rng.standard_normal((n, dim)))
+    assignments = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    ids = np.sort(rng.choice(10 * n, size=n, replace=False))
+    return FeatureStore(x, ids=ids), assignments
+
+
+class TestAllClustersAtOnce:
+    """greedy_select_clusters and cbs_select against the per-cluster loop,
+    pick for pick and in pick order."""
+
+    def test_large_pool(self, large_pool):
+        assert_same_selection(cbs_select(large_pool, 100, 3000, seed=1),
+                              loop_cbs_select(large_pool, 100, 3000, seed=1))
+
+    @pytest.mark.parametrize("seed", [1, 20, 33])
+    def test_quality_worlds(self, seed):
+        store, plan = generate(WorldConfig(
+            num_sessions=5, classes_per_session=20, dim=16, pool_per_class=30,
+            test_per_class=10, separation=3.0, imbalance_ratio=10.0, sigma=0.2,
+            budget=100, seed=seed))
+        for t, session in enumerate(plan.sessions):
+            pool = store.subset(session.pool_ids)
+            assert_same_selection(cbs_select(pool, 20, 100, seed=t),
+                                  loop_cbs_select(pool, 20, 100, seed=t))
+
+    @pytest.mark.parametrize("picks", ["singletons", "all", "one"])
+    def test_corner_budgets(self, picks):
+        sizes = [1, 7, 1, 12, 3, 1, 20]
+        store, assignments = clustered_store(sizes, 3, seed=4)
+        per_cluster = {"singletons": [1, 4, 1, 6, 2, 1, 9], "all": sizes,
+                       "one": [1] * len(sizes)}[picks]
+        got = greedy_select_clusters(store, assignments, per_cluster)
+        assert got == loop_greedy_select_clusters(store, assignments, per_cluster)
+        assert [len(c) for c in got] == per_cluster
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_rows_tie_to_the_lowest_id(self, seed):
+        sizes = [9, 25, 4, 16]
+        store, assignments = clustered_store(sizes, 2, seed=seed, grid=3)
+        per_cluster = [5, 25, 2, 9]
+        assert greedy_select_clusters(store, assignments, per_cluster) == \
+            loop_greedy_select_clusters(store, assignments, per_cluster)
+
+    def test_one_cluster_falls_back_while_the_others_stay_finite(self):
+        # Cluster 1 is the three-row corner whose candidates' KL overflows at
+        # this var_floor; clusters 0 and 2 differ in every coordinate, so
+        # their scores stay finite while cluster 1 takes its first open row.
+        rng = np.random.default_rng(9)
+        corner = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        x = np.vstack([rng.uniform(2.0, 3.0, (6, 2)), corner, rng.uniform(-3.0, -2.0, (8, 2))])
+        assignments = np.repeat([0, 1, 2], [6, 3, 8])
+        store = FeatureStore(x)
+        per_cluster = [4, 2, 5]
+        with np.errstate(over="ignore"):
+            got = greedy_select_clusters(store, assignments, per_cluster, var_floor=1e-320)
+            want = loop_greedy_select_clusters(store, assignments, per_cluster, var_floor=1e-320)
+        assert got == want
+        assert got[1] == [6, 7]
+
+    def test_a_nan_score_is_picked_as_argmin_picks_it(self):
+        # In cluster 0 (rows 0-3, D = 1) the duplicate of the first pick has
+        # variance 0, floored to 1e-320; its ratio to the cluster's variance
+        # underflows to 0, and inf - inf makes its KL NaN. np.argmin takes
+        # the first NaN, so the loop picks it over the finite row 0.
+        store = FeatureStore(np.array([[0.0], [500.0], [1000.0], [500.0], [3.0], [4.0], [6.0]]))
+        assignments = np.array([0, 0, 0, 0, 1, 1, 1])
+        with np.errstate(all="ignore"):
+            got = greedy_select_clusters(store, assignments, [2, 3], var_floor=1e-320)
+            assert got == loop_greedy_select_clusters(store, assignments, [2, 3], var_floor=1e-320)
+        assert got[0] == [1, 3]
+
+    def test_k_out_of_range_names_the_cluster(self):
+        store, assignments = clustered_store([3, 2], 2, seed=0)
+        with pytest.raises(KTooLarge, match="cluster 1"):
+            greedy_select_clusters(store, assignments, [1, 3])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_pools(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=6), label="sizes")
+        dim = data.draw(st.sampled_from([1, 2, 3, 5]), label="dim")
+        grid = data.draw(st.sampled_from([None, 2, 4]), label="grid")
+        store, assignments = clustered_store(sizes, dim, data.draw(st.integers(0, 2**32 - 1)), grid)
+        per_cluster = [data.draw(st.integers(1, m)) for m in sizes]
+        assert greedy_select_clusters(store, assignments, per_cluster) == \
+            loop_greedy_select_clusters(store, assignments, per_cluster)
