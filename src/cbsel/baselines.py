@@ -38,7 +38,8 @@ def random_select(store: FeatureStore, budget: int, seed: int) -> Selection:
 
 
 def balanced_random_select(store: FeatureStore, budget: int, seed: int, oracle) -> Selection:
-    """Forced class-balanced random pick using true labels.
+    """Forced class-balanced random pick using the true labels of the store's
+    ids, as `oracle.labels_of` gives them.
 
     Quotas are floor(B / num_classes) per class with the remainder spread
     over the lowest class ids. A class smaller than its quota contributes
@@ -46,18 +47,18 @@ def balanced_random_select(store: FeatureStore, budget: int, seed: int, oracle) 
     the pool.
     """
     _check_budget(store, budget)
-    label_of = {int(i): int(oracle[int(i)]) for i in store.ids}
-    classes = sorted(set(label_of.values()))
+    labels = oracle.labels_of(store.ids)
+    classes = np.unique(labels).tolist()
     rng = np.random.default_rng(seed)
 
     base, rem = divmod(budget, len(classes))
     picked: list[int] = []
     for rank, c in enumerate(classes):
         quota = base + (1 if rank < rem else 0)
-        members = [i for i, lab in label_of.items() if lab == c]
+        members = store.ids[labels == c]
         take = min(quota, len(members))
         if take:
-            picked.extend(int(v) for v in rng.choice(members, size=take, replace=False))
+            picked.extend(rng.choice(members, size=take, replace=False).tolist())
     shortfall = budget - len(picked)
     if shortfall > 0:
         leftover = np.setdiff1d(store.ids, picked, assume_unique=True)

@@ -60,10 +60,6 @@ class EmptyInput(CbselError):
     pass
 
 
-class EmptyAccumulator(CbselError):
-    pass
-
-
 class KTooLarge(CbselError):
     pass
 
@@ -72,16 +68,8 @@ class NotNormalized(CbselError):
     pass
 
 
-class IndexOutOfRange(CbselError):
-    pass
-
-
 class BudgetExceedsPool(CbselError):
     pass
-
-
-class CombinatorialGuard(CbselError):
-    """The exhaustive search would enumerate too many subsets."""
 
 
 class DegenerateClassifier(CbselError):

@@ -91,10 +91,6 @@ class FeatureStore:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def has_labels(self) -> bool:
-        return self._labels is not None
-
     def _rows(self, ids) -> np.ndarray:
         """Row of each id, in the given order; UnknownId names the first absent id."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -142,27 +138,29 @@ class FeatureStore:
         )
 
 
-def hidden_labels(store: FeatureStore, consumer: str) -> dict[int, int]:
-    """Access-scoped view of the hidden labels, as an id -> class map.
+def hidden_labels(store: FeatureStore, consumer: str) -> tuple[np.ndarray, np.ndarray]:
+    """Access-scoped view of the hidden labels: the ids and classes of the
+    labeled rows, as aligned int64 arrays in ascending id order.
 
     Only the oracle and the metrics code may call this; anything else gets
-    HiddenLabelAccess. Rows without a label are omitted from the map.
+    HiddenLabelAccess. Rows without a label are left out.
     """
     if consumer not in _LABEL_CONSUMERS:
         raise HiddenLabelAccess(
             f"hidden labels are restricted to {_LABEL_CONSUMERS}, not {consumer!r}"
         )
     if store._labels is None:
-        return {}
+        return store.ids[:0], store.ids[:0]
     keep = store._labels != NO_LABEL
-    return dict(zip(store.ids[keep].tolist(), store._labels[keep].tolist()))
+    return store.ids[keep], store._labels[keep]
 
 
 def load_features(path) -> FeatureStore:
     """Load a feature store from a UTF-8 CSV file.
 
     The header must read ``id,label,f0,...,f{D-1}``. Every row must supply an
-    integer id, an optional integer label, and D finite floats. Ids must be
+    integer id, an optional integer label other than -1 (``NO_LABEL``, which
+    marks a row without a label in memory), and D finite floats. Ids must be
     dense in [0, N). The returned store is un-normalized.
 
     Most files are parsed at numpy speed by `_load_fast`. Any file it cannot
@@ -206,7 +204,10 @@ def _load_fast(path) -> FeatureStore | None:
     heads = [line.split(",", 2)[:2] for line in body]
     ids = [int(id_cell) for id_cell, _ in heads]
     labels = [NO_LABEL if cell.strip() == "" else int(cell) for _, cell in heads]
-    any_label = any(cell.strip() != "" for _, cell in heads)
+    unlabeled = sum(cell.strip() == "" for _, cell in heads)
+    if labels.count(NO_LABEL) != unlabeled:
+        return None  # a -1 label cell: the validator names it
+    any_label = unlabeled < len(heads)
     vectors = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
                          quotechar=None, usecols=range(2, dim + 2), ndmin=2)
     if vectors.shape != (len(body), dim):
@@ -246,6 +247,10 @@ def _load_validated(path) -> FeatureStore:
                     if not -(2**63) <= labels[-1] < 2**63:
                         raise ParseError(
                             f"label {row[1]!r} is outside the int64 range", row=rownum, column=2)
+                    if labels[-1] == NO_LABEL:
+                        raise ParseError(
+                            f"label {row[1]!r} is reserved for a row without a label",
+                            row=rownum, column=2)
                     any_label = True
                 values = []
                 for col, cell in enumerate(row[2:], start=3):

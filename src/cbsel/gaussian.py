@@ -1,4 +1,4 @@
-"""Diagonal Gaussians: estimation, streaming moments, KL divergence, sampling.
+"""Diagonal Gaussians: estimation and KL divergence.
 
 Estimation is population-style (divide by n, not n-1) and every variance is
 clamped to a floor. The floor keeps the KL divergence finite when the
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyAccumulator, EmptyInput
+from .errors import DimensionMismatch, EmptyInput
 
 # Smallest per-dimension variance. For unit-norm features this bounds the
 # KL variance ratio by 1e6, which is far from overflow but barely perturbs
@@ -135,63 +135,3 @@ def kl_divergence(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
             - 1.0
         )
     )
-
-
-def sample(g: DiagonalGaussian, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw k independent vectors, component d ~ Normal(mean[d], var[d])."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return g.mean[None, :] + np.sqrt(g.var)[None, :] * rng.standard_normal((k, g.dim))
-
-
-class MomentAccumulator:
-    """Streaming sum / sum-of-squares over a multiset of vectors.
-
-    Supports exact push/pop, so a candidate is scored in O(D) instead of
-    re-estimating from scratch; the greedy keeps the same running sums, one
-    row per cluster. Single-owner mutable; clone with `copy()` before
-    sharing.
-    """
-
-    __slots__ = ("dim", "n", "sum", "sumsq")
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-        self.n = 0
-        self.sum = np.zeros(self.dim, dtype=np.float64)
-        self.sumsq = np.zeros(self.dim, dtype=np.float64)
-
-    def push(self, v) -> "MomentAccumulator":
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(f"expected a vector of length {self.dim}")
-        self.sum += v
-        self.sumsq += v * v
-        self.n += 1
-        return self
-
-    def pop(self, v) -> "MomentAccumulator":
-        """Exact inverse of a prior push of the same vector."""
-        if self.n == 0:
-            raise EmptyAccumulator("pop on an empty accumulator")
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(f"expected a vector of length {self.dim}")
-        self.sum -= v
-        self.sumsq -= v * v
-        self.n -= 1
-        return self
-
-    def finalize(self, var_floor: float = VAR_FLOOR) -> DiagonalGaussian:
-        if self.n == 0:
-            raise EmptyAccumulator("finalize requires at least one vector")
-        mean = self.sum / self.n
-        var = np.maximum(self.sumsq / self.n - mean * mean, var_floor)
-        return DiagonalGaussian(mean, var, self.n)
-
-    def copy(self) -> "MomentAccumulator":
-        out = MomentAccumulator(self.dim)
-        out.n = self.n
-        out.sum = self.sum.copy()
-        out.sumsq = self.sumsq.copy()
-        return out

@@ -98,43 +98,37 @@ def predict(clf: PrototypeClassifier, vectors: np.ndarray) -> np.ndarray:
     return np.asarray(clf.classes_seen, dtype=np.int64)[cols]
 
 
-def pseudo_label(clf: PrototypeClassifier, store: FeatureStore, allowed) -> dict[int, int]:
-    """Assign each store row the argmax class restricted to `allowed`.
+def pseudo_label(clf: PrototypeClassifier, vectors: np.ndarray, allowed) -> np.ndarray:
+    """The argmax class of each row of `vectors`, restricted to `allowed`.
 
     `allowed` must be a non-empty subset of classes_seen. The assignment is
     temperature-invariant (argmax of a monotone transform of the cosine
     logits); ties resolve to the lowest class id.
     """
-    allowed = sorted(int(c) for c in set(allowed))
-    if not allowed:
+    allowed = np.array(sorted({int(c) for c in allowed}), dtype=np.int64)
+    if not allowed.size:
         raise EmptyAllowedSet("pseudo_label requires at least one allowed class")
-    missing = [c for c in allowed if c not in clf.embeddings]
+    missing = [c for c in allowed.tolist() if c not in clf.embeddings]
     if missing:
         raise ValueError(f"allowed classes not in classifier: {missing}")
     g = clf.embedding_matrix()[np.searchsorted(clf.classes_seen, allowed)]
-    logits = store.vectors @ g.T
-    cols = np.argmax(logits, axis=1)
-    return {int(i): allowed[int(k)] for i, k in zip(store.ids, cols)}
+    return allowed[np.argmax(vectors @ g.T, axis=1)]
 
 
 def estimate_class_distributions(
     labeled, pseudo, store: FeatureStore, classes, var_floor: float = VAR_FLOOR
 ) -> dict[int, DiagonalGaussian]:
-    """Per-class Gaussian over the union of labeled and pseudo-labeled rows,
-    each class estimated from its ids in ascending order.
+    """Per-class Gaussian over the union of the labeled and pseudo-labeled
+    rows, each an (ids, classes) pair of aligned arrays; each class is
+    estimated from its ids in ascending order.
 
     When an id carries both a true and a pseudo label, the true label wins.
     A class in `classes` with no member at all raises EmptyClass; with the
     pseudo set empty this reduces bit-exactly to labeled-only estimation.
     """
-    label_of: dict[int, int] = {}
-    for i, c in pseudo:
-        label_of[int(i)] = int(c)
-    for i, c in labeled:
-        label_of[int(i)] = int(c)
-    ids = sorted(label_of)
-    by_class = estimate_per_class(
-        store.vectors_for(ids), np.array([label_of[i] for i in ids], dtype=np.int64), var_floor)
+    ids, first = np.unique(np.concatenate((labeled[0], pseudo[0])), return_index=True)
+    labels = np.concatenate((labeled[1], pseudo[1]))[first]
+    by_class = estimate_per_class(store.vectors_for(ids), labels, var_floor)
     out: dict[int, DiagonalGaussian] = {}
     for c in sorted(int(c) for c in set(classes)):
         if c not in by_class:
@@ -187,16 +181,17 @@ def new_class_prototypes(
     clf: PrototypeClassifier, labeled, store: FeatureStore, class_space=None
 ) -> dict[int, np.ndarray]:
     """Prototype of each labeled class: the unit-normalized mean of its
-    labeled features, taken in labeled order.
+    labeled features, taken in labeled order. `labeled` is an (ids, classes)
+    pair of aligned arrays.
 
     Labels must lie inside `class_space` (inferred from the labels when not
     given) and outside clf.classes_seen; classes in `class_space` with no
     labeled sample stay undiscovered and get no prototype.
     """
-    labeled = [(int(i), int(c)) for i, c in labeled]
-    if not labeled:
+    ids, labels = (np.asarray(a, dtype=np.int64) for a in labeled)
+    if not ids.size:
         raise EmptyInput("training requires at least one labeled sample")
-    discovered = sorted({c for _, c in labeled})
+    discovered = np.unique(labels).tolist()
     space = set(discovered) if class_space is None else {int(c) for c in class_space}
     seen = set(clf.classes_seen)
     bad = [c for c in discovered if c not in space or c in seen]
@@ -204,8 +199,7 @@ def new_class_prototypes(
         raise LabelOutsideSessionSpace(
             f"labels/classes outside the current session space: {sorted(set(bad) | (space & seen))}"
         )
-    classes, means, _, _ = estimate_grouped(
-        store.vectors_for([i for i, _ in labeled]), np.array([c for _, c in labeled], dtype=np.int64))
+    classes, means, _, _ = estimate_grouped(store.vectors_for(ids), labels)
     classes = classes.tolist()
     return dict(zip(classes, unit_rows(means, classes, "prototype")))
 

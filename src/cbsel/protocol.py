@@ -116,57 +116,35 @@ class SessionPlan:
         return cls.from_dict(read_json(path, PlanError))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Oracle:
-    """Id -> class map backing the labeling step and the metrics, plus the
-    ids of the store's rows that carry no label. The map is also kept as
-    ascending id and label arrays, so `labels_of` looks up many ids at once."""
+    """The hidden labels backing the labeling step and the metrics: the ids
+    and classes of the store's labeled rows (aligned, ascending by id), and
+    the store's ids, which tell a row without a label from an unknown id."""
 
-    label_map: dict[int, int]
-    unlabeled: frozenset[int] = frozenset()
-    _ids: np.ndarray = field(init=False, repr=False, compare=False)
-    _labels: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.label_map)
-        ids = np.fromiter(self.label_map, np.int64, n)
-        order = np.argsort(ids)
-        object.__setattr__(self, "_ids", ids[order])
-        object.__setattr__(self, "_labels", np.fromiter(self.label_map.values(), np.int64, n)[order])
+    ids: np.ndarray
+    classes: np.ndarray
+    store_ids: np.ndarray
 
     @classmethod
     def from_store(cls, store: FeatureStore) -> "Oracle":
-        label_map = hidden_labels(store, "oracle")
-        return cls(label_map, frozenset(store.ids.tolist()).difference(label_map))
-
-    def label(self, row_id: int) -> int:
-        try:
-            return self.label_map[int(row_id)]
-        except KeyError:
-            raise self._missing(int(row_id)) from None
-
-    def __getitem__(self, row_id: int) -> int:
-        return self.label(row_id)
+        return cls(*hidden_labels(store, "oracle"), store.ids)
 
     def labels_of(self, ids) -> np.ndarray:
         """Labels of `ids`, in the given order; the first id without a label
         raises UnlabeledId (a row of the store) or UnknownId."""
         ids = np.asarray(ids, dtype=np.int64)
-        rows = self._ids.searchsorted(ids)
-        if len(self._ids):
-            found = self._ids.take(rows, mode="clip") == ids
+        rows = self.ids.searchsorted(ids)
+        if len(self.ids):
+            found = self.ids.take(rows, mode="clip") == ids
         else:
             found = np.zeros(ids.shape, dtype=bool)
         if not found.all():
-            raise self._missing(int(ids[found.argmin()]))
-        return self._labels[rows]
-
-    def labels_for(self, ids) -> list[tuple[int, int]]:
-        ids = [int(i) for i in ids]
-        return list(zip(ids, self.labels_of(ids).tolist()))
-
-    def _missing(self, row_id: int) -> CbselError:
-        return (UnlabeledId if row_id in self.unlabeled else UnknownId)(row_id)
+            row_id = int(ids[found.argmin()])
+            at = self.store_ids.searchsorted(row_id)
+            in_store = at < len(self.store_ids) and self.store_ids[at] == row_id
+            raise (UnlabeledId if in_store else UnknownId)(row_id)
+        return self.classes[rows]
 
 
 @dataclass
@@ -254,7 +232,7 @@ def _cbs(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
 
 
 def _balanced_random(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
-    if not oracle.label_map:
+    if not len(oracle.ids):
         raise ConfigError("balanced_random needs labels in the features file")
     return balanced_random_select(pool, budget, seed, oracle)
 
@@ -329,7 +307,8 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
         selection = SELECTORS[strategy](
             pool, plan.budget, derive_seed(plan.seed, "session", t, "select"),
             len(sess.class_space), cfg, oracle)
-    labeled = oracle.labels_for(selection.ids)
+    ids = np.asarray(selection.ids, dtype=np.int64)
+    labeled = (ids, oracle.labels_of(ids))
 
     clf = train_session(
         clf, buffer, labeled, work,
@@ -340,14 +319,11 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
         rehearsed=rehearsed,
     )
 
-    discovered = sorted({c for _, c in labeled})
-    pseudo: list[tuple[int, int]] = []
+    discovered, found = np.unique(labeled[1], return_counts=True)
+    pseudo = (ids[:0], ids[:0])
     if cfg.use_unlabeled_distributions:
-        chosen = set(selection.ids)
-        remainder = [i for i in sess.pool_ids if i not in chosen]
-        if remainder:
-            pseudo_map = pseudo_label(clf, work.subset(remainder), discovered)
-            pseudo = sorted(pseudo_map.items())
+        rest = ~np.isin(pool.ids, ids)
+        pseudo = (pool.ids[rest], pseudo_label(clf, pool.vectors[rest], discovered))
     buffer = buffer.update(estimate_class_distributions(labeled, pseudo, work, discovered, cfg.var_floor))
 
     test_store = work.subset(list(past_test_ids) + list(sess.test_ids))
@@ -357,14 +333,13 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
         raise EmptyTestSet(f"session {t} has no test sample of its own classes")
 
     counts = {int(c): 0 for c in sess.class_space}
-    for _, c in labeled:
-        counts[c] += 1
+    counts.update(zip(discovered.tolist(), found.tolist()))
     sess_report = SessionReport(
         session=t,
         accuracy=accuracy,
         accuracy_new=accuracy_new,
         accuracy_old=accuracy_old,
-        selected_ids=[int(i) for i in selection.ids],
+        selected_ids=ids.tolist(),
         per_class_counts=counts,
         imbalance_ratio=imbalance_ratio(counts),
         discovery_ratio=discovery_ratio(counts),

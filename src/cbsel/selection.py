@@ -1,5 +1,5 @@
-"""Class-balanced selection: proportional per-cluster budgets, greedy
-distribution-matching picks, and the exhaustive oracle the greedy replaces.
+"""Class-balanced selection: proportional per-cluster budgets and greedy
+distribution-matching picks.
 
 Per cluster, the first pick is the member closest to the cluster mean; each
 later pick is the member whose addition minimizes the KL divergence from the
@@ -11,15 +11,13 @@ have picks left, and each takes its own first minimum.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceedsPool, CombinatorialGuard, KTooLarge
+from .errors import BudgetExceedsPool, KTooLarge
 from .features import FeatureStore
-from .gaussian import VAR_FLOOR, estimate, estimate_grouped, kl_divergence
+from .gaussian import VAR_FLOOR, estimate_grouped
 from .kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL, kmeans
 from .seeding import derive_rng, derive_seed
 
@@ -36,10 +34,6 @@ class BudgetPlan:
     total_budget: int
     per_cluster: tuple[int, ...]
     pool_size: int
-
-    @property
-    def total_allocated(self) -> int:
-        return sum(self.per_cluster)
 
 
 @dataclass
@@ -208,38 +202,6 @@ def _first_minima(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np
         hit |= np.isnan(values)
     at = np.flatnonzero(hit)
     return at[np.searchsorted(at, starts[:-1])]
-
-
-def brute_force_select(
-    members: FeatureStore,
-    k: int,
-    var_floor: float = VAR_FLOOR,
-    guard: int = 10**6,
-) -> tuple[list[int], float]:
-    """Exhaustive KL-optimal subset of size k; the oracle the greedy stands in for.
-
-    Enumerates every C(M, k) subset, so a guard rejects instances beyond
-    desk scale. Ties resolve to the lexicographically smallest id tuple.
-    """
-    n = len(members)
-    if not 1 <= k <= n:
-        raise KTooLarge(f"k={k} must be in [1, {n}]")
-    if math.comb(n, k) > guard:
-        raise CombinatorialGuard(
-            f"C({n},{k}) = {math.comb(n, k)} subsets exceeds the guard of {guard}"
-        )
-    ids, x = members.ids, members.vectors
-    ref = estimate(x, var_floor)
-
-    best_rows: tuple[int, ...] | None = None
-    best_kl = math.inf
-    for rows in itertools.combinations(range(n), k):
-        kl = kl_divergence(ref, estimate(x[list(rows)], var_floor))
-        if kl < best_kl:
-            best_kl = kl
-            best_rows = rows
-    assert best_rows is not None
-    return [int(ids[i]) for i in best_rows], float(best_kl)
 
 
 def cbs_select(

@@ -1,13 +1,152 @@
-"""Reference implementations the program no longer calls, kept for the tests
-that pin the program's whole-array passes to them bit for bit."""
+"""Reference implementations the program does not call, kept for the tests
+that pin the program's whole-array passes to them bit for bit, and the
+exhaustive search and streaming moments the tests judge the greedy by."""
+
+import itertools
+import math
 
 import numpy as np
 
-from cbsel.errors import BudgetExceedsPool, DimensionMismatch, IndexOutOfRange, KTooLarge
-from cbsel.gaussian import VAR_FLOOR, MomentAccumulator, estimate
+from cbsel.errors import (
+    BudgetExceedsPool,
+    CbselError,
+    DimensionMismatch,
+    EmptyAllowedSet,
+    EmptyClass,
+    KTooLarge,
+)
+from cbsel.gaussian import VAR_FLOOR, DiagonalGaussian, estimate, estimate_per_class, kl_divergence
 from cbsel.kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL, kmeans
 from cbsel.seeding import derive_rng, derive_seed
 from cbsel.selection import Selection, allocate_budget
+
+
+class IndexOutOfRange(CbselError):
+    pass
+
+
+class CombinatorialGuard(CbselError):
+    """The exhaustive search would enumerate too many subsets."""
+
+
+class EmptyAccumulator(CbselError):
+    pass
+
+
+def sample(g, k, rng):
+    """Draw k independent vectors, component d ~ Normal(mean[d], var[d])."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return g.mean[None, :] + np.sqrt(g.var)[None, :] * rng.standard_normal((k, g.dim))
+
+
+class MomentAccumulator:
+    """Streaming sum / sum-of-squares over a multiset of vectors.
+
+    Supports exact push/pop, so a candidate is scored in O(D) instead of
+    re-estimating from scratch; the greedy keeps the same running sums, one
+    row per cluster. Single-owner mutable; clone with `copy()` before
+    sharing.
+    """
+
+    __slots__ = ("dim", "n", "sum", "sumsq")
+
+    def __init__(self, dim):
+        self.dim = int(dim)
+        self.n = 0
+        self.sum = np.zeros(self.dim, dtype=np.float64)
+        self.sumsq = np.zeros(self.dim, dtype=np.float64)
+
+    def push(self, v):
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(f"expected a vector of length {self.dim}")
+        self.sum += v
+        self.sumsq += v * v
+        self.n += 1
+        return self
+
+    def pop(self, v):
+        """Exact inverse of a prior push of the same vector."""
+        if self.n == 0:
+            raise EmptyAccumulator("pop on an empty accumulator")
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(f"expected a vector of length {self.dim}")
+        self.sum -= v
+        self.sumsq -= v * v
+        self.n -= 1
+        return self
+
+    def finalize(self, var_floor=VAR_FLOOR):
+        if self.n == 0:
+            raise EmptyAccumulator("finalize requires at least one vector")
+        mean = self.sum / self.n
+        var = np.maximum(self.sumsq / self.n - mean * mean, var_floor)
+        return DiagonalGaussian(mean, var, self.n)
+
+    def copy(self):
+        out = MomentAccumulator(self.dim)
+        out.n = self.n
+        out.sum = self.sum.copy()
+        out.sumsq = self.sumsq.copy()
+        return out
+
+
+def brute_force_select(members, k, var_floor=VAR_FLOOR, guard=10**6):
+    """Exhaustive KL-optimal subset of size k; the optimum the greedy stands in for.
+
+    Enumerates every C(M, k) subset, so a guard rejects instances beyond
+    desk scale. Ties resolve to the lexicographically smallest id tuple.
+    """
+    n = len(members)
+    if not 1 <= k <= n:
+        raise KTooLarge(f"k={k} must be in [1, {n}]")
+    if math.comb(n, k) > guard:
+        raise CombinatorialGuard(
+            f"C({n},{k}) = {math.comb(n, k)} subsets exceeds the guard of {guard}"
+        )
+    ids, x = members.ids, members.vectors
+    ref = estimate(x, var_floor)
+
+    best_rows = None
+    best_kl = math.inf
+    for rows in itertools.combinations(range(n), k):
+        kl = kl_divergence(ref, estimate(x[list(rows)], var_floor))
+        if kl < best_kl:
+            best_kl = kl
+            best_rows = rows
+    assert best_rows is not None
+    return [int(ids[i]) for i in best_rows], float(best_kl)
+
+
+def dict_pseudo_label(clf, store, allowed):
+    """`learner.pseudo_label` as an id -> class map over the store's rows."""
+    allowed = sorted(int(c) for c in set(allowed))
+    if not allowed:
+        raise EmptyAllowedSet("pseudo_label requires at least one allowed class")
+    g = clf.embedding_matrix()[np.searchsorted(clf.classes_seen, allowed)]
+    cols = np.argmax(store.vectors @ g.T, axis=1)
+    return {int(i): allowed[int(k)] for i, k in zip(store.ids, cols)}
+
+
+def dict_estimate_class_distributions(labeled, pseudo, store, classes, var_floor=VAR_FLOOR):
+    """`learner.estimate_class_distributions` over (id, class) pair lists,
+    merged through an id -> class dict in which the true label is set last."""
+    label_of = {}
+    for i, c in pseudo:
+        label_of[int(i)] = int(c)
+    for i, c in labeled:
+        label_of[int(i)] = int(c)
+    ids = sorted(label_of)
+    by_class = estimate_per_class(
+        store.vectors_for(ids), np.array([label_of[i] for i in ids], dtype=np.int64), var_floor)
+    out = {}
+    for c in sorted(int(c) for c in set(classes)):
+        if c not in by_class:
+            raise EmptyClass(c)
+        out[c] = by_class[c]
+    return out
 
 
 def predict_proba_matrix(clf, vectors):

@@ -25,12 +25,12 @@ from cbsel.datagen import WorldConfig, generate
 from cbsel.features import FeatureStore, save_features
 from cbsel.gaussian import (
     DiagonalGaussian,
-    MomentAccumulator,
     estimate,
     kl_divergence,
 )
 from cbsel.protocol import run
-from cbsel.selection import brute_force_select, cbs_select, greedy_select_cluster
+from cbsel.selection import cbs_select, greedy_select_cluster
+from reference_impls import MomentAccumulator, brute_force_select
 
 PAIRED_SEEDS = range(10)
 

@@ -20,6 +20,7 @@ from cbsel.baselines import (
 from cbsel.errors import BudgetExceedsPool, DegenerateClassifier
 from cbsel.features import FeatureStore, hidden_labels
 from cbsel.learner import PrototypeClassifier
+from cbsel.protocol import Oracle
 from reference_impls import predict_proba_matrix
 
 # Shannon entropies (natural log) of the three hand-built distributions.
@@ -87,7 +88,7 @@ class TestRandomSelect:
         labels = np.repeat(np.arange(5), 100)
         rng = np.random.default_rng(3)
         store = FeatureStore(rng.standard_normal((500, 2)), labels=labels)
-        label_of = hidden_labels(store, "metrics")
+        _, label_of = hidden_labels(store, "metrics")  # ids are 0..N-1
         totals = np.zeros(5)
         n_seeds = 1000
         for seed in range(n_seeds):
@@ -105,14 +106,12 @@ class TestBalancedRandomSelect:
         return FeatureStore(rng.standard_normal((len(labels), dim)), labels=labels)
 
     def oracle(self, store):
-        return hidden_labels(store, "oracle")
+        return Oracle.from_store(store)
 
     def counts(self, store, sel):
-        label_of = hidden_labels(store, "metrics")
-        out: dict[int, int] = {}
-        for i in sel.ids:
-            out[label_of[i]] = out.get(label_of[i], 0) + 1
-        return out
+        _, label_of = hidden_labels(store, "metrics")  # ids are 0..N-1
+        classes, counts = np.unique(label_of[sel.ids], return_counts=True)
+        return dict(zip(classes.tolist(), counts.tolist()))
 
     def test_exact_quota(self):
         store = self.labeled_pool([10] * 20)

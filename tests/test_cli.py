@@ -119,6 +119,16 @@ class TestSelect:
         assert manifest["error"] == "ConfigError"
         assert "num-clusters" in manifest["message"]
 
+    def test_balanced_random_without_any_label_is_a_config_error(self, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        features.write_text("id,label,f0,f1\n0,,1,0\n1,,0,1\n2,,1,1\n")
+        rc = main(["select", "--features", str(features), "--strategy", "balanced_random",
+                   "--budget", "2", "--seed", "0", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ConfigError"
+        assert "needs labels" in manifest["message"]
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_nonpositive_budget_is_a_config_error(self, world, tmp_path, capsys, budget):
         rc = main(["select", "--features", str(world["features"]),

@@ -21,6 +21,18 @@ def config(**overrides):
     return WorldConfig(**defaults)
 
 
+def labels_by_id(store):
+    """The hidden class of each id of a generated store, whose ids are 0..N-1."""
+    ids, classes = hidden_labels(store, "metrics")
+    np.testing.assert_array_equal(ids, np.arange(len(store)))
+    return classes
+
+
+def assert_same_labels(a, b):
+    for x, y in zip(hidden_labels(a, "metrics"), hidden_labels(b, "metrics")):
+        np.testing.assert_array_equal(x, y)
+
+
 class TestWorldConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -136,14 +148,14 @@ class TestGenerate:
 
     def test_pools_carry_only_session_classes(self):
         store, plan = generate(config())
-        labels = hidden_labels(store, "metrics")
+        labels = labels_by_id(store)
         for sess in plan.sessions:
             pool_classes = {labels[i] for i in sess.pool_ids}
             assert pool_classes == set(sess.class_space)
 
     def test_test_sets_are_balanced(self):
         store, plan = generate(config(imbalance_ratio=6.0))
-        labels = hidden_labels(store, "metrics")
+        labels = labels_by_id(store)
         for sess in plan.sessions:
             counts: dict[int, int] = {}
             for i in sess.test_ids:
@@ -153,7 +165,7 @@ class TestGenerate:
     def test_long_tail_pool_counts(self):
         cfg = config(classes_per_session=20, imbalance_ratio=10.0, budget=10)
         store, plan = generate(cfg)
-        labels = hidden_labels(store, "metrics")
+        labels = labels_by_id(store)
         counts: dict[int, int] = {}
         for i in plan.sessions[0].pool_ids:
             counts[labels[i]] = counts.get(labels[i], 0) + 1
@@ -165,7 +177,7 @@ class TestGenerate:
         store_b, plan_b = generate(config(seed=99))
         np.testing.assert_array_equal(store_a.vectors, store_b.vectors)
         np.testing.assert_array_equal(store_a.ids, store_b.ids)
-        assert hidden_labels(store_a, "metrics") == hidden_labels(store_b, "metrics")
+        assert_same_labels(store_a, store_b)
         assert plan_a == plan_b
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         save_features(store_a, pa)
@@ -181,7 +193,7 @@ class TestGenerate:
         cfg = config(pool_per_class=100, imbalance_ratio=1.0)
         store, plan = generate(cfg)
         centers = place_centers(cfg)
-        labels = hidden_labels(store, "metrics")
+        labels = labels_by_id(store)
         bound = 3.0 * cfg.sigma * np.sqrt(cfg.dim) / np.sqrt(100)
         for sess in plan.sessions:
             for c in sess.class_space:
@@ -193,7 +205,7 @@ class TestGenerate:
         cfg = config(separation=20.0, pool_per_class=50, classes_per_session=4)
         store, plan = generate(cfg)
         centers = place_centers(cfg)
-        labels = hidden_labels(store, "metrics")
+        labels = labels_by_id(store)
         pool_ids = [i for sess in plan.sessions for i in sess.pool_ids]
         x = store.vectors_for(pool_ids)
         truth = np.asarray([labels[i] for i in pool_ids])
@@ -278,7 +290,7 @@ def assert_same_world(cfg):
     want_store, want_plan = reference_generate(cfg)
     assert store.vectors.tobytes() == want_store.vectors.tobytes()
     np.testing.assert_array_equal(store.ids, want_store.ids)
-    assert hidden_labels(store, "metrics") == hidden_labels(want_store, "metrics")
+    assert_same_labels(store, want_store)
     assert plan == want_plan
     assert store.normalized
 
@@ -364,7 +376,7 @@ class TestZeroNormRedraw:
         monkeypatch.setattr(sys.modules[__name__], "derive_rng", patched)
         want_store, want_plan = reference_generate(cfg)
         assert store.vectors.tobytes() == want_store.vectors.tobytes()
-        assert hidden_labels(store, "metrics") == hidden_labels(want_store, "metrics")
+        assert_same_labels(store, want_store)
         assert plan == want_plan
         np.testing.assert_allclose(np.linalg.norm(store.vectors, axis=1), 1.0)
 

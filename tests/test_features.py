@@ -27,6 +27,12 @@ from cbsel.features import (
 )
 
 
+def label_lists(store):
+    """The hidden (ids, classes) arrays of `store`, as lists."""
+    ids, classes = hidden_labels(store, "metrics")
+    return ids.tolist(), classes.tolist()
+
+
 def small_store(labels=(0, 0, 1, 1)):
     vecs = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 4.0], [-1.0, 2.0]])
     return FeatureStore(vecs, labels=list(labels))
@@ -56,7 +62,7 @@ class TestConstruction:
         store = FeatureStore(vecs, ids=[30, 10, 20], labels=[3, 1, 2])
         np.testing.assert_array_equal(store.ids, [10, 20, 30])
         np.testing.assert_array_equal(store.vectors[:, 0], [1.0, 2.0, 3.0])
-        assert hidden_labels(store, "metrics") == {10: 1, 20: 2, 30: 3}
+        assert label_lists(store) == ([10, 20, 30], [1, 2, 3])
         np.testing.assert_array_equal(store.vectors_for([30, 10]), [[3.0, 0.0], [1.0, 0.0]])
 
     def test_vectors_are_read_only(self):
@@ -86,7 +92,7 @@ class TestSubset:
         sub = store.subset([2, 0])
         np.testing.assert_array_equal(sub.ids, [0, 2])
         np.testing.assert_array_equal(sub.vectors, [[1.0, 0.0], [3.0, 4.0]])
-        assert hidden_labels(sub, "metrics") == {2: 1, 0: 0}
+        assert label_lists(sub) == ([0, 2], [0, 1])
 
     def test_repeated_id_is_rejected(self):
         with pytest.raises(ParseError):
@@ -129,8 +135,10 @@ class TestNormalize:
 class TestHiddenLabels:
     def test_only_oracle_and_metrics(self):
         store = small_store()
-        assert hidden_labels(store, "oracle") == {0: 0, 1: 0, 2: 1, 3: 1}
-        assert hidden_labels(store, "metrics") == {0: 0, 1: 0, 2: 1, 3: 1}
+        for consumer in ("oracle", "metrics"):
+            ids, classes = hidden_labels(store, consumer)
+            assert ids.dtype == classes.dtype == np.int64
+            assert (ids.tolist(), classes.tolist()) == ([0, 1, 2, 3], [0, 0, 1, 1])
 
     def test_selection_code_is_locked_out(self):
         with pytest.raises(HiddenLabelAccess):
@@ -138,12 +146,13 @@ class TestHiddenLabels:
 
     def test_unlabeled_rows_omitted(self):
         store = small_store(labels=(0, NO_LABEL, 1, NO_LABEL))
-        assert hidden_labels(store, "oracle") == {0: 0, 2: 1}
+        assert label_lists(store) == ([0, 2], [0, 1])
 
     def test_store_without_labels(self):
         store = FeatureStore(np.eye(3))
-        assert not store.has_labels
-        assert hidden_labels(store, "oracle") == {}
+        ids, classes = hidden_labels(store, "oracle")
+        assert ids.dtype == classes.dtype == np.int64
+        assert ids.size == classes.size == 0
 
 
 class TestCsvRoundTrip:
@@ -155,13 +164,13 @@ class TestCsvRoundTrip:
         back = load_features(path)
         np.testing.assert_array_equal(back.vectors, store.vectors)
         np.testing.assert_array_equal(back.ids, store.ids)
-        assert hidden_labels(back, "oracle") == hidden_labels(store, "oracle")
+        assert label_lists(back) == label_lists(store)
 
     def test_empty_labels_round_trip(self, tmp_path):
         store = FeatureStore(np.eye(2), labels=[NO_LABEL, 3])
         path = tmp_path / "f.csv"
         save_features(store, path)
-        assert hidden_labels(load_features(path), "oracle") == {1: 3}
+        assert label_lists(load_features(path)) == ([1], [3])
 
 
 class TestCsvValidation:
@@ -211,6 +220,16 @@ class TestCsvValidation:
         with pytest.raises(ParseError) as err:
             load_features(path)
         assert (err.value.row, err.value.column) == (3, 2)
+
+    # The same rows read by the numpy reader and, quoted, by the validator.
+    @pytest.mark.parametrize("text", ["id,label,f0\n0,1,0.5\n1,{},0.5\n",
+                                      'id,label,f0\n0,1,0.5\n1,"{}",0.5\n'],
+                             ids=["numpy_reader", "validator"])
+    def test_minus_one_label_is_a_parse_error_naming_the_cell(self, tmp_path, text):
+        with pytest.raises(ParseError) as err:
+            load_features(self.write(tmp_path, text.format(-1)))
+        assert (err.value.row, err.value.column) == (3, 2)
+        assert label_lists(load_features(self.write(tmp_path, text.format(-2)))) == ([0, 1], [1, -2])
 
     def test_cell_at_the_field_size_limit_is_read(self, tmp_path):
         cell = "0" * (csv.field_size_limit() - 1) + "1"
@@ -381,7 +400,8 @@ class TestCsvReaderAgreesWithTheValidator:
         "no_final_newline": (b"id,label,f0\r\n0,1,0.5\r\n1,0,7", "store", True),
         "spaces_and_plus": (b"id,label,f0,f1\n 0 , +1 ,  +5 , 0.5 \n", "store", True),
         "whitespace_controls": (b"id,label,f0\n0\x0c,\x0b,\x0c0.5\x0b\n", "store", True),
-        "explicit_no_label": (b"id,label,f0\n0,-1,0.5\n", "store", True),
+        "explicit_no_label": (b"id,label,f0\n0,-1,0.5\n", ParseError, False),
+        "minus_two_label": (b"id,label,f0\n0,-2,0.5\n", "store", True),
         "blank_line": (b"id,label,f0\n0,1,0.5\n\n1,1,0.25\n", DimensionMismatch, False),
         "trailing_blank_lines": (b"id,label,f0\n0,1,0.5\n\n\n", DimensionMismatch, False),
         "extra_cell": (b"id,label,f0\n0,1,0.5,0.5\n", DimensionMismatch, False),

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbsel.errors import DimensionMismatch, EmptyAccumulator, EmptyInput
+from cbsel.errors import DimensionMismatch, EmptyInput
 from cbsel.gaussian import (
     VAR_FLOOR,
     DiagonalGaussian,
-    MomentAccumulator,
     estimate,
     estimate_grouped,
     estimate_per_class,
     kl_divergence,
-    sample,
 )
-from reference_impls import kl_divergence_batch
+from reference_impls import EmptyAccumulator, MomentAccumulator, kl_divergence_batch, sample
 
 # 0.5 * (1/4 + ln 4 - 1), the divergence from N(0,1) to N(0,4)
 KL_VARIANCE_CASE = 0.3181471805599453

@@ -3,10 +3,10 @@ import pytest
 
 from cbsel import kmeans as kmeans_module
 from cbsel.datagen import WorldConfig, generate
-from cbsel.errors import IndexOutOfRange, KTooLarge, NotNormalized
+from cbsel.errors import KTooLarge, NotNormalized
 from cbsel.features import FeatureStore
 from cbsel.kmeans import Clustering, _assign, _inertia, _update, kmeans
-from reference_impls import cluster_members
+from reference_impls import IndexOutOfRange, cluster_members
 
 
 def unit_store(vectors, ids=None):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbsel.errors import (
     EmptyAllowedSet,
@@ -13,7 +15,7 @@ from cbsel.errors import (
     ZeroVector,
 )
 from cbsel.features import FeatureStore
-from cbsel.gaussian import DiagonalGaussian, estimate, sample
+from cbsel.gaussian import DiagonalGaussian, estimate
 from cbsel.learner import (
     MemoryBuffer,
     PrototypeClassifier,
@@ -26,7 +28,12 @@ from cbsel.learner import (
     train_session,
 )
 from cbsel.seeding import derive_rng
-from reference_impls import predict_proba_matrix
+from reference_impls import (
+    dict_estimate_class_distributions,
+    dict_pseudo_label,
+    predict_proba_matrix,
+    sample,
+)
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -170,14 +177,13 @@ class TestPseudoLabel:
     def test_single_allowed_class(self):
         clf = orthogonal_clf(3)
         store, _ = blob_world(np.eye(3), per_class=4, sigma=0.05, seed=0, dim=3)
-        labels = pseudo_label(clf, store, allowed={2})
-        assert set(labels.values()) == {2}
-        assert set(labels) == set(int(i) for i in store.ids)
+        labels = pseudo_label(clf, store.vectors, allowed={2})
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [2] * len(store)
 
     def test_embedding_match(self):
         clf = orthogonal_clf(3)
-        store = FeatureStore(np.eye(3)[[1]], normalized=True)
-        assert pseudo_label(clf, store, allowed={0, 1, 2}) == {0: 1}
+        assert pseudo_label(clf, np.eye(3)[[1]], allowed={0, 1, 2}).tolist() == [1]
 
     def test_well_separated_blobs(self):
         # centers 20 sigma apart: pseudo-labels recover the truth
@@ -189,47 +195,56 @@ class TestPseudoLabel:
         store, labels = blob_world(centers, per_class=50, sigma=sigma, seed=6, dim=dim)
         protos = {c: centers[c] / np.linalg.norm(centers[c]) for c in range(3)}
         clf = PrototypeClassifier(embeddings=protos, temperature=0.07, classes_seen=(0, 1, 2))
-        got = pseudo_label(clf, store, allowed={0, 1, 2})
-        truth = dict(zip((int(i) for i in store.ids), labels))
-        agree = sum(1 for i in got if got[i] == truth[i]) / len(got)
-        assert agree >= 0.95
+        got = pseudo_label(clf, store.vectors, allowed={0, 1, 2})
+        assert np.mean(got == np.asarray(labels)) >= 0.95
 
     def test_temperature_invariance(self):
         store, _ = blob_world(np.eye(4), per_class=10, sigma=0.3, seed=2, dim=4)
-        maps = []
-        for tau in (0.01, 0.1, 1.0):
-            clf = orthogonal_clf(4, temperature=tau)
-            maps.append(pseudo_label(clf, store, allowed={0, 1, 2, 3}))
-        assert maps[0] == maps[1] == maps[2]
+        got = [pseudo_label(orthogonal_clf(4, temperature=tau), store.vectors, allowed={0, 1, 2, 3})
+               for tau in (0.01, 0.1, 1.0)]
+        np.testing.assert_array_equal(got[0], got[1])
+        np.testing.assert_array_equal(got[0], got[2])
 
     def test_empty_allowed(self):
-        clf = orthogonal_clf(2)
-        store = FeatureStore(np.eye(2), normalized=True)
         with pytest.raises(EmptyAllowedSet):
-            pseudo_label(clf, store, allowed=set())
+            pseudo_label(orthogonal_clf(2), np.eye(2), allowed=set())
 
     def test_allowed_must_be_known(self):
-        clf = orthogonal_clf(2)
-        store = FeatureStore(np.eye(2), normalized=True)
         with pytest.raises(ValueError):
-            pseudo_label(clf, store, allowed={5})
+            pseudo_label(orthogonal_clf(2), np.eye(2), allowed={5})
+
+
+def pair(ids, classes):
+    """An (ids, classes) label pair of int64 arrays."""
+    return np.asarray(ids, dtype=np.int64), np.asarray(classes, dtype=np.int64)
+
+
+NO_LABELS = pair([], [])
+
+
+def labeled_where(store, labels, keep):
+    """The (ids, classes) pair of the store's rows whose label is in `keep`,
+    in ascending id order; `labels` has one label per row."""
+    labels = np.asarray(labels, dtype=np.int64)
+    rows = np.isin(labels, list(keep))
+    return store.ids[rows], labels[rows]
 
 
 class TestEstimateClassDistributions:
     def test_no_pseudo_reduces_to_labeled_only(self):
         store, labels = blob_world(np.eye(2), per_class=20, sigma=0.1, seed=3, dim=2)
-        labeled = [(int(i), labels[int(i)]) for i in store.ids]
-        with_empty = estimate_class_distributions(labeled, [], store, classes={0, 1})
+        labeled = pair(store.ids, labels)
+        with_empty = estimate_class_distributions(labeled, NO_LABELS, store, classes={0, 1})
         for c in (0, 1):
-            ids = [i for i, lab in labeled if lab == c]
-            direct = estimate(store.vectors_for(ids))
+            direct = estimate(store.vectors_for(labeled[0][labeled[1] == c]))
             np.testing.assert_array_equal(with_empty[c].mean, direct.mean)
             np.testing.assert_array_equal(with_empty[c].var, direct.var)
 
     def test_disjoint_halves_equal_full_estimate(self):
         store, labels = blob_world(np.eye(2)[[0]], per_class=60, sigma=0.1, seed=4, dim=2)
-        pairs = [(int(i), 0) for i in store.ids]
-        got = estimate_class_distributions(pairs[:30], pairs[30:], store, classes={0})
+        ids, classes = pair(store.ids, labels)
+        got = estimate_class_distributions(
+            (ids[:30], classes[:30]), (ids[30:], classes[30:]), store, classes={0})
         direct = estimate(store.vectors)
         np.testing.assert_array_equal(got[0].mean, direct.mean)
         np.testing.assert_array_equal(got[0].var, direct.var)
@@ -237,7 +252,7 @@ class TestEstimateClassDistributions:
     def test_true_label_wins_on_conflict(self):
         store = FeatureStore(np.eye(2), normalized=True)
         got = estimate_class_distributions(
-            [(0, 0)], [(0, 1), (1, 1)], store, classes={0, 1}
+            pair([0], [0]), pair([0, 1], [1, 1]), store, classes={0, 1}
         )
         np.testing.assert_array_equal(got[0].mean, store.vector(0))
         np.testing.assert_array_equal(got[1].mean, store.vector(1))
@@ -247,23 +262,64 @@ class TestEstimateClassDistributions:
         x = rng.standard_normal((100, 3)) * 0.1 + np.array([1.0, 0.0, 0.0])
         outlier = np.array([-5.0, 2.0, 2.0])
         store = FeatureStore(np.vstack([x, outlier[None, :]]))
-        labeled = [(i, 0) for i in range(100)]
-        base = estimate_class_distributions(labeled, [], store, classes={0})[0]
-        shifted = estimate_class_distributions(labeled, [(100, 0)], store, classes={0})[0]
+        labeled = pair(range(100), [0] * 100)
+        base = estimate_class_distributions(labeled, NO_LABELS, store, classes={0})[0]
+        shifted = estimate_class_distributions(labeled, pair([100], [0]), store, classes={0})[0]
         want = (outlier - base.mean) / 101.0
         np.testing.assert_allclose(shifted.mean - base.mean, want, atol=1e-12)
 
     def test_empty_class_raises(self):
         store = FeatureStore(np.eye(2), normalized=True)
         with pytest.raises(EmptyClass) as err:
-            estimate_class_distributions([(0, 0)], [], store, classes={0, 1})
+            estimate_class_distributions(pair([0], [0]), NO_LABELS, store, classes={0, 1})
         assert err.value.class_id == 1
 
     def test_empty_class_with_pseudo_labels_names_the_lowest(self):
         store = FeatureStore(np.eye(3), normalized=True)
         with pytest.raises(EmptyClass) as err:
-            estimate_class_distributions([(0, 0)], [(1, 2), (2, 2)], store, classes={9, 0, 2, 5})
+            estimate_class_distributions(
+                pair([0], [0]), pair([1, 2], [2, 2]), store, classes={9, 0, 2, 5})
         assert err.value.class_id == 5
+
+    @given(data=st.data(), n=st.integers(2, 40), dim=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dict_merge_of_pseudo_labels(self, data, n, dim):
+        # Labeled and pseudo ids overlap and arrive unsorted; the pseudo
+        # labels are the pseudo_label classes of their rows.
+        rng = np.random.default_rng(n * 10 + dim)
+        store = FeatureStore(rng.standard_normal((n, dim)))
+        clf = PrototypeClassifier(dict(zip(range(4), random_unit(rng, 4, dim))), 0.07, (0, 1, 2, 3))
+        ids = st.integers(0, n - 1)
+        labeled_ids = data.draw(st.lists(ids, unique=True, min_size=1))
+        labeled = pair(labeled_ids, data.draw(st.lists(
+            st.integers(0, 5), min_size=len(labeled_ids), max_size=len(labeled_ids))))
+        pseudo_ids = np.array(data.draw(st.lists(ids, unique=True)), dtype=np.int64)
+        allowed = data.draw(st.sets(st.integers(0, 3), min_size=1))
+        classes = data.draw(st.sets(st.integers(0, 6), min_size=1))
+
+        pseudo_map = dict_pseudo_label(clf, store.subset(pseudo_ids), allowed)
+        rows = store.ids.searchsorted(np.sort(pseudo_ids))
+        got_pseudo = pseudo_label(clf, store.vectors[rows], allowed)
+        assert dict(zip(store.ids[rows].tolist(), got_pseudo.tolist())) == pseudo_map
+        pseudo = pair(pseudo_ids, [pseudo_map[i] for i in pseudo_ids.tolist()])
+
+        def outcome(estimate_fn, *label_sets):
+            try:
+                return estimate_fn(*label_sets, store, classes)
+            except EmptyClass as exc:
+                return exc.class_id
+
+        got = outcome(estimate_class_distributions, labeled, pseudo)
+        want = outcome(dict_estimate_class_distributions,
+                       list(zip(*(a.tolist() for a in labeled))), sorted(pseudo_map.items()))
+        if isinstance(want, int):
+            assert got == want
+            return
+        assert list(got) == list(want)
+        for c, g in want.items():
+            np.testing.assert_array_equal(got[c].mean, g.mean)
+            np.testing.assert_array_equal(got[c].var, g.var)
+            assert got[c].count == g.count
 
 
 def reference_rehearse(clf, buffer, replay_per_class, seed, alpha):
@@ -325,29 +381,27 @@ class TestNewClassPrototypes:
     def test_match_the_per_class_loop_bit_for_bit(self, dim):
         rng = np.random.default_rng(dim)
         store = FeatureStore(rng.standard_normal((90, dim)), normalized=True)
-        ids = rng.permutation(90)[:60].tolist()
-        labeled = list(zip(ids, rng.choice([8, 2, 30], 60).tolist()))
-        got = new_class_prototypes(empty_classifier(), labeled, store)
+        ids, classes = rng.permutation(90)[:60], rng.choice([8, 2, 30], 60)
+        got = new_class_prototypes(empty_classifier(), (ids, classes), store)
         assert list(got) == [2, 8, 30]
         for c, proto in got.items():
-            mean = store.vectors_for([i for i, lab in labeled if lab == c]).mean(axis=0)
+            mean = store.vectors_for(ids[classes == c]).mean(axis=0)
             assert proto.tobytes() == (mean / float(np.linalg.norm(mean))).tobytes()
 
 
 class TestTrainSession:
     def test_first_session_prototype_is_normalized_mean(self):
         store = FeatureStore(np.array([[1.0, 0.0], [0.0, 1.0]]), normalized=True)
-        clf = train_session(empty_classifier(), MemoryBuffer(), [(0, 0), (1, 0)], store)
+        clf = train_session(empty_classifier(), MemoryBuffer(), pair([0, 1], [0, 0]), store)
         np.testing.assert_allclose(clf.embeddings[0], [INV_SQRT2, INV_SQRT2], atol=1e-12)
         assert clf.classes_seen == (0,)
 
     def test_no_replay_keeps_old_embeddings(self):
         store, labels = blob_world(np.eye(4), per_class=5, sigma=0.05, seed=0, dim=4)
-        pairs = [(int(i), labels[int(i)]) for i in store.ids]
-        first = [p for p in pairs if p[1] in (0, 1)]
-        second = [p for p in pairs if p[1] in (2, 3)]
+        first = labeled_where(store, labels, (0, 1))
+        second = labeled_where(store, labels, (2, 3))
         clf1 = train_session(empty_classifier(), MemoryBuffer(), first, store)
-        buffer = MemoryBuffer().update(estimate_class_distributions(first, [], store, {0, 1}))
+        buffer = MemoryBuffer().update(estimate_class_distributions(first, NO_LABELS, store, {0, 1}))
         for kwargs in ({"replay_per_class": 0}, {"alpha": 1.0}):
             clf2 = train_session(clf1, buffer, second, store, seed=3, **kwargs)
             for c in (0, 1):
@@ -356,22 +410,20 @@ class TestTrainSession:
 
     def test_replay_moves_old_embeddings(self):
         store, labels = blob_world(np.eye(4), per_class=5, sigma=0.05, seed=0, dim=4)
-        pairs = [(int(i), labels[int(i)]) for i in store.ids]
-        first = [p for p in pairs if p[1] in (0, 1)]
-        second = [p for p in pairs if p[1] in (2, 3)]
+        first = labeled_where(store, labels, (0, 1))
+        second = labeled_where(store, labels, (2, 3))
         clf1 = train_session(empty_classifier(), MemoryBuffer(), first, store)
-        buffer = MemoryBuffer().update(estimate_class_distributions(first, [], store, {0, 1}))
+        buffer = MemoryBuffer().update(estimate_class_distributions(first, NO_LABELS, store, {0, 1}))
         clf2 = train_session(clf1, buffer, second, store, replay_per_class=20, seed=3, alpha=0.5)
         assert not np.array_equal(clf2.embeddings[0], clf1.embeddings[0])
         np.testing.assert_allclose(np.linalg.norm(clf2.embeddings[0]), 1.0, atol=1e-9)
 
     def test_is_rehearse_plus_the_new_class_prototypes(self):
         store, labels = blob_world(np.eye(4), per_class=5, sigma=0.05, seed=0, dim=4)
-        pairs = [(int(i), labels[int(i)]) for i in store.ids]
-        first = [p for p in pairs if p[1] in (0, 1)]
-        second = [p for p in pairs if p[1] in (2, 3)]
+        first = labeled_where(store, labels, (0, 1))
+        second = labeled_where(store, labels, (2, 3))
         clf1 = train_session(empty_classifier(), MemoryBuffer(), first, store)
-        buffer = MemoryBuffer().update(estimate_class_distributions(first, [], store, {0, 1}))
+        buffer = MemoryBuffer().update(estimate_class_distributions(first, NO_LABELS, store, {0, 1}))
         clf2 = train_session(clf1, buffer, second, store, replay_per_class=20, seed=3, alpha=0.5)
         rehearsed = rehearse(clf1, buffer, replay_per_class=20, seed=3, alpha=0.5)
         assert rehearsed.classes_seen == (0, 1)
@@ -384,24 +436,24 @@ class TestTrainSession:
         store = FeatureStore(np.eye(2), normalized=True)
         with pytest.raises(LabelOutsideSessionSpace):
             train_session(
-                empty_classifier(), MemoryBuffer(), [(0, 0)], store, class_space={1}
+                empty_classifier(), MemoryBuffer(), pair([0], [0]), store, class_space={1}
             )
 
     def test_label_in_an_earlier_session_rejected(self):
         store = FeatureStore(np.eye(2), normalized=True)
-        clf = train_session(empty_classifier(), MemoryBuffer(), [(0, 0)], store)
+        clf = train_session(empty_classifier(), MemoryBuffer(), pair([0], [0]), store)
         with pytest.raises(LabelOutsideSessionSpace):
-            train_session(clf, MemoryBuffer(), [(1, 0)], store)
+            train_session(clf, MemoryBuffer(), pair([1], [0]), store)
 
     def test_empty_labeled(self):
         store = FeatureStore(np.eye(2), normalized=True)
         with pytest.raises(EmptyInput):
-            train_session(empty_classifier(), MemoryBuffer(), [], store)
+            train_session(empty_classifier(), MemoryBuffer(), NO_LABELS, store)
 
     def test_undiscovered_session_class_gets_no_prototype(self):
         store = FeatureStore(np.eye(2), normalized=True)
         clf = train_session(
-            empty_classifier(), MemoryBuffer(), [(0, 0)], store, class_space={0, 1}
+            empty_classifier(), MemoryBuffer(), pair([0], [0]), store, class_space={0, 1}
         )
         assert clf.classes_seen == (0,)
 
@@ -415,20 +467,20 @@ class TestTrainSession:
         wins = 0
         for seed in range(10):
             store, labels = blob_world(centers, per_class=60, sigma=0.35, seed=seed, dim=dim)
-            pairs = [(int(i), labels[int(i)]) for i in store.ids]
-            old_pairs = [p for p in pairs if p[1] in (0, 1)]
-            new_pairs = [p for p in pairs if p[1] in (2, 3)]
+            old_ids, old_classes = old = labeled_where(store, labels, (0, 1))
+            new_ids, new_classes = labeled_where(store, labels, (2, 3))
             rng = np.random.default_rng(seed + 1000)
-            few = []
+            rows = []
             for c in (0, 1):
-                members = [p for p in old_pairs if p[1] == c]
-                idx = rng.choice(len(members), size=3, replace=False)
-                few.extend(members[j] for j in idx)
+                members = np.flatnonzero(old_classes == c)
+                rows.extend(members[rng.choice(len(members), size=3, replace=False)])
+            few = (old_ids[rows], old_classes[rows])
             clf1 = train_session(empty_classifier(), MemoryBuffer(), few, store)
             buffer = MemoryBuffer().update(
-                estimate_class_distributions(few, old_pairs, store, {0, 1})
+                estimate_class_distributions(few, old, store, {0, 1})
             )
-            new_few = [p for p in new_pairs if p[0] % 6 == 0]
+            keep = new_ids % 6 == 0
+            new_few = (new_ids[keep], new_classes[keep])
             with_replay = train_session(
                 clf1, buffer, new_few, store, replay_per_class=40, seed=seed, alpha=0.5
             )

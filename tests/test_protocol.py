@@ -125,14 +125,15 @@ class TestOracle:
     def test_from_store_and_lookup(self):
         store = FeatureStore(np.eye(3), labels=[4, 5, 6])
         oracle = Oracle.from_store(store)
-        assert oracle.label(1) == 5
-        assert oracle[2] == 6
-        assert oracle.labels_for([2, 0]) == [(2, 6), (0, 4)]
+        assert (oracle.ids.tolist(), oracle.classes.tolist()) == ([0, 1, 2], [4, 5, 6])
+        assert oracle.store_ids is store.ids
+        assert oracle.labels_of([1]).tolist() == [5]
+        assert oracle.labels_of([2, 0]).tolist() == [6, 4]
 
     def test_unknown_id(self):
         oracle = Oracle.from_store(FeatureStore(np.eye(2), labels=[0, 1]))
         with pytest.raises(UnknownId):
-            oracle.label(9)
+            oracle.labels_of([9])
 
     def test_labels_of_keeps_the_given_order(self):
         oracle = Oracle.from_store(FeatureStore(np.eye(4), ids=[8, 2, 6, 4], labels=[1, 0, 3, 2]))
@@ -148,8 +149,15 @@ class TestOracle:
         with pytest.raises(UnlabeledId) as unlabeled:
             oracle.labels_of([2, 1, 9])
         assert unlabeled.value.row_id == 1
+        # A store without labels: each of its ids is unlabeled, others unknown.
+        oracle = Oracle.from_store(FeatureStore(np.eye(2), ids=[3, 5]))
+        assert len(oracle.ids) == 0
+        with pytest.raises(UnlabeledId):
+            oracle.labels_of([5])
         with pytest.raises(UnknownId):
-            Oracle(label_map={}).labels_of([0])
+            oracle.labels_of([4])
+        with pytest.raises(UnknownId):
+            oracle.labels_of([6])
 
 
 class TestMetrics:
@@ -207,8 +215,9 @@ class TestSelectedVsFullKl:
         oracle = Oracle.from_store(store)
         selected = rng.choice(60, 17, replace=False).tolist()
         expected = {}
+        labels = oracle.labels_of(np.arange(60))
         for c in range(5):
-            members = [i for i in range(60) if oracle.label(i) == c]
+            members = np.flatnonzero(labels == c).tolist()
             chosen = [i for i in members if i in selected]
             if chosen:
                 expected[c] = kl_divergence(estimate(store.vectors_for(members), 0.01),
@@ -248,8 +257,9 @@ class TestEvaluate:
         sess = plan.sessions[0]
         oracle = Oracle.from_store(store)
         protos = {}
+        pool_ids = np.array(sess.pool_ids)
         for c in sess.class_space:
-            ids = [i for i in sess.pool_ids if oracle.label(i) == c]
+            ids = pool_ids[oracle.labels_of(pool_ids) == c]
             m = store.vectors_for(ids).mean(axis=0)
             protos[c] = m / np.linalg.norm(m)
         clf = PrototypeClassifier(
@@ -285,7 +295,7 @@ class TestEvaluate:
         )
         store = FeatureStore(np.ones((1, 2)), normalized=True).subset([])
         with pytest.raises(EmptyTestSet):
-            evaluate(clf, store, Oracle(label_map={}))
+            evaluate(clf, store, Oracle.from_store(store))
 
 
 class TestRun:
@@ -400,9 +410,11 @@ class TestRun:
 
         monkeypatch.setattr(protocol, "estimate_class_distributions", spy)
         store, plan = tiny_world(seed=4)
-        run(plan, "random", store, RunConfig(var_floor=0.25))
-        assert stored
-        assert all(g.var.min() >= 0.25 for g in stored)
+        for pseudo in (False, True):
+            stored.clear()
+            run(plan, "random", store, RunConfig(var_floor=0.25, use_unlabeled_distributions=pseudo))
+            assert stored
+            assert all(g.var.min() >= 0.25 for g in stored)
 
     def test_unknown_strategy_is_a_config_error(self):
         # Raised before the first session: a failure inside one would
@@ -431,15 +443,15 @@ def retrain_every_round(strategy):
     classifier on, so the training step rehearses for itself."""
 
     def select(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
-        selected, labeled_so_far = [], []
+        selected = []
         remaining = [int(i) for i in sess.pool_ids]
         round_idx = 0
         while len(selected) < plan.budget:
             k = min(cfg.round_size, plan.budget - len(selected))
             round_clf = clf
-            if labeled_so_far:
+            if selected:
                 round_clf = train_session(
-                    clf, buffer, labeled_so_far, work,
+                    clf, buffer, (selected, oracle.labels_of(selected)), work,
                     replay_per_class=cfg.replay_per_class,
                     seed=derive_seed(plan.seed, "session", t, "round", round_idx),
                     class_space=sess.class_space, alpha=cfg.alpha,
@@ -451,7 +463,6 @@ def retrain_every_round(strategy):
                 picked = random_select(
                     sub, k, derive_seed(plan.seed, "session", t, "fallback", round_idx))
             selected.extend(picked.ids)
-            labeled_so_far.extend(oracle.labels_for(picked.ids))
             chosen = set(picked.ids)
             remaining = [i for i in remaining if i not in chosen]
             round_idx += 1
@@ -506,9 +517,10 @@ class TestUncertaintyRounds:
             assert len(session_updates) == math.ceil(plan.budget / cfg.round_size) - 1
             for r, (classes, prototypes) in enumerate(session_updates):
                 n = (r + 1) * cfg.round_size
-                labeled = oracle.labels_for(selection.ids[:n])
-                assert classes == sorted({c for _, c in labeled[n - cfg.round_size:]})
-                want = new_class_prototypes(clf, labeled, work, sess.class_space)
+                ids = selection.ids[:n]
+                labels = oracle.labels_of(ids)
+                assert classes == sorted(set(labels[n - cfg.round_size:].tolist()))
+                want = new_class_prototypes(clf, (ids, labels), work, sess.class_space)
                 for c, prototype in zip(classes, prototypes):
                     np.testing.assert_array_equal(prototype, want[c])
 
@@ -544,9 +556,10 @@ class TestUncertaintyRounds:
             for stats, rows, picked in seen:
                 vectors = pool.vectors[rows]
                 want = SoftmaxStats.of(rehearsed, vectors) if rehearsed.num_classes else None
-                labeled = oracle.labels_for(selection.ids[:np.count_nonzero(~rows)])
-                if labeled:
-                    new = new_class_prototypes(clf, labeled, work, sess.class_space)
+                ids = selection.ids[:np.count_nonzero(~rows)]
+                if ids:
+                    new = new_class_prototypes(clf, (ids, oracle.labels_of(ids)), work,
+                                               sess.class_space)
                     round_clf = PrototypeClassifier(new, clf.temperature, tuple(sorted(new)))
                     logits = round_clf.embedding_matrix() @ vectors.T / clf.temperature
                     want = softmax_stats(round_clf.classes_seen, logits, want)
