@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceedsPool, DegenerateClassifier
+from .errors import BudgetExceedsPool, DegenerateClassifier, NoClasses
 from .features import FeatureStore
 from .learner import PrototypeClassifier
 from .selection import Selection
@@ -85,8 +85,10 @@ class SoftmaxStats:
     @classmethod
     def of(cls, classifier: PrototypeClassifier, vectors: np.ndarray) -> "SoftmaxStats":
         """All the classifier's cosine logits, one row per vector."""
-        logits = classifier.embedding_matrix() @ vectors.T / classifier.temperature
-        return softmax_stats(classifier.classes_seen, logits)
+        if not classifier.num_classes:
+            raise NoClasses("classifier has no classes yet")
+        logits = classifier.prototypes @ vectors.T / classifier.temperature
+        return softmax_stats(tuple(classifier.classes.tolist()), logits)
 
     def margin(self) -> np.ndarray:
         """Top-1 minus top-2 probability."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import types
 import typing
@@ -29,24 +30,24 @@ _FALSE = {"0", "false", "no", "off"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    var_floor: float = VAR_FLOOR                      # > 0; minimum per-dimension variance
+    var_floor: float = VAR_FLOOR                      # finite, > 0; minimum per-dimension variance
     kmeans_max_iter: int = DEFAULT_MAX_ITER           # >= 1
     kmeans_tol: float = DEFAULT_TOL                   # > 0; max centroid displacement to converge
-    temperature: float = DEFAULT_TEMPERATURE          # > 0; cosine-softmax temperature
+    temperature: float = DEFAULT_TEMPERATURE          # finite, > 0; cosine-softmax temperature
     alpha: float = DEFAULT_ALPHA                      # [0, 1]; weight of the previous prototype in replay blending
     replay_per_class: int = DEFAULT_REPLAY_PER_CLASS  # >= 0; pseudo-features sampled per old class
     round_size: int = 20                              # >= 1; labels per uncertainty round
     use_unlabeled_distributions: bool = False
 
     def __post_init__(self):
-        if not self.var_floor > 0.0:
-            raise ConfigError("var_floor must be > 0")
+        if not 0.0 < self.var_floor < math.inf:
+            raise ConfigError("var_floor must be finite and > 0")
         if self.kmeans_max_iter < 1:
             raise ConfigError("kmeans_max_iter must be >= 1")
         if not self.kmeans_tol > 0.0:
             raise ConfigError("kmeans_tol must be > 0")
-        if not self.temperature > 0.0:
-            raise ConfigError("temperature must be > 0")
+        if not 0.0 < self.temperature < math.inf:
+            raise ConfigError("temperature must be finite and > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
         if self.replay_per_class < 0:

@@ -103,9 +103,6 @@ class FeatureStore:
             raise UnknownId(int(ids[absent.argmax()]))
         return rows
 
-    def vector(self, row_id: int) -> np.ndarray:
-        return self.vectors[self._rows([row_id])[0]]
-
     def vectors_for(self, ids) -> np.ndarray:
         """Vectors of `ids`, in the given order."""
         return self.vectors[self._rows(ids)]

@@ -1,4 +1,5 @@
-"""Diagonal Gaussians: estimation and KL divergence.
+"""Class Gaussians: diagonal Gaussians stacked one row per class
+(`ClassGaussians`), their estimation and their KL divergence.
 
 Estimation is population-style (divide by n, not n-1) and every variance is
 clamped to a floor. The floor keeps the KL divergence finite when the
@@ -20,73 +21,63 @@ from .errors import DimensionMismatch, EmptyInput
 VAR_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class DiagonalGaussian:
-    """Mean vector, per-dimension variance, and the sample count behind them."""
+@dataclass(frozen=True, eq=False)
+class ClassGaussians:
+    """The diagonal Gaussians of some classes, one row per class: ascending
+    int64 class ids, (C, D) means and variances, and the (C,) sample counts
+    behind them. `len()` is the number of classes."""
 
+    classes: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    count: int
+    count: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
-        _check_moments(self.mean, self.var, 1)
+        for name, dtype in zip(("classes", "mean", "var", "count"),
+                               (np.int64, np.float64, np.float64, np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        classes, mean, var = self.classes, self.mean, self.var
+        if (mean.shape != var.shape or mean.ndim != 2
+                or not classes.shape == self.count.shape == mean.shape[:1]):
+            raise DimensionMismatch("classes and counts must be (C,), mean and var (C, D) arrays")
+        if (np.diff(classes) <= 0).any():
+            raise ValueError("class ids must be ascending and unique")
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+            raise ValueError("non-finite Gaussian parameters")
+        if (var <= 0.0).any():
+            raise ValueError("variances must be positive (floor not applied?)")
 
-    @classmethod
-    def per_row(cls, means: np.ndarray, variances: np.ndarray, counts) -> list["DiagonalGaussian"]:
-        """One Gaussian per row of (C, D) float64 stacks, holding views of
-        them. The stacks are checked once, as a Gaussian checks its own."""
-        _check_moments(means, variances, 2)
-        out = []
-        for mean, var, count in zip(means, variances, counts.tolist()):
-            g = object.__new__(cls)
-            object.__setattr__(g, "mean", mean)
-            object.__setattr__(g, "var", var)
-            object.__setattr__(g, "count", count)
-            out.append(g)
-        return out
+    def __len__(self) -> int:
+        return len(self.classes)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-def _check_moments(mean: np.ndarray, var: np.ndarray, ndim: int) -> None:
-    if mean.shape != var.shape or mean.ndim != ndim:
-        raise DimensionMismatch(f"mean and var must be {ndim}-D arrays of the same shape")
-    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-        raise ValueError("non-finite Gaussian parameters")
-    if (var <= 0.0).any():
-        raise ValueError("variances must be positive (floor not applied?)")
+    def take(self, rows) -> "ClassGaussians":
+        """The Gaussians in rows `rows`, which must keep the classes ascending."""
+        return ClassGaussians(self.classes[rows], self.mean[rows], self.var[rows], self.count[rows])
 
 
-def estimate(vectors, var_floor: float = VAR_FLOOR) -> DiagonalGaussian:
+def estimate(vectors, var_floor: float = VAR_FLOOR) -> ClassGaussians:
     """Two-pass population estimate: mean = sum/n, var = mean squared deviation.
 
-    The one-group case of `estimate_grouped`. Variances are clamped to
-    `var_floor`. Raises EmptyInput on n = 0.
+    The one-group case of `estimate_grouped`: one row, of class 0. Variances
+    are clamped to `var_floor`. Raises EmptyInput on n = 0.
     """
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    n = arr.shape[0]
-    if n == 0:
+    if arr.shape[0] == 0:
         raise EmptyInput("cannot estimate a Gaussian from zero vectors")
-    means, variances = _group_moments(arr, np.zeros(n, dtype=np.intp), np.array([n]), var_floor)
-    return DiagonalGaussian(means[0], variances[0], n)
+    return estimate_grouped(arr, np.zeros(arr.shape[0], dtype=np.int64), var_floor)
 
 
-def estimate_grouped(vectors: np.ndarray, labels: np.ndarray, var_floor: float = VAR_FLOOR):
-    """`estimate` of every label's rows in one pass.
-
-    Returns (classes, means, variances, counts): the distinct labels
-    ascending, their (C, D) means and floored variances, and their row
-    counts. Each class's sums add its rows in their order in `vectors`.
+def estimate_grouped(vectors: np.ndarray, labels: np.ndarray,
+                     var_floor: float = VAR_FLOOR) -> ClassGaussians:
+    """`estimate` of every label's rows in one pass: the Gaussians of the
+    distinct labels, ascending. Each class's sums add its rows in their
+    order in `vectors`.
     """
     classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     means, variances = _group_moments(np.asarray(vectors, dtype=np.float64), inverse, counts, var_floor)
-    return classes, means, variances, counts
+    return ClassGaussians(classes, means, variances, counts)
 
 
 def _group_moments(arr, group, counts, var_floor):
@@ -108,30 +99,23 @@ def _group_moments(arr, group, counts, var_floor):
     return means, variances
 
 
-def estimate_per_class(vectors: np.ndarray, labels: np.ndarray,
-                       var_floor: float = VAR_FLOOR) -> dict[int, DiagonalGaussian]:
-    """`estimate` over each label's rows, in their order in `vectors`; keys ascending."""
-    classes, means, variances, counts = estimate_grouped(vectors, labels, var_floor)
-    return dict(zip(classes.tolist(), DiagonalGaussian.per_row(means, variances, counts)))
-
-
-def kl_divergence(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
-    """KL divergence between diagonal Gaussians, reference first.
+def kl_divergence(p: ClassGaussians, q: ClassGaussians) -> np.ndarray:
+    """KL divergence between the diagonal Gaussians of two aligned stacks,
+    reference first: one divergence per row,
 
     d(p || q) = 1/2 * sum_d( var_p/var_q + (mu_q - mu_p)^2/var_q
                              + ln(var_q/var_p) - 1 )
 
-    Not symmetric: `p` is the reference (whole-cluster) distribution and `q`
-    is the candidate-selection distribution. A symmetric wrapper is
+    Not symmetric: `p` is the reference (whole-cluster or whole-pool)
+    distribution and `q` the selection's. A symmetric wrapper is
     deliberately not provided.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"dim {p.dim} vs {q.dim}")
-    return 0.5 * float(
-        np.sum(
-            p.var / q.var
-            + (q.mean - p.mean) ** 2 / q.var
-            + np.log(q.var / p.var)
-            - 1.0
-        )
+    if p.mean.shape != q.mean.shape or not np.array_equal(p.classes, q.classes):
+        raise DimensionMismatch(f"unaligned stacks: means {p.mean.shape} vs {q.mean.shape}")
+    return 0.5 * np.sum(
+        p.var / q.var
+        + (q.mean - p.mean) ** 2 / q.var
+        + np.log(q.var / p.var)
+        - 1.0,
+        axis=1,
     )

@@ -13,15 +13,14 @@ from .features import FeatureStore
 
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-4
-# Fewest rows per block of _assign's scores (see there).
+# Fewest rows per block of argmin_rows's scores (see there).
 ASSIGN_BLOCK_ROWS = 1024
 
 
 @dataclass
 class Clustering:
     k: int
-    ids: np.ndarray          # pool ids, aligned with assignments
-    assignments: np.ndarray  # (N,) in [0, k)
+    assignments: np.ndarray  # (N,) in [0, k), aligned with the store's ids
     centroids: np.ndarray    # (k, D)
     iterations_run: int
     inertia: float
@@ -69,7 +68,6 @@ def kmeans(
     del bins  # _inertia's N x D differences take its place
     return Clustering(
         k=k,
-        ids=store.ids.copy(),
         assignments=assign,
         centroids=centroids,
         iterations_run=iterations,
@@ -107,23 +105,31 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin ||x - c||^2 = argmin ||c||^2 - 2 x.c: the ||x||^2 term is the
     # same for every centroid of a row; ties go to the lowest centroid index.
     # Scaling by -2 is exact and a + (-b) rounds as a - b, so the scores hold
-    # exactly the bits of ||c||^2 - (2x) @ c.T. Rows are scored in blocks
-    # that start at multiples of ASSIGN_BLOCK_ROWS, the last one taking the
-    # remainder, so one block's scores stay in cache and every block of a
-    # pool that has ASSIGN_BLOCK_ROWS rows has at least that many: there
-    # each score is the same length-D dot product as in one unblocked
-    # product, with single-threaded BLAS on every kernel tried. Small blocks
-    # would not keep the bits: a one-row block goes through gemv.
-    n, k = x.shape[0], centroids.shape[0]
-    neg2c = (-2.0 * centroids).T
-    cc = np.sum(centroids * centroids, axis=1)
+    # exactly the bits of ||c||^2 - (2x) @ c.T.
+    return argmin_rows(x, (-2.0 * centroids).T, np.sum(centroids * centroids, axis=1))
+
+
+def argmin_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Per row of `x`, the column index of the smallest entry of
+    x @ w (+ `bias`, one value per column), ties to the lowest index.
+
+    Rows are scored in blocks that start at multiples of ASSIGN_BLOCK_ROWS,
+    the last one taking the remainder, so one block's scores stay in cache
+    and no (N, k) score matrix is made. Every block of an input that has
+    ASSIGN_BLOCK_ROWS rows has at least that many: there each score is the
+    same length-D dot product as in one unblocked product, with
+    single-threaded BLAS on every kernel tried. Small blocks would not keep
+    the bits: a one-row block goes through gemv.
+    """
+    n, k = x.shape[0], w.shape[1]
     last = max(0, n // ASSIGN_BLOCK_ROWS - 1) * ASSIGN_BLOCK_ROWS
     scores = np.empty((n - last, k))
     out = np.empty(n, dtype=np.intp)
     for a in range(0, last + 1, ASSIGN_BLOCK_ROWS):
         b = n if a == last else a + ASSIGN_BLOCK_ROWS
-        s = np.matmul(x[a:b], neg2c, out=scores[: b - a])
-        s += cc
+        s = np.matmul(x[a:b], w, out=scores[: b - a])
+        if bias is not None:
+            s += bias
         np.argmin(s, axis=1, out=out[a:b])
     return out
 

@@ -4,13 +4,15 @@ remainder, per-class Gaussian estimation from labeled plus pseudo-labeled
 features, and replay of pseudo-features sampled from the stored class
 Gaussians.
 
-Logit columns are always ordered by ascending class id, so every argmax tie
-resolves to the lowest class id.
+Class state is stacked one row per class, ascending by class id: the
+classifier's (C, D) prototypes and the buffer's `ClassGaussians`. A session
+merges its new classes' rows into that order. Logit columns follow it, so
+every argmax tie resolves to the lowest class id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from .errors import (
     ZeroVector,
 )
 from .features import FeatureStore
-from .gaussian import VAR_FLOOR, DiagonalGaussian, estimate_grouped, estimate_per_class
+from .gaussian import VAR_FLOOR, ClassGaussians, estimate_grouped
+from .kmeans import argmin_rows
 from .seeding import derive_rng
 
 DEFAULT_TEMPERATURE = 0.07
@@ -44,97 +47,109 @@ def unit_rows(v: np.ndarray, classes, what: str) -> np.ndarray:
     return v / norms
 
 
-@dataclass(frozen=True)
+def _merge_rows(a: tuple, b: tuple) -> tuple:
+    """Two class-keyed stacks, each a tuple of aligned arrays with the class
+    ids first, as one tuple whose rows are ascending by class; ValueError
+    when a class is in both. An empty stack may have no dimension D."""
+    if not len(a[0]):
+        return b
+    if not len(b[0]):
+        return a
+    classes = np.concatenate((a[0], b[0]))
+    order = np.argsort(classes, kind="stable")
+    classes = classes[order]
+    if (np.diff(classes) == 0).any():
+        raise ValueError(f"classes in both stacks: {np.intersect1d(a[0], b[0]).tolist()}")
+    return (classes, *(np.concatenate((x, y))[order] for x, y in zip(a[1:], b[1:])))
+
+
+@dataclass(frozen=True, eq=False)
 class PrototypeClassifier:
     """Unit-norm class prototypes plus a softmax temperature.
 
-    `classes_seen` is the ascending-sorted union of every completed session's
-    discovered classes; it only grows. Instances are immutable; training
-    returns a new classifier. The prototypes are stacked once, in
-    classes_seen order, into the read-only `embedding_matrix()`.
+    `classes` holds the ascending int64 ids of every completed session's
+    discovered classes; it only grows. `prototypes` holds their (C, D) unit
+    rows in that order. Both are read-only copies. Instances are immutable;
+    training returns a new classifier.
     """
 
-    embeddings: dict[int, np.ndarray]
+    classes: np.ndarray
+    prototypes: np.ndarray
     temperature: float = DEFAULT_TEMPERATURE
-    classes_seen: tuple[int, ...] = ()
-    _matrix: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
-        if tuple(sorted(set(self.classes_seen))) != self.classes_seen:
-            raise ValueError("classes_seen must be ascending and unique")
-        if set(self.embeddings) != set(self.classes_seen):
-            raise ValueError("embeddings keys must match classes_seen")
-        if self.classes_seen:
-            matrix = np.stack([self.embeddings[c] for c in self.classes_seen])
-            bad = np.abs(np.linalg.norm(matrix, axis=1) - 1.0) > 1e-6
-            if bad.any():
-                raise NotNormalized(
-                    f"embedding for class {self.classes_seen[bad.argmax()]} is not unit norm")
-            matrix.flags.writeable = False
-            object.__setattr__(self, "_matrix", matrix)
+        classes = np.array(self.classes, dtype=np.int64)
+        prototypes = np.array(self.prototypes, dtype=np.float64)
+        if classes.ndim != 1 or prototypes.ndim != 2 or len(prototypes) != len(classes):
+            raise ValueError("classes must be (C,) and prototypes (C, D) arrays")
+        if (np.diff(classes) <= 0).any():
+            raise ValueError("classes must be ascending and unique")
+        bad = np.abs(np.linalg.norm(prototypes, axis=1) - 1.0) > 1e-6
+        if bad.any():
+            raise NotNormalized(f"prototype of class {classes[bad.argmax()]} is not unit norm")
+        for name, v in (("classes", classes), ("prototypes", prototypes)):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes_seen)
-
-    def embedding_matrix(self) -> np.ndarray:
-        """Rows ordered like classes_seen (ascending class id)."""
-        if not self.classes_seen:
-            raise NoClasses("classifier has no classes yet")
-        return self._matrix
+        return len(self.classes)
 
 
 def empty_classifier(temperature: float = DEFAULT_TEMPERATURE) -> PrototypeClassifier:
-    return PrototypeClassifier(embeddings={}, temperature=temperature, classes_seen=())
+    return PrototypeClassifier((), np.zeros((0, 0)), temperature)
 
 
 def predict(clf: PrototypeClassifier, vectors: np.ndarray) -> np.ndarray:
     """Argmax class ids of the cosine logits, as `pseudo_label` takes them;
     ties resolve to the lowest class id. The softmax is monotone in the
     logits, so the temperature does not enter."""
-    cols = np.argmax(vectors @ clf.embedding_matrix().T, axis=1)
-    return np.asarray(clf.classes_seen, dtype=np.int64)[cols]
+    if not clf.num_classes:
+        raise NoClasses("classifier has no classes yet")
+    # argmax x.p = argmin x.(-p): negation is exact, so the ties are the same.
+    return clf.classes[argmin_rows(vectors, (-clf.prototypes).T)]
 
 
 def pseudo_label(clf: PrototypeClassifier, vectors: np.ndarray, allowed) -> np.ndarray:
     """The argmax class of each row of `vectors`, restricted to `allowed`.
 
-    `allowed` must be a non-empty subset of classes_seen. The assignment is
-    temperature-invariant (argmax of a monotone transform of the cosine
-    logits); ties resolve to the lowest class id.
+    `allowed` must be a non-empty subset of the classifier's classes. The
+    assignment is temperature-invariant (argmax of a monotone transform of
+    the cosine logits); ties resolve to the lowest class id. The rows are
+    scored in blocks, as `predict` scores them.
     """
     allowed = np.array(sorted({int(c) for c in allowed}), dtype=np.int64)
     if not allowed.size:
         raise EmptyAllowedSet("pseudo_label requires at least one allowed class")
-    missing = [c for c in allowed.tolist() if c not in clf.embeddings]
-    if missing:
-        raise ValueError(f"allowed classes not in classifier: {missing}")
-    g = clf.embedding_matrix()[np.searchsorted(clf.classes_seen, allowed)]
-    return allowed[np.argmax(vectors @ g.T, axis=1)]
+    missing = allowed[~np.isin(allowed, clf.classes)]
+    if missing.size:
+        raise ValueError(f"allowed classes not in classifier: {missing.tolist()}")
+    g = clf.prototypes[clf.classes.searchsorted(allowed)]
+    return allowed[argmin_rows(vectors, (-g).T)]
 
 
 def estimate_class_distributions(
     labeled, pseudo, store: FeatureStore, classes, var_floor: float = VAR_FLOOR
-) -> dict[int, DiagonalGaussian]:
-    """Per-class Gaussian over the union of the labeled and pseudo-labeled
-    rows, each an (ids, classes) pair of aligned arrays; each class is
-    estimated from its ids in ascending order.
+) -> ClassGaussians:
+    """The Gaussians of `classes`, each over its rows in the union of the
+    labeled and pseudo-labeled rows (each an (ids, classes) pair of aligned
+    arrays), taken in ascending id order.
 
     When an id carries both a true and a pseudo label, the true label wins.
-    A class in `classes` with no member at all raises EmptyClass; with the
-    pseudo set empty this reduces bit-exactly to labeled-only estimation.
+    A class in `classes` with no member at all raises EmptyClass, naming the
+    lowest; with the pseudo set empty this reduces bit-exactly to
+    labeled-only estimation.
     """
     ids, first = np.unique(np.concatenate((labeled[0], pseudo[0])), return_index=True)
     labels = np.concatenate((labeled[1], pseudo[1]))[first]
-    by_class = estimate_per_class(store.vectors_for(ids), labels, var_floor)
-    out: dict[int, DiagonalGaussian] = {}
-    for c in sorted(int(c) for c in set(classes)):
-        if c not in by_class:
-            raise EmptyClass(c)
-        out[c] = by_class[c]
-    return out
+    got = estimate_grouped(store.vectors_for(ids), labels, var_floor)
+    want = np.unique(np.fromiter((int(c) for c in classes), dtype=np.int64))
+    found = np.isin(want, got.classes)
+    if not found.all():
+        raise EmptyClass(int(want[found.argmin()]))
+    return got.take(got.classes.searchsorted(want))
 
 
 def rehearse(
@@ -160,48 +175,48 @@ def rehearse(
         raise ValueError("alpha must be in [0, 1]")
     if replay_per_class < 0:
         raise ValueError("replay_per_class must be >= 0")
-    classes = sorted(buffer.distributions)
-    if replay_per_class == 0 or alpha == 1.0 or not classes:
+    g = buffer.distributions
+    if replay_per_class == 0 or alpha == 1.0 or not len(g):
         return clf
-    dists = [buffer.distributions[c] for c in classes]
-    means = np.stack([g.mean for g in dists])
-    replayed = np.empty((len(classes), replay_per_class, means.shape[1]))
+    rows = clf.classes.searchsorted(g.classes)
+    if not np.array_equal(clf.classes.take(rows, mode="clip"), g.classes):
+        raise ValueError("the buffer holds classes the classifier lacks")
+    replayed = np.empty((len(g), replay_per_class, g.mean.shape[1]))
     derive_rng(seed, "replay").standard_normal(out=replayed)
-    replayed *= np.sqrt(np.stack([g.var for g in dists]))[:, None, :]
-    replayed += means[:, None, :]
-    replay_protos = unit_rows(replayed.mean(axis=1), classes, "replay mean")
-    previous = np.stack([clf.embeddings[c] for c in classes])
-    blended = unit_rows(alpha * previous + (1.0 - alpha) * replay_protos, classes, "blended prototype")
-    return PrototypeClassifier(
-        embeddings=clf.embeddings | dict(zip(classes, blended)),
-        temperature=clf.temperature, classes_seen=clf.classes_seen)
+    replayed *= np.sqrt(g.var)[:, None, :]
+    replayed += g.mean[:, None, :]
+    replay_protos = unit_rows(replayed.mean(axis=1), g.classes, "replay mean")
+    prototypes = clf.prototypes.copy()
+    prototypes[rows] = unit_rows(alpha * prototypes[rows] + (1.0 - alpha) * replay_protos,
+                                 g.classes, "blended prototype")
+    return PrototypeClassifier(clf.classes, prototypes, clf.temperature)
 
 
 def new_class_prototypes(
     clf: PrototypeClassifier, labeled, store: FeatureStore, class_space=None
-) -> dict[int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Prototype of each labeled class: the unit-normalized mean of its
     labeled features, taken in labeled order. `labeled` is an (ids, classes)
-    pair of aligned arrays.
+    pair of aligned arrays. Returns the ascending class ids and their (C, D)
+    prototype rows.
 
     Labels must lie inside `class_space` (inferred from the labels when not
-    given) and outside clf.classes_seen; classes in `class_space` with no
-    labeled sample stay undiscovered and get no prototype.
+    given) and outside the classifier's classes; classes in `class_space`
+    with no labeled sample stay undiscovered and get no prototype.
     """
     ids, labels = (np.asarray(a, dtype=np.int64) for a in labeled)
     if not ids.size:
         raise EmptyInput("training requires at least one labeled sample")
     discovered = np.unique(labels).tolist()
     space = set(discovered) if class_space is None else {int(c) for c in class_space}
-    seen = set(clf.classes_seen)
+    seen = set(clf.classes.tolist())
     bad = [c for c in discovered if c not in space or c in seen]
     if bad or (space & seen):
         raise LabelOutsideSessionSpace(
             f"labels/classes outside the current session space: {sorted(set(bad) | (space & seen))}"
         )
-    classes, means, _, _ = estimate_grouped(store.vectors_for(ids), labels)
-    classes = classes.tolist()
-    return dict(zip(classes, unit_rows(means, classes, "prototype")))
+    g = estimate_grouped(store.vectors_for(ids), labels)
+    return g.classes, unit_rows(g.mean, g.classes, "prototype")
 
 
 def train_session(
@@ -219,36 +234,30 @@ def train_session(
 
     The new classes get their `new_class_prototypes` and the old classes in
     `buffer` are rehearsed (`rehearse`, with `replay_per_class`, `seed` and
-    `alpha`). With replay_per_class = 0 or alpha = 1 old prototypes are
-    unchanged. A caller that already holds `rehearse`'s result for these
-    arguments passes it as `rehearsed`, and the old classes are not drawn
-    again.
+    `alpha`); the new rows are merged in class order. With
+    replay_per_class = 0 or alpha = 1 old prototypes are unchanged. A caller
+    that already holds `rehearse`'s result for these arguments passes it as
+    `rehearsed`, and the old classes are not drawn again.
     """
     new = new_class_prototypes(clf, labeled, store, class_space)
     old = rehearse(clf, buffer, replay_per_class, seed, alpha) if rehearsed is None else rehearsed
-    return PrototypeClassifier(
-        embeddings=old.embeddings | new,
-        temperature=clf.temperature,
-        classes_seen=tuple(sorted(set(clf.classes_seen) | set(new))),
-    )
+    return PrototypeClassifier(*_merge_rows((old.classes, old.prototypes), new), clf.temperature)
+
+
+# The buffer before the first session: no class, and no dimension yet.
+_NO_CLASSES = estimate_grouped(np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
 class MemoryBuffer:
-    """Per-class diagonal Gaussians carried across sessions for replay."""
+    """The class Gaussians carried across sessions for replay, one stack."""
 
-    distributions: dict[int, DiagonalGaussian] = field(default_factory=dict)
+    distributions: ClassGaussians = _NO_CLASSES
 
-    def update(self, new_distributions: dict[int, DiagonalGaussian]) -> "MemoryBuffer":
-        """Union with the latest session's class distributions; class spaces
-        are disjoint across sessions, so a repeated class id is a caller bug."""
-        overlap = set(self.distributions) & {int(c) for c in new_distributions}
-        if overlap:
-            raise ValueError(f"classes already in the buffer: {sorted(overlap)}")
-        merged = dict(self.distributions)
-        for c, g in new_distributions.items():
-            merged[int(c)] = g
-        return MemoryBuffer(distributions=merged)
-
-    def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.distributions))
+    def update(self, new: ClassGaussians) -> "MemoryBuffer":
+        """Union with the latest session's class Gaussians, rows ascending by
+        class; class spaces are disjoint across sessions, so a repeated
+        class id is a caller bug (ValueError)."""
+        g = self.distributions
+        return MemoryBuffer(ClassGaussians(*_merge_rows(
+            (g.classes, g.mean, g.var, g.count), (new.classes, new.mean, new.var, new.count))))

@@ -39,7 +39,7 @@ from .errors import (
     UnlabeledId,
 )
 from .features import FeatureStore, hidden_labels
-from .gaussian import VAR_FLOOR, estimate_grouped
+from .gaussian import VAR_FLOOR, estimate_grouped, kl_divergence
 from .learner import (
     MemoryBuffer,
     PrototypeClassifier,
@@ -194,17 +194,15 @@ def selected_vs_full_kl(selected_ids, pool_store: FeatureStore, oracle: Oracle,
     """Per class: KL from the full-pool class Gaussian to the selected-subset
     class Gaussian. Classes with no selected sample are omitted.
 
-    Both sides are estimated in one grouped pass each, and every class's
-    divergence is one row of a (C, D) array of `kl_divergence` terms.
+    Both sides are estimated in one grouped pass each, and the divergences
+    are one `kl_divergence` of the two stacks.
     """
     labels = oracle.labels_of(pool_store.ids)
     chosen = np.isin(pool_store.ids, np.asarray(selected_ids, dtype=np.int64))
-    full_classes, full_mean, full_var, _ = estimate_grouped(pool_store.vectors, labels, var_floor)
-    classes, mean, var, _ = estimate_grouped(pool_store.vectors[chosen], labels[chosen], var_floor)
-    rows = full_classes.searchsorted(classes)
-    p_mean, p_var = full_mean[rows], full_var[rows]
-    terms = p_var / var + (mean - p_mean) ** 2 / var + np.log(var / p_var) - 1.0
-    return dict(zip(classes.tolist(), (0.5 * np.sum(terms, axis=1)).tolist()))
+    full = estimate_grouped(pool_store.vectors, labels, var_floor)
+    selected = estimate_grouped(pool_store.vectors[chosen], labels[chosen], var_floor)
+    kl = kl_divergence(full.take(full.classes.searchsorted(selected.classes)), selected)
+    return dict(zip(selected.classes.tolist(), kl.tolist()))
 
 
 def evaluate(clf: PrototypeClassifier, test_store: FeatureStore, oracle: Oracle,

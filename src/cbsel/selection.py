@@ -27,15 +27,6 @@ from .seeding import derive_rng, derive_seed
 GREEDY_BLOCK_ROWS = 2048
 
 
-@dataclass(frozen=True)
-class BudgetPlan:
-    """Per-cluster pick counts K_j = min(M_j, ceil(M_j * B / N))."""
-
-    total_budget: int
-    per_cluster: tuple[int, ...]
-    pool_size: int
-
-
 @dataclass
 class Selection:
     """Selected ids (exactly B after discard), per-cluster pick lists in pick
@@ -46,8 +37,9 @@ class Selection:
     discarded: list[int] = field(default_factory=list)
 
 
-def allocate_budget(cluster_sizes, budget: int) -> BudgetPlan:
-    """Proportional budgets with rounding up, clamped to cluster size.
+def allocate_budget(cluster_sizes, budget: int) -> tuple[int, ...]:
+    """Per-cluster pick counts K_j = min(M_j, ceil(M_j * B / N)):
+    proportional budgets with rounding up, clamped to cluster size.
 
     Ceiling can overshoot: sum(K_j) >= budget, and the overshoot is later
     discarded at random.
@@ -60,8 +52,7 @@ def allocate_budget(cluster_sizes, budget: int) -> BudgetPlan:
         raise ValueError("budget must be >= 1")
     if budget > n:
         raise BudgetExceedsPool(f"budget {budget} exceeds pool size {n}")
-    per = tuple(min(m, -((-m * budget) // n)) for m in sizes)
-    return BudgetPlan(total_budget=budget, per_cluster=per, pool_size=n)
+    return tuple(min(m, -((-m * budget) // n)) for m in sizes)
 
 
 def greedy_select_cluster(
@@ -101,7 +92,7 @@ def greedy_select_clusters(
 
     # Each cluster's rows are in ascending id order in the pool and in the
     # layout below, so its reference moments have the same bits in both.
-    _, ref_mean, ref_var, _ = estimate_grouped(store.vectors, assignments, var_floor)
+    ref = estimate_grouped(store.vectors, assignments, var_floor)
     # Clusters ranked by K_j, descending and stable, and the rows grouped by
     # rank (stable, so each cluster's rows stay in ascending id order). The
     # clusters still picking at step s are then the ranks below some A, and
@@ -109,7 +100,7 @@ def greedy_select_clusters(
     by_rank = np.argsort(-want, kind="stable")
     rank = np.empty(m, dtype=np.intp)
     rank[by_rank] = np.arange(m)
-    ref_mean, ref_var, ks = ref_mean[by_rank], ref_var[by_rank], want[by_rank]
+    ref_mean, ref_var, ks = ref.mean[by_rank], ref.var[by_rank], want[by_rank]
     key = rank[assignments]
     rows = np.argsort(key, kind="stable")
     seg = key[rows]
@@ -228,8 +219,8 @@ def cbs_select(
         store, num_classes, derive_seed(seed, "kmeans"),
         max_iter=kmeans_max_iter, tol=kmeans_tol,
     )
-    plan = allocate_budget(clustering.sizes(), budget)
-    per_cluster = greedy_select_clusters(store, clustering.assignments, plan.per_cluster, var_floor)
+    per_cluster = greedy_select_clusters(
+        store, clustering.assignments, allocate_budget(clustering.sizes(), budget), var_floor)
     assembled = [i for cluster in per_cluster for i in cluster]
 
     excess = len(assembled) - budget

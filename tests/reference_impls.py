@@ -14,8 +14,9 @@ from cbsel.errors import (
     EmptyAllowedSet,
     EmptyClass,
     KTooLarge,
+    NoClasses,
 )
-from cbsel.gaussian import VAR_FLOOR, DiagonalGaussian, estimate, estimate_per_class, kl_divergence
+from cbsel.gaussian import VAR_FLOOR, ClassGaussians, estimate, kl_divergence
 from cbsel.kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL, kmeans
 from cbsel.seeding import derive_rng, derive_seed
 from cbsel.selection import Selection, allocate_budget
@@ -34,10 +35,11 @@ class EmptyAccumulator(CbselError):
 
 
 def sample(g, k, rng):
-    """Draw k independent vectors, component d ~ Normal(mean[d], var[d])."""
+    """Draw k independent vectors from the one-row stack `g`, component
+    d ~ Normal(mean[d], var[d])."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return g.mean[None, :] + np.sqrt(g.var)[None, :] * rng.standard_normal((k, g.dim))
+    return g.mean + np.sqrt(g.var) * rng.standard_normal((k, g.mean.shape[1]))
 
 
 class MomentAccumulator:
@@ -83,7 +85,7 @@ class MomentAccumulator:
             raise EmptyAccumulator("finalize requires at least one vector")
         mean = self.sum / self.n
         var = np.maximum(self.sumsq / self.n - mean * mean, var_floor)
-        return DiagonalGaussian(mean, var, self.n)
+        return ClassGaussians([0], mean[None, :], var[None, :], [self.n])
 
     def copy(self):
         out = MomentAccumulator(self.dim)
@@ -112,7 +114,7 @@ def brute_force_select(members, k, var_floor=VAR_FLOOR, guard=10**6):
     best_rows = None
     best_kl = math.inf
     for rows in itertools.combinations(range(n), k):
-        kl = kl_divergence(ref, estimate(x[list(rows)], var_floor))
+        kl = float(kl_divergence(ref, estimate(x[list(rows)], var_floor))[0])
         if kl < best_kl:
             best_kl = kl
             best_rows = rows
@@ -125,55 +127,61 @@ def dict_pseudo_label(clf, store, allowed):
     allowed = sorted(int(c) for c in set(allowed))
     if not allowed:
         raise EmptyAllowedSet("pseudo_label requires at least one allowed class")
-    g = clf.embedding_matrix()[np.searchsorted(clf.classes_seen, allowed)]
+    g = clf.prototypes[np.searchsorted(clf.classes, allowed)]
     cols = np.argmax(store.vectors @ g.T, axis=1)
     return {int(i): allowed[int(k)] for i, k in zip(store.ids, cols)}
 
 
 def dict_estimate_class_distributions(labeled, pseudo, store, classes, var_floor=VAR_FLOOR):
     """`learner.estimate_class_distributions` over (id, class) pair lists,
-    merged through an id -> class dict in which the true label is set last."""
+    merged through an id -> class dict in which the true label is set last,
+    and estimated one class at a time."""
     label_of = {}
     for i, c in pseudo:
         label_of[int(i)] = int(c)
     for i, c in labeled:
         label_of[int(i)] = int(c)
     ids = sorted(label_of)
-    by_class = estimate_per_class(
-        store.vectors_for(ids), np.array([label_of[i] for i in ids], dtype=np.int64), var_floor)
-    out = {}
+    per_class = []
     for c in sorted(int(c) for c in set(classes)):
-        if c not in by_class:
+        members = [i for i in ids if label_of[i] == c]
+        if not members:
             raise EmptyClass(c)
-        out[c] = by_class[c]
-    return out
+        per_class.append((c, estimate(store.vectors_for(members), var_floor)))
+    return ClassGaussians([c for c, _ in per_class],
+                          np.concatenate([g.mean for _, g in per_class]),
+                          np.concatenate([g.var for _, g in per_class]),
+                          np.concatenate([g.count for _, g in per_class]))
 
 
 def predict_proba_matrix(clf, vectors):
     """Row-wise softmax of cosine logits; (N, num_classes), columns ascending
     by class id. Callers are responsible for unit-norm rows."""
-    g = clf.embedding_matrix()
+    if not clf.num_classes:
+        raise NoClasses("classifier has no classes yet")
+    g = clf.prototypes
     logits = vectors @ g.T / clf.temperature
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cluster_members(clustering, j):
-    """Ids assigned to cluster j, in ascending id order."""
+def cluster_members(store, clustering, j):
+    """Ids of the clustered store assigned to cluster j, in ascending id order."""
     if not 0 <= j < clustering.k:
         raise IndexOutOfRange(f"cluster index {j} out of [0, {clustering.k})")
-    return clustering.ids[clustering.assignments == j].tolist()
+    return store.ids[clustering.assignments == j].tolist()
 
 
 def kl_divergence_batch(p, means, variances):
-    """Vectorized kl_divergence(p, q_i) over rows of candidate moments."""
-    if means.shape[1] != p.dim:
-        raise DimensionMismatch(f"dim {p.dim} vs {means.shape[1]}")
+    """Vectorized kl_divergence(p, q_i) from the one-row stack `p` over rows
+    of candidate moments."""
+    if means.shape[1] != p.mean.shape[1]:
+        raise DimensionMismatch(f"dim {p.mean.shape[1]} vs {means.shape[1]}")
     return 0.5 * np.sum(
-        p.var[None, :] / variances
-        + (means - p.mean[None, :]) ** 2 / variances
-        + np.log(variances / p.var[None, :])
+        p.var / variances
+        + (means - p.mean) ** 2 / variances
+        + np.log(variances / p.var)
         - 1.0,
         axis=1,
     )
@@ -247,10 +255,10 @@ def loop_cbs_select(store, num_classes, budget, seed, var_floor=VAR_FLOOR,
         raise BudgetExceedsPool(f"budget {budget} exceeds pool size {n}")
     clustering = kmeans(store, num_classes, derive_seed(seed, "kmeans"),
                         max_iter=kmeans_max_iter, tol=kmeans_tol)
-    plan = allocate_budget(clustering.sizes(), budget)
+    per = allocate_budget(clustering.sizes(), budget)
     per_cluster = [
-        loop_greedy_select_cluster(store.subset(cluster_members(clustering, j)),
-                                   plan.per_cluster[j], var_floor)
+        loop_greedy_select_cluster(store.subset(cluster_members(store, clustering, j)),
+                                   per[j], var_floor)
         for j in range(clustering.k)
     ]
     assembled = [i for cluster in per_cluster for i in cluster]

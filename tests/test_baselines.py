@@ -17,9 +17,9 @@ from cbsel.baselines import (
     softmax_stats,
     top_two,
 )
-from cbsel.errors import BudgetExceedsPool, DegenerateClassifier
+from cbsel.errors import BudgetExceedsPool, DegenerateClassifier, NoClasses
 from cbsel.features import FeatureStore, hidden_labels
-from cbsel.learner import PrototypeClassifier
+from cbsel.learner import PrototypeClassifier, empty_classifier
 from cbsel.protocol import Oracle
 from reference_impls import predict_proba_matrix
 
@@ -38,21 +38,17 @@ def table_of(clf, vectors, old=None):
     """A LogitTable over `vectors` holding every class of `clf`."""
     table = LogitTable(vectors, clf.temperature, clf.num_classes, old)
     if clf.num_classes:
-        table.update(clf.classes_seen, clf.embedding_matrix())
+        table.update(clf.classes, clf.prototypes)
     return table
 
 
 def merged_stats(clf, vectors, old):
     """`SoftmaxStats` of `clf`'s logits of `vectors` merged with `old`."""
-    return softmax_stats(clf.classes_seen, clf.embedding_matrix() @ vectors.T / clf.temperature, old)
+    return softmax_stats(tuple(clf.classes.tolist()), clf.prototypes @ vectors.T / clf.temperature, old)
 
 
 def two_class_clf(temperature=0.07):
-    return PrototypeClassifier(
-        embeddings={0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])},
-        temperature=temperature,
-        classes_seen=(0, 1),
-    )
+    return PrototypeClassifier([0, 1], np.eye(2), temperature)
 
 
 def feature_with_top_prob(p_top, temperature):
@@ -171,9 +167,7 @@ class TestUncertaintySelect:
         assert margin_select(store, 2, table_of(clf, store.vectors)).ids == [0, 1]
 
     def test_degenerate_classifier(self):
-        clf = PrototypeClassifier(
-            embeddings={0: np.array([1.0, 0.0])}, temperature=0.07, classes_seen=(0,)
-        )
+        clf = PrototypeClassifier([0], [[1.0, 0.0]], 0.07)
         store = FeatureStore(np.eye(2))
         with pytest.raises(DegenerateClassifier):
             entropy_select(store, 1, table_of(clf, store.vectors))
@@ -197,21 +191,14 @@ def full_softmax_scores(logits):
 
 
 def sub_classifier(clf, classes):
-    return PrototypeClassifier(
-        embeddings={c: clf.embeddings[c] for c in classes},
-        temperature=clf.temperature,
-        classes_seen=tuple(classes),
-    )
+    return PrototypeClassifier(classes, clf.prototypes[list(classes)], clf.temperature)
 
 
 def random_clf_and_vectors(num_classes, n, dim, temperature, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((num_classes, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    clf = PrototypeClassifier(
-        embeddings=dict(enumerate(g)), temperature=temperature,
-        classes_seen=tuple(range(num_classes)),
-    )
+    clf = PrototypeClassifier(np.arange(num_classes), g, temperature)
     v = rng.standard_normal((n, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v[n // 2] = v[0]  # identical rows
@@ -227,7 +214,7 @@ class TestSoftmaxStats:
     @pytest.mark.parametrize("temperature", [0.07, 1.0])
     def test_merged_blocks_match_the_full_softmax(self, blocks, temperature):
         clf, v = random_clf_and_vectors(7, 40, 8, temperature, seed=len(blocks))
-        want_margin, want_entropy = full_softmax_scores(v @ clf.embedding_matrix().T / temperature)
+        want_margin, want_entropy = full_softmax_scores(v @ clf.prototypes.T / temperature)
         stats = SoftmaxStats.of(sub_classifier(clf, blocks[0]), v)
         for block in blocks[1:]:
             stats = merged_stats(sub_classifier(clf, block), v, stats)
@@ -236,6 +223,10 @@ class TestSoftmaxStats:
         np.testing.assert_allclose(stats.entropy(), want_entropy, rtol=0.0, atol=1e-12)
         assert stats.margin()[0] == stats.margin()[20]
         assert stats.entropy()[0] == stats.entropy()[20]
+
+    def test_an_empty_classifier_has_no_statistics(self):
+        with pytest.raises(NoClasses):
+            SoftmaxStats.of(empty_classifier(), np.eye(2))
 
     def test_one_column_block(self):
         clf, v = random_clf_and_vectors(1, 5, 3, 0.07, seed=0)
@@ -282,14 +273,13 @@ class TestLogitTable:
         clf, v = random_clf_and_vectors(5, 30, 6, 0.07, seed=7)
         rng = np.random.default_rng(8)
         g = rng.standard_normal((5, 6))
-        stale = PrototypeClassifier(
-            dict(enumerate(g / np.linalg.norm(g, axis=1, keepdims=True))), 0.07, tuple(range(5)))
+        stale = PrototypeClassifier(np.arange(5), g / np.linalg.norm(g, axis=1, keepdims=True), 0.07)
         table = LogitTable(v, 0.07, 5)
         # Classes arrive out of id order and (3, 1) are set twice: the first
         # time from stale prototypes that the second update replaces.
-        table.update((3, 1), stale.embedding_matrix()[[3, 1]])
-        table.update((4, 0), clf.embedding_matrix()[[4, 0]])
-        table.update((1, 3, 2), clf.embedding_matrix()[[1, 3, 2]])
+        table.update((3, 1), stale.prototypes[[3, 1]])
+        table.update((4, 0), clf.prototypes[[4, 0]])
+        table.update((1, 3, 2), clf.prototypes[[1, 3, 2]])
         assert table.num_classes == 5
         want = SoftmaxStats.of(clf, v)
         got = table.stats()
@@ -374,7 +364,7 @@ class TestCoresetSelect:
         sel = coreset_select(store, 3, seed=0)
         assert sel.ids == [2, 0, 4]
         values = {0.0, 5.0, 9.0}
-        got = {float(store.vector(i)[0]) for i in sel.ids}
+        got = {float(v[0]) for v in store.vectors_for(sel.ids)}
         assert got == values
 
     def test_covering_radius_non_increasing(self):

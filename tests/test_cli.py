@@ -189,6 +189,27 @@ class TestSimulate:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    @pytest.mark.parametrize("name", ["var_floor", "temperature"])
+    def test_an_infinite_tunable_exits_2_with_a_config_error(self, world, tmp_path, monkeypatch,
+                                                             capsys, name, source):
+        extra = []
+        if source == "flag":
+            extra = ["--" + name.replace("_", "-"), "inf"]
+        elif source == "env":
+            monkeypatch.setenv("CBSEL_" + name.upper(), "inf")
+        else:
+            path = tmp_path / "run.json"
+            path.write_text('{"%s": Infinity}' % name)
+            extra = ["--config", str(path)]
+        rc = main(["simulate", "--plan", str(world["plan"]),
+                   "--features", str(world["features"]), "--strategy", "random",
+                   "--out", str(tmp_path / "x.json"), *extra])
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ConfigError"
+        assert manifest["message"] == f"{name} must be finite and > 0"
+
     def test_flag_overrides_env(self, world, tmp_path, monkeypatch):
         monkeypatch.setenv("CBSEL_ALPHA", "2.0")
         rc = main(["simulate", "--plan", str(world["plan"]),

@@ -22,9 +22,13 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         ("var_floor", 0.0),
         ("var_floor", -1.0),
+        ("var_floor", float("inf")),
+        ("var_floor", float("nan")),
         ("kmeans_max_iter", 0),
         ("kmeans_tol", 0.0),
         ("temperature", 0.0),
+        ("temperature", float("inf")),
+        ("temperature", float("nan")),
         ("alpha", -0.1),
         ("alpha", 1.1),
         ("replay_per_class", -1),

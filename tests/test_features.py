@@ -74,11 +74,11 @@ class TestConstruction:
 class TestLookups:
     def test_vector_by_id(self):
         store = small_store()
-        np.testing.assert_array_equal(store.vector(2), [3.0, 4.0])
+        np.testing.assert_array_equal(store.vectors_for([2]), [[3.0, 4.0]])
 
     def test_unknown_id(self):
         with pytest.raises(UnknownId):
-            small_store().vector(99)
+            small_store().vectors_for([99])
 
     def test_vectors_for_preserves_order(self):
         store = small_store()
@@ -107,7 +107,7 @@ class TestSubset:
         store = small_store().l2_normalize()
         sub = store.subset([1, 3])
         assert sub.normalized
-        np.testing.assert_array_equal(sub.vector(3), store.vector(3))
+        np.testing.assert_array_equal(sub.vectors_for([3]), store.vectors_for([3]))
 
     def test_subset_of_subset(self):
         sub = small_store().subset([3, 1, 0]).subset([0, 3])

@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbsel.errors import DimensionMismatch, EmptyInput
-from cbsel.gaussian import (
-    VAR_FLOOR,
-    DiagonalGaussian,
-    estimate,
-    estimate_grouped,
-    estimate_per_class,
-    kl_divergence,
-)
+from cbsel.gaussian import VAR_FLOOR, ClassGaussians, estimate, estimate_grouped, kl_divergence
 from reference_impls import EmptyAccumulator, MomentAccumulator, kl_divergence_batch, sample
 
 # 0.5 * (1/4 + ln 4 - 1), the divergence from N(0,1) to N(0,4)
@@ -23,27 +16,34 @@ KL_VARIANCE_CASE = 0.3181471805599453
 
 
 def gauss(mean, var):
+    """A one-row stack, of class 0."""
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     var = np.atleast_1d(np.asarray(var, dtype=np.float64))
-    return DiagonalGaussian(mean=mean, var=var, count=1)
+    return ClassGaussians([0], mean[None, :], var[None, :], [1])
+
+
+def kl(p, q):
+    """The divergence of two one-row stacks."""
+    return float(kl_divergence(p, q)[0])
 
 
 class TestEstimate:
     def test_population_moments(self):
         g = estimate(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(g.mean, [2.0, 3.0])
-        np.testing.assert_array_equal(g.var, [1.0, 1.0])
-        assert g.count == 2
+        np.testing.assert_array_equal(g.mean, [[2.0, 3.0]])
+        np.testing.assert_array_equal(g.var, [[1.0, 1.0]])
+        assert g.count.tolist() == [2]
+        assert g.classes.tolist() == [0]
 
     def test_single_vector_hits_the_floor(self):
         g = estimate(np.array([[5.0, -1.0]]))
-        np.testing.assert_array_equal(g.mean, [5.0, -1.0])
-        np.testing.assert_array_equal(g.var, [VAR_FLOOR, VAR_FLOOR])
+        np.testing.assert_array_equal(g.mean, [[5.0, -1.0]])
+        np.testing.assert_array_equal(g.var, [[VAR_FLOOR, VAR_FLOOR]])
 
     def test_constant_dimension_floored(self):
         g = estimate(np.array([[1.0, 0.0], [1.0, 2.0], [1.0, 4.0]]))
-        assert g.var[0] == VAR_FLOOR
-        np.testing.assert_allclose(g.var[1], 8.0 / 3.0)
+        assert g.var[0, 0] == VAR_FLOOR
+        np.testing.assert_allclose(g.var[0, 1], 8.0 / 3.0)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -51,7 +51,7 @@ class TestEstimate:
 
     def test_custom_floor(self):
         g = estimate(np.array([[1.0], [1.0]]), var_floor=0.5)
-        assert g.var[0] == 0.5
+        assert g.var[0, 0] == 0.5
 
 
 def reference_estimate(x, var_floor=VAR_FLOOR):
@@ -76,51 +76,55 @@ class TestEstimateGrouped:
         rng = np.random.default_rng(dim)
         x = rng.standard_normal((301, dim)) * rng.uniform(1e-3, 1e3, dim) + rng.uniform(-5, 5, dim)
         labels = grouped_labels(case, len(x), rng)
-        classes, means, variances, counts = estimate_grouped(x, labels, 1e-4)
-        assert classes.tolist() == sorted(set(labels.tolist()))
-        per_class = estimate_per_class(x, labels, 1e-4)
-        assert list(per_class) == classes.tolist()
-        for c, mean, var, n in zip(classes, means, variances, counts):
+        g = estimate_grouped(x, labels, 1e-4)
+        assert g.classes.dtype == np.int64
+        assert g.classes.tolist() == sorted(set(labels.tolist()))
+        assert len(g) == len(g.classes)
+        for c, mean, var, n in zip(g.classes, g.mean, g.var, g.count):
             rows = x[labels == c]
             want_mean, want_var = reference_estimate(rows, 1e-4)
-            assert n == len(rows) == per_class[c].count
-            for got in (mean, per_class[c].mean):
-                assert got.tobytes() == want_mean.tobytes()
-            for got in (var, per_class[c].var):
-                assert got.tobytes() == want_var.tobytes()
+            assert n == len(rows)
+            assert mean.tobytes() == want_mean.tobytes()
+            assert var.tobytes() == want_var.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 16, 64])
     def test_estimate_is_the_one_group_case(self, dim):
         x = np.random.default_rng(dim).standard_normal((257, dim))
         g = estimate(x)
         want_mean, want_var = reference_estimate(x)
-        assert g.mean.tobytes() == want_mean.tobytes()
-        assert g.var.tobytes() == want_var.tobytes()
-        assert g.count == 257
+        assert g.mean[0].tobytes() == want_mean.tobytes()
+        assert g.var[0].tobytes() == want_var.tobytes()
+        assert g.count.tolist() == [257]
 
     def test_one_dimension_sums_rows_in_order(self):
         # numpy sums a contiguous column pairwise; the grouped pass adds rows
         # in order, so D = 1 means are the in-order sum over n.
         x = np.random.default_rng(5).standard_normal(1000) * 1e3
         in_order = functools.reduce(operator.add, x.tolist(), 0.0) / len(x)
-        assert estimate(x[:, None]).mean[0] == in_order
+        assert estimate(x[:, None]).mean[0, 0] == in_order
 
     def test_no_rows_gives_no_classes(self):
-        classes, means, variances, counts = estimate_grouped(np.zeros((0, 3)), np.zeros(0, int))
-        assert classes.size == counts.size == 0
-        assert means.shape == variances.shape == (0, 3)
+        g = estimate_grouped(np.zeros((0, 3)), np.zeros(0, int))
+        assert len(g) == g.classes.size == g.count.size == 0
+        assert g.mean.shape == g.var.shape == (0, 3)
 
 
 class TestPerRow:
+    """A stack holds one Gaussian per row, and checks every row."""
+
     def test_equals_one_gaussian_per_row(self):
         rng = np.random.default_rng(4)
         means, variances = rng.standard_normal((3, 5)), rng.uniform(0.1, 2.0, (3, 5))
-        got = DiagonalGaussian.per_row(means, variances, np.array([4, 1, 9]))
-        for g, m, v, n in zip(got, means, variances, [4, 1, 9]):
-            want = DiagonalGaussian(m, v, n)
-            assert (g.mean.tobytes(), g.var.tobytes(), g.count) == (
-                want.mean.tobytes(), want.var.tobytes(), want.count)
-            assert type(g.count) is int
+        g = ClassGaussians([1, 4, 9], means, variances, [4, 1, 9])
+        assert len(g) == 3
+        assert (g.classes.dtype, g.mean.dtype, g.var.dtype, g.count.dtype) == (
+            np.int64, np.float64, np.float64, np.int64)
+        for row, (c, m, v, n) in enumerate(zip([1, 4, 9], means, variances, [4, 1, 9])):
+            got = g.take([row])
+            assert (got.classes.tolist(), got.count.tolist()) == ([c], [n])
+            assert got.mean.tobytes() == m.tobytes()
+            assert got.var.tobytes() == v.tobytes()
+        assert g.take([0, 2]).classes.tolist() == [1, 9]
 
     @pytest.mark.parametrize("means, variances, error", [
         (np.zeros((2, 3)), np.ones((2, 4)), DimensionMismatch),
@@ -131,36 +135,79 @@ class TestPerRow:
     ])
     def test_checks_the_stacks_like_one_gaussian(self, means, variances, error):
         with pytest.raises(error):
-            DiagonalGaussian.per_row(means, variances, np.ones(len(means), dtype=int))
+            ClassGaussians(np.arange(len(means)), means, variances, np.ones(len(means), dtype=int))
+
+    @pytest.mark.parametrize("classes, counts, error", [
+        ([0, 1, 2], [1, 1], DimensionMismatch),
+        ([0, 1], [1], DimensionMismatch),
+        ([1, 0], [1, 1], ValueError),
+        ([1, 1], [1, 1], ValueError),
+    ])
+    def test_checks_the_class_ids_and_counts(self, classes, counts, error):
+        with pytest.raises(error):
+            ClassGaussians(classes, np.zeros((2, 2)), np.ones((2, 2)), counts)
+
+    def test_an_infinite_floor_is_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate(np.ones((2, 2)), var_floor=np.inf)
 
 
 class TestKlDivergence:
     def test_identity_is_zero(self):
         p = gauss([0.3, -2.0], [1.5, 0.2])
-        assert kl_divergence(p, p) == 0.0
+        assert kl(p, p) == 0.0
 
     def test_unit_mean_shift(self):
-        assert abs(kl_divergence(gauss(0.0, 1.0), gauss(1.0, 1.0)) - 0.5) < 1e-12
+        assert abs(kl(gauss(0.0, 1.0), gauss(1.0, 1.0)) - 0.5) < 1e-12
 
     def test_variance_mismatch(self):
-        got = kl_divergence(gauss(0.0, 1.0), gauss(0.0, 4.0))
+        got = kl(gauss(0.0, 1.0), gauss(0.0, 4.0))
         assert abs(got - KL_VARIANCE_CASE) < 1e-12
 
     def test_asymmetry(self):
         p, q = gauss(0.0, 1.0), gauss(0.0, 4.0)
-        assert kl_divergence(p, q) != kl_divergence(q, p)
+        assert kl(p, q) != kl(q, p)
 
     def test_dimension_additivity(self):
         p1, q1 = gauss(0.0, 1.0), gauss(1.0, 2.0)
         p2, q2 = gauss(-1.0, 0.5), gauss(0.5, 1.5)
         joint_p = gauss([0.0, -1.0], [1.0, 0.5])
         joint_q = gauss([1.0, 0.5], [2.0, 1.5])
-        total = kl_divergence(p1, q1) + kl_divergence(p2, q2)
-        np.testing.assert_allclose(kl_divergence(joint_p, joint_q), total, rtol=1e-15)
+        total = kl(p1, q1) + kl(p2, q2)
+        np.testing.assert_allclose(kl(joint_p, joint_q), total, rtol=1e-15)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             kl_divergence(gauss([0.0], [1.0]), gauss([0.0, 0.0], [1.0, 1.0]))
+
+    def test_stacks_must_hold_the_same_classes(self):
+        p = ClassGaussians([1, 2], np.zeros((2, 2)), np.ones((2, 2)), [1, 1])
+        with pytest.raises(DimensionMismatch):
+            kl_divergence(p, ClassGaussians([1, 3], np.zeros((2, 2)), np.ones((2, 2)), [1, 1]))
+        with pytest.raises(DimensionMismatch):
+            kl_divergence(p, p.take([0]))
+
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_one_row_is_the_scalar_formula_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        mu_p, mu_q = rng.standard_normal((2, dim))
+        var_p, var_q = rng.uniform(1e-3, 3.0, (2, dim))
+        want = 0.5 * float(np.sum(
+            var_p / var_q + (mu_q - mu_p) ** 2 / var_q + np.log(var_q / var_p) - 1.0))
+        got = kl_divergence(gauss(mu_p, var_p), gauss(mu_q, var_q))
+        assert got.shape == (1,)
+        assert got[0] == want
+
+    def test_one_divergence_per_row(self):
+        rng = np.random.default_rng(6)
+        classes = [3, 8, 20, 21]
+        p = ClassGaussians(classes, rng.standard_normal((4, 16)), rng.uniform(0.1, 2.0, (4, 16)),
+                           [1] * 4)
+        q = ClassGaussians(classes, rng.standard_normal((4, 16)), rng.uniform(0.1, 2.0, (4, 16)),
+                           [1] * 4)
+        got = kl_divergence(p, q)
+        for row in range(4):
+            assert got[row] == kl_divergence(p.take([row]), q.take([row]))[0]
 
     @given(
         mu_p=st.floats(-5, 5), mu_q=st.floats(-5, 5),
@@ -168,7 +215,7 @@ class TestKlDivergence:
     )
     @settings(max_examples=200, deadline=None)
     def test_non_negative(self, mu_p, mu_q, var_p, var_q):
-        assert kl_divergence(gauss(mu_p, var_p), gauss(mu_q, var_q)) >= 0.0
+        assert kl(gauss(mu_p, var_p), gauss(mu_q, var_q)) >= 0.0
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(5)
@@ -177,7 +224,7 @@ class TestKlDivergence:
         variances = rng.uniform(0.1, 2.0, (10, 4))
         batch = kl_divergence_batch(p, means, variances)
         for i in range(10):
-            one = kl_divergence(p, gauss(means[i], variances[i]))
+            one = kl(p, gauss(means[i], variances[i]))
             np.testing.assert_allclose(batch[i], one, rtol=1e-12)
 
 
@@ -186,8 +233,8 @@ class TestSample:
         g = gauss([3.0, -1.0], [4.0, 0.25])
         draws = sample(g, 20000, np.random.default_rng(0))
         assert draws.shape == (20000, 2)
-        np.testing.assert_allclose(draws.mean(axis=0), g.mean, atol=3 * 2.0 / math.sqrt(20000))
-        np.testing.assert_allclose(draws.var(axis=0), g.var, rtol=0.05)
+        np.testing.assert_allclose(draws.mean(axis=0), g.mean[0], atol=3 * 2.0 / math.sqrt(20000))
+        np.testing.assert_allclose(draws.var(axis=0), g.var[0], rtol=0.05)
 
     def test_deterministic_under_seed(self):
         g = gauss([0.0], [1.0])

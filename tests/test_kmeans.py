@@ -5,7 +5,7 @@ from cbsel import kmeans as kmeans_module
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import KTooLarge, NotNormalized
 from cbsel.features import FeatureStore
-from cbsel.kmeans import Clustering, _assign, _inertia, _update, kmeans
+from cbsel.kmeans import Clustering, _assign, _inertia, _update, argmin_rows, kmeans
 from reference_impls import IndexOutOfRange, cluster_members
 
 
@@ -103,7 +103,7 @@ class TestSeparatedBlobs:
         centers = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         store = blob_store(centers, per_blob=30, sigma=0.02, seed=7)
         result = kmeans(store, 3, seed=13)
-        got = {frozenset(cluster_members(result, j)) for j in range(3)}
+        got = {frozenset(cluster_members(store, result, j)) for j in range(3)}
         want = {frozenset(range(0, 30)), frozenset(range(30, 60)), frozenset(range(60, 90))}
         assert got == want
 
@@ -178,6 +178,19 @@ class TestLloydStep:
         centroids = np.vstack([half, np.nextafter(half, np.inf)])
         np.testing.assert_array_equal(_assign(x, centroids), reference_assign(x, centroids))
 
+    @pytest.mark.parametrize("n", [1023, 2049, 5000])
+    def test_argmin_rows_matches_the_unblocked_argmin(self, n):
+        # Every column has an exact twin, so every row ties and must take the
+        # lower column of its pair in every block.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 12))
+        w = np.repeat(rng.standard_normal((12, 7)), 2, axis=1)
+        bias = np.repeat(rng.standard_normal(7), 2)
+        got = argmin_rows(x, w)
+        np.testing.assert_array_equal(got, np.argmin(x @ w, axis=1))
+        assert (got % 2 == 0).all()
+        np.testing.assert_array_equal(argmin_rows(x, w, bias), np.argmin(x @ w + bias, axis=1))
+
     def test_loop_matches_the_reference_step_bit_for_bit(self, large_pool, monkeypatch):
         # The benchmark-sized pool with k = 100, then five pools shaped like
         # the quality sweep's (about 300 rows, k = 20).
@@ -240,13 +253,13 @@ class TestClusterMembers:
     def test_sorted_ids(self):
         store = unit_store(np.eye(3), ids=[30, 10, 20])
         result = kmeans(store, 1, seed=0)
-        assert cluster_members(result, 0) == [10, 20, 30]
+        assert cluster_members(store, result, 0) == [10, 20, 30]
 
     def test_bad_cluster_index(self):
         store = unit_store(np.eye(3))
         result = kmeans(store, 2, seed=0)
         with pytest.raises(IndexOutOfRange):
-            cluster_members(result, 2)
+            cluster_members(store, result, 2)
 
     def test_clustering_is_a_dataclass(self):
         store = unit_store(np.eye(2))

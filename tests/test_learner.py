@@ -15,7 +15,8 @@ from cbsel.errors import (
     ZeroVector,
 )
 from cbsel.features import FeatureStore
-from cbsel.gaussian import DiagonalGaussian, estimate
+from cbsel.gaussian import ClassGaussians, estimate
+from cbsel.kmeans import ASSIGN_BLOCK_ROWS
 from cbsel.learner import (
     MemoryBuffer,
     PrototypeClassifier,
@@ -46,11 +47,7 @@ def predict_proba(clf, f):
 def orthogonal_clf(num_classes, temperature=1.0, dim=None):
     dim = dim or num_classes
     eye = np.eye(dim)
-    return PrototypeClassifier(
-        embeddings={c: eye[c] for c in range(num_classes)},
-        temperature=temperature,
-        classes_seen=tuple(range(num_classes)),
-    )
+    return PrototypeClassifier(np.arange(num_classes), eye[:num_classes], temperature)
 
 
 def blob_world(centers, per_class, sigma, seed, dim):
@@ -118,8 +115,7 @@ class TestPredict:
     def test_ties_go_to_the_lowest_class(self):
         # Each row is equally near two prototypes: its logits for them are
         # the same product, so argmax takes the lower class id.
-        clf = PrototypeClassifier({4: np.array([1.0, 0.0]), 9: np.array([0.0, 1.0]),
-                                   2: np.array([-1.0, 0.0])}, 0.07, (2, 4, 9))
+        clf = PrototypeClassifier([2, 4, 9], [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 0.07)
         rows = np.array([[INV_SQRT2, INV_SQRT2], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(predict(clf, rows), [4, 2, 9, 4])
 
@@ -128,7 +124,7 @@ class TestPredict:
         protos = random_unit(rng, 6, 5)
         rows = random_unit(rng, 200, 5)
         for tau in (0.01, 0.07, 1.0):
-            clf = PrototypeClassifier(dict(zip(range(10, 16), protos)), tau, tuple(range(10, 16)))
+            clf = PrototypeClassifier(np.arange(10, 16), protos, tau)
             want = 10 + np.argmax(rows @ protos.T, axis=1)
             np.testing.assert_array_equal(predict(clf, rows), want)
 
@@ -136,41 +132,51 @@ class TestPredict:
         with pytest.raises(NoClasses):
             predict(empty_classifier(), np.ones((1, 1)))
 
+    @pytest.mark.parametrize("n", [2 * ASSIGN_BLOCK_ROWS + 1, 3 * ASSIGN_BLOCK_ROWS + 17])
+    def test_blocked_rows_match_the_unblocked_argmax(self, n):
+        # Every pair of classes has a twin prototype, so every row ties and
+        # must go to the lower class of its pair, in every block.
+        rng = np.random.default_rng(n)
+        protos = random_unit(rng, 5, 8)
+        clf = PrototypeClassifier(np.arange(10), np.repeat(protos, 2, axis=0), 0.07)
+        rows = random_unit(rng, n, 8)
+        cols = np.argmax(rows @ clf.prototypes.T, axis=1)
+        assert (cols % 2 == 0).all()
+        np.testing.assert_array_equal(predict(clf, rows), clf.classes[cols])
+        allowed = [1, 2, 3, 8, 9]
+        want = np.array(allowed)[np.argmax(rows @ clf.prototypes[allowed].T, axis=1)]
+        np.testing.assert_array_equal(pseudo_label(clf, rows, allowed), want)
+
 
 class TestClassifierInvariants:
     def test_embeddings_must_be_unit(self):
         with pytest.raises(NotNormalized):
-            PrototypeClassifier(
-                embeddings={0: np.array([2.0, 0.0])}, temperature=1.0, classes_seen=(0,)
-            )
+            PrototypeClassifier([0], [[2.0, 0.0]], 1.0)
 
     def test_not_normalized_names_the_first_bad_class(self):
         eye = np.eye(3)
         with pytest.raises(NotNormalized, match="class 4 is not unit norm"):
-            PrototypeClassifier(
-                embeddings={2: eye[0], 4: 2.0 * eye[1], 7: 0.5 * eye[2]},
-                temperature=1.0, classes_seen=(2, 4, 7),
-            )
+            PrototypeClassifier([2, 4, 7], [eye[0], 2.0 * eye[1], 0.5 * eye[2]], 1.0)
 
     def test_embedding_matrix_is_the_read_only_stack(self):
-        clf = orthogonal_clf(3)
-        matrix = clf.embedding_matrix()
-        np.testing.assert_array_equal(matrix, np.eye(3))
-        assert matrix is clf.embedding_matrix()
-        assert not matrix.flags.writeable
+        # The prototypes and their class ids are read-only copies.
+        classes, protos = np.arange(3), np.eye(3)
+        clf = PrototypeClassifier(classes, protos, 1.0)
+        classes[0], protos[0, 0] = 7, 0.0
+        np.testing.assert_array_equal(clf.prototypes, np.eye(3))
+        assert clf.classes.tolist() == [0, 1, 2]
+        assert clf.classes.dtype == np.int64
+        assert not clf.prototypes.flags.writeable
+        assert not clf.classes.flags.writeable
 
     def test_classes_must_match_embeddings(self):
         with pytest.raises(ValueError):
-            PrototypeClassifier(
-                embeddings={0: np.array([1.0, 0.0])}, temperature=1.0, classes_seen=(0, 1)
-            )
+            PrototypeClassifier([0, 1], [[1.0, 0.0]], 1.0)
 
     def test_classes_must_be_sorted_unique(self):
-        eye = np.eye(2)
-        with pytest.raises(ValueError):
-            PrototypeClassifier(
-                embeddings={1: eye[1], 0: eye[0]}, temperature=1.0, classes_seen=(1, 0)
-            )
+        for classes in ([1, 0], [0, 0]):
+            with pytest.raises(ValueError):
+                PrototypeClassifier(classes, np.eye(2), 1.0)
 
 
 class TestPseudoLabel:
@@ -193,8 +199,8 @@ class TestPseudoLabel:
             np.linalg.norm(a - b) for i, a in enumerate(centers) for b in centers[i + 1:]
         ) / 20.0
         store, labels = blob_world(centers, per_class=50, sigma=sigma, seed=6, dim=dim)
-        protos = {c: centers[c] / np.linalg.norm(centers[c]) for c in range(3)}
-        clf = PrototypeClassifier(embeddings=protos, temperature=0.07, classes_seen=(0, 1, 2))
+        protos = centers / np.linalg.norm(centers, axis=1)[:, None]
+        clf = PrototypeClassifier(np.arange(3), protos, 0.07)
         got = pseudo_label(clf, store.vectors, allowed={0, 1, 2})
         assert np.mean(got == np.asarray(labels)) >= 0.95
 
@@ -235,10 +241,11 @@ class TestEstimateClassDistributions:
         store, labels = blob_world(np.eye(2), per_class=20, sigma=0.1, seed=3, dim=2)
         labeled = pair(store.ids, labels)
         with_empty = estimate_class_distributions(labeled, NO_LABELS, store, classes={0, 1})
+        assert with_empty.classes.tolist() == [0, 1]
         for c in (0, 1):
             direct = estimate(store.vectors_for(labeled[0][labeled[1] == c]))
-            np.testing.assert_array_equal(with_empty[c].mean, direct.mean)
-            np.testing.assert_array_equal(with_empty[c].var, direct.var)
+            np.testing.assert_array_equal(with_empty.mean[c], direct.mean[0])
+            np.testing.assert_array_equal(with_empty.var[c], direct.var[0])
 
     def test_disjoint_halves_equal_full_estimate(self):
         store, labels = blob_world(np.eye(2)[[0]], per_class=60, sigma=0.1, seed=4, dim=2)
@@ -246,16 +253,16 @@ class TestEstimateClassDistributions:
         got = estimate_class_distributions(
             (ids[:30], classes[:30]), (ids[30:], classes[30:]), store, classes={0})
         direct = estimate(store.vectors)
-        np.testing.assert_array_equal(got[0].mean, direct.mean)
-        np.testing.assert_array_equal(got[0].var, direct.var)
+        np.testing.assert_array_equal(got.mean, direct.mean)
+        np.testing.assert_array_equal(got.var, direct.var)
 
     def test_true_label_wins_on_conflict(self):
         store = FeatureStore(np.eye(2), normalized=True)
         got = estimate_class_distributions(
             pair([0], [0]), pair([0, 1], [1, 1]), store, classes={0, 1}
         )
-        np.testing.assert_array_equal(got[0].mean, store.vector(0))
-        np.testing.assert_array_equal(got[1].mean, store.vector(1))
+        np.testing.assert_array_equal(got.mean, store.vectors_for([0, 1]))
+        assert got.count.tolist() == [1, 1]
 
     def test_one_mislabeled_point_shifts_the_mean_by_1_over_n_plus_1(self):
         rng = np.random.default_rng(9)
@@ -263,8 +270,8 @@ class TestEstimateClassDistributions:
         outlier = np.array([-5.0, 2.0, 2.0])
         store = FeatureStore(np.vstack([x, outlier[None, :]]))
         labeled = pair(range(100), [0] * 100)
-        base = estimate_class_distributions(labeled, NO_LABELS, store, classes={0})[0]
-        shifted = estimate_class_distributions(labeled, pair([100], [0]), store, classes={0})[0]
+        base = estimate_class_distributions(labeled, NO_LABELS, store, classes={0})
+        shifted = estimate_class_distributions(labeled, pair([100], [0]), store, classes={0})
         want = (outlier - base.mean) / 101.0
         np.testing.assert_allclose(shifted.mean - base.mean, want, atol=1e-12)
 
@@ -288,7 +295,7 @@ class TestEstimateClassDistributions:
         # labels are the pseudo_label classes of their rows.
         rng = np.random.default_rng(n * 10 + dim)
         store = FeatureStore(rng.standard_normal((n, dim)))
-        clf = PrototypeClassifier(dict(zip(range(4), random_unit(rng, 4, dim))), 0.07, (0, 1, 2, 3))
+        clf = PrototypeClassifier(np.arange(4), random_unit(rng, 4, dim), 0.07)
         ids = st.integers(0, n - 1)
         labeled_ids = data.draw(st.lists(ids, unique=True, min_size=1))
         labeled = pair(labeled_ids, data.draw(st.lists(
@@ -315,26 +322,26 @@ class TestEstimateClassDistributions:
         if isinstance(want, int):
             assert got == want
             return
-        assert list(got) == list(want)
-        for c, g in want.items():
-            np.testing.assert_array_equal(got[c].mean, g.mean)
-            np.testing.assert_array_equal(got[c].var, g.var)
-            assert got[c].count == g.count
+        assert got.classes.tolist() == want.classes.tolist()
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.var.tobytes() == want.var.tobytes()
+        assert got.count.tolist() == want.count.tolist()
 
 
 def reference_rehearse(clf, buffer, replay_per_class, seed, alpha):
     """The per-class loop the stacked `rehearse` replaced, drawing every class
-    in ascending order from the session's one replay stream; returns
-    embeddings."""
+    in ascending order from the session's one replay stream; returns a
+    class -> prototype dict."""
     def unit(v):
         return v / float(np.linalg.norm(v))
 
-    embeddings = dict(clf.embeddings)
+    prototypes = dict(zip(clf.classes.tolist(), clf.prototypes))
     rng = derive_rng(seed, "replay")
-    for c in sorted(buffer.distributions):
-        replayed = sample(buffer.distributions[c], replay_per_class, rng)
-        embeddings[c] = unit(alpha * embeddings[c] + (1.0 - alpha) * unit(replayed.mean(axis=0)))
-    return embeddings
+    g = buffer.distributions
+    for row, c in enumerate(g.classes.tolist()):
+        replayed = sample(g.take([row]), replay_per_class, rng)
+        prototypes[c] = unit(alpha * prototypes[c] + (1.0 - alpha) * unit(replayed.mean(axis=0)))
+    return prototypes
 
 
 def random_unit(rng, n, dim):
@@ -350,18 +357,14 @@ class TestRehearse:
         rng = np.random.default_rng(dim + replay_per_class)
         classes = (3, 7, 11, 40, 41)
         protos = random_unit(rng, len(classes), dim)
-        clf = PrototypeClassifier(dict(zip(classes, protos)), 0.07, classes)
-        buffer = MemoryBuffer({
-            c: DiagonalGaussian(protos[j] + 0.1 * rng.standard_normal(dim),
-                                rng.uniform(1e-6, 0.05, dim), 10)
-            for j, c in enumerate(classes[:4])
-        })
+        clf = PrototypeClassifier(classes, protos, 0.07)
+        buffer = MemoryBuffer(ClassGaussians(
+            classes[:4], protos[:4] + 0.1 * rng.standard_normal((4, dim)),
+            rng.uniform(1e-6, 0.05, (4, dim)), [10] * 4))
         got = rehearse(clf, buffer, replay_per_class, seed=13, alpha=alpha)
         want = reference_rehearse(clf, buffer, replay_per_class, 13, alpha)
-        assert got.classes_seen == classes
-        for c in classes:
-            assert got.embeddings[c].tobytes() == want[c].tobytes()
-        assert got.embedding_matrix().tobytes() == np.stack([want[c] for c in classes]).tobytes()
+        assert got.classes.tolist() == list(classes)
+        assert got.prototypes.tobytes() == np.stack([want[c] for c in classes]).tobytes()
 
     def test_empty_buffer_returns_the_classifier(self):
         clf = orthogonal_clf(2)
@@ -370,10 +373,15 @@ class TestRehearse:
     def test_opposite_blend_is_a_zero_vector_naming_the_class(self):
         # In one dimension every replay mean normalizes to [1.0], so an old
         # prototype of [-1.0] blends to exactly zero at alpha = 0.5.
-        clf = PrototypeClassifier({0: np.array([1.0]), 5: np.array([-1.0])}, 0.07, (0, 5))
-        g = DiagonalGaussian(np.array([5.0]), np.array([1e-6]), 3)
+        clf = PrototypeClassifier([0, 5], [[1.0], [-1.0]], 0.07)
+        g = ClassGaussians([0, 5], [[5.0], [5.0]], [[1e-6], [1e-6]], [3, 3])
         with pytest.raises(ZeroVector, match="blended prototype of class 5"):
-            rehearse(clf, MemoryBuffer({0: g, 5: g}), replay_per_class=4, seed=2, alpha=0.5)
+            rehearse(clf, MemoryBuffer(g), replay_per_class=4, seed=2, alpha=0.5)
+
+    def test_a_buffered_class_the_classifier_lacks_is_rejected(self):
+        g = ClassGaussians([1, 5], [[1.0, 0.0], [0.0, 1.0]], np.ones((2, 2)), [3, 3])
+        with pytest.raises(ValueError, match="classes the classifier lacks"):
+            rehearse(orthogonal_clf(2), MemoryBuffer(g), replay_per_class=4, seed=2)
 
 
 class TestNewClassPrototypes:
@@ -382,9 +390,9 @@ class TestNewClassPrototypes:
         rng = np.random.default_rng(dim)
         store = FeatureStore(rng.standard_normal((90, dim)), normalized=True)
         ids, classes = rng.permutation(90)[:60], rng.choice([8, 2, 30], 60)
-        got = new_class_prototypes(empty_classifier(), (ids, classes), store)
-        assert list(got) == [2, 8, 30]
-        for c, proto in got.items():
+        got_classes, got = new_class_prototypes(empty_classifier(), (ids, classes), store)
+        assert got_classes.tolist() == [2, 8, 30]
+        for c, proto in zip(got_classes, got):
             mean = store.vectors_for(ids[classes == c]).mean(axis=0)
             assert proto.tobytes() == (mean / float(np.linalg.norm(mean))).tobytes()
 
@@ -393,8 +401,8 @@ class TestTrainSession:
     def test_first_session_prototype_is_normalized_mean(self):
         store = FeatureStore(np.array([[1.0, 0.0], [0.0, 1.0]]), normalized=True)
         clf = train_session(empty_classifier(), MemoryBuffer(), pair([0, 1], [0, 0]), store)
-        np.testing.assert_allclose(clf.embeddings[0], [INV_SQRT2, INV_SQRT2], atol=1e-12)
-        assert clf.classes_seen == (0,)
+        np.testing.assert_allclose(clf.prototypes, [[INV_SQRT2, INV_SQRT2]], atol=1e-12)
+        assert clf.classes.tolist() == [0]
 
     def test_no_replay_keeps_old_embeddings(self):
         store, labels = blob_world(np.eye(4), per_class=5, sigma=0.05, seed=0, dim=4)
@@ -404,9 +412,8 @@ class TestTrainSession:
         buffer = MemoryBuffer().update(estimate_class_distributions(first, NO_LABELS, store, {0, 1}))
         for kwargs in ({"replay_per_class": 0}, {"alpha": 1.0}):
             clf2 = train_session(clf1, buffer, second, store, seed=3, **kwargs)
-            for c in (0, 1):
-                np.testing.assert_array_equal(clf2.embeddings[c], clf1.embeddings[c])
-            assert clf2.classes_seen == (0, 1, 2, 3)
+            np.testing.assert_array_equal(clf2.prototypes[:2], clf1.prototypes)
+            assert clf2.classes.tolist() == [0, 1, 2, 3]
 
     def test_replay_moves_old_embeddings(self):
         store, labels = blob_world(np.eye(4), per_class=5, sigma=0.05, seed=0, dim=4)
@@ -415,8 +422,8 @@ class TestTrainSession:
         clf1 = train_session(empty_classifier(), MemoryBuffer(), first, store)
         buffer = MemoryBuffer().update(estimate_class_distributions(first, NO_LABELS, store, {0, 1}))
         clf2 = train_session(clf1, buffer, second, store, replay_per_class=20, seed=3, alpha=0.5)
-        assert not np.array_equal(clf2.embeddings[0], clf1.embeddings[0])
-        np.testing.assert_allclose(np.linalg.norm(clf2.embeddings[0]), 1.0, atol=1e-9)
+        assert not np.array_equal(clf2.prototypes[0], clf1.prototypes[0])
+        np.testing.assert_allclose(np.linalg.norm(clf2.prototypes[0]), 1.0, atol=1e-9)
 
     def test_is_rehearse_plus_the_new_class_prototypes(self):
         store, labels = blob_world(np.eye(4), per_class=5, sigma=0.05, seed=0, dim=4)
@@ -426,9 +433,8 @@ class TestTrainSession:
         buffer = MemoryBuffer().update(estimate_class_distributions(first, NO_LABELS, store, {0, 1}))
         clf2 = train_session(clf1, buffer, second, store, replay_per_class=20, seed=3, alpha=0.5)
         rehearsed = rehearse(clf1, buffer, replay_per_class=20, seed=3, alpha=0.5)
-        assert rehearsed.classes_seen == (0, 1)
-        for c in (0, 1):
-            np.testing.assert_array_equal(clf2.embeddings[c], rehearsed.embeddings[c])
+        assert rehearsed.classes.tolist() == [0, 1]
+        np.testing.assert_array_equal(clf2.prototypes[:2], rehearsed.prototypes)
         for kwargs in ({"replay_per_class": 0}, {"alpha": 1.0}):
             assert rehearse(clf1, buffer, seed=3, **kwargs) is clf1
 
@@ -455,7 +461,7 @@ class TestTrainSession:
         clf = train_session(
             empty_classifier(), MemoryBuffer(), pair([0], [0]), store, class_space={0, 1}
         )
-        assert clf.classes_seen == (0,)
+        assert clf.classes.tolist() == [0]
 
     def test_replay_with_accurate_distributions_protects_old_classes(self):
         # Session-1 prototypes come from 3 noisy labels; the stored Gaussians
@@ -503,22 +509,67 @@ class TestTrainSession:
         assert wins >= 9
 
 
+def stack(*classes):
+    """A stack of one-dimensional Gaussians whose means are their class ids."""
+    n = len(classes)
+    return ClassGaussians(classes, np.array(classes, dtype=float)[:, None], np.ones((n, 1)), [2] * n)
+
+
 class TestMemoryBuffer:
-    def g(self, mean):
-        from cbsel.gaussian import DiagonalGaussian
-        return DiagonalGaussian(np.array([float(mean)]), np.array([1.0]), count=2)
+    def test_starts_empty(self):
+        assert len(MemoryBuffer().distributions) == 0
 
     def test_update_is_a_union(self):
-        buf = MemoryBuffer().update({0: self.g(0)}).update({1: self.g(1), 2: self.g(2)})
-        assert buf.classes() == (0, 1, 2)
+        buf = MemoryBuffer().update(stack(0)).update(stack(1, 2))
+        assert buf.distributions.classes.tolist() == [0, 1, 2]
+        assert buf.distributions.mean[:, 0].tolist() == [0.0, 1.0, 2.0]
 
     def test_collision_rejected(self):
-        buf = MemoryBuffer().update({0: self.g(0)})
-        with pytest.raises(ValueError):
-            buf.update({0: self.g(5)})
+        buf = MemoryBuffer().update(stack(0, 3))
+        with pytest.raises(ValueError, match=r"\[3\]"):
+            buf.update(stack(1, 3))
 
     def test_update_does_not_mutate(self):
-        buf = MemoryBuffer().update({0: self.g(0)})
-        buf.update({1: self.g(1)})
-        assert buf.classes() == (0,)
+        buf = MemoryBuffer().update(stack(0))
+        buf.update(stack(1))
+        assert buf.distributions.classes.tolist() == [0]
 
+
+class TestClassOrderMerge:
+    """Sessions whose class ids fall below the classes already learned: the
+    new rows go before the old ones in every stack."""
+
+    def sessions(self):
+        store, labels = blob_world(spread_centers(5, 6, seed=8), per_class=9, sigma=0.2, seed=1,
+                                   dim=6)
+        # Session 1 learns classes 2 and 4, session 2 classes 0, 1 and 3.
+        return store, labeled_where(store, labels, (2, 4)), labeled_where(store, labels, (0, 1, 3))
+
+    def test_buffer_rows_are_the_per_class_estimates(self):
+        store, first, second = self.sessions()
+        buf = MemoryBuffer().update(
+            estimate_class_distributions(first, NO_LABELS, store, {2, 4})).update(
+            estimate_class_distributions(second, NO_LABELS, store, {0, 1, 3}))
+        g = buf.distributions
+        assert g.classes.tolist() == [0, 1, 2, 3, 4]
+        for row, c in enumerate(g.classes.tolist()):
+            labeled = first if c in (2, 4) else second
+            want = estimate(store.vectors_for(labeled[0][labeled[1] == c]))
+            assert g.mean[row].tobytes() == want.mean[0].tobytes()
+            assert g.var[row].tobytes() == want.var[0].tobytes()
+            assert g.count[row] == want.count[0]
+
+    @pytest.mark.parametrize("replay_per_class, alpha", [(0, 0.5), (20, 0.5), (7, 0.0)])
+    def test_train_session_rows_are_the_per_class_references(self, replay_per_class, alpha):
+        store, first, second = self.sessions()
+        clf1 = train_session(empty_classifier(), MemoryBuffer(), first, store)
+        buf = MemoryBuffer().update(estimate_class_distributions(first, NO_LABELS, store, {2, 4}))
+        clf2 = train_session(clf1, buf, second, store, replay_per_class, seed=5, alpha=alpha)
+        assert clf2.classes.tolist() == [0, 1, 2, 3, 4]
+        want = (reference_rehearse(clf1, buf, replay_per_class, 5, alpha)
+                if replay_per_class else dict(zip(clf1.classes.tolist(), clf1.prototypes)))
+        for c in (0, 1, 3):
+            rows = second[1] == c
+            _, proto = new_class_prototypes(clf1, (second[0][rows], second[1][rows]), store)
+            want[c] = proto[0]
+        assert clf2.prototypes.tobytes() == np.stack([want[c] for c in range(5)]).tobytes()

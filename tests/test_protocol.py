@@ -220,16 +220,14 @@ class TestSelectedVsFullKl:
             members = np.flatnonzero(labels == c).tolist()
             chosen = [i for i in members if i in selected]
             if chosen:
-                expected[c] = kl_divergence(estimate(store.vectors_for(members), 0.01),
-                                            estimate(store.vectors_for(chosen), 0.01))
+                expected[c] = float(kl_divergence(estimate(store.vectors_for(members), 0.01),
+                                                  estimate(store.vectors_for(chosen), 0.01))[0])
         assert selected_vs_full_kl(selected, store, oracle, 0.01) == expected
 
 
 class TestEvaluate:
     def test_constant_predictor_on_its_own_class(self):
-        clf = PrototypeClassifier(
-            embeddings={0: np.array([1.0, 0.0])}, temperature=0.07, classes_seen=(0,)
-        )
+        clf = PrototypeClassifier([0], [[1.0, 0.0]], 0.07)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((10, 2))
         x /= np.linalg.norm(x, axis=1)[:, None]
@@ -242,9 +240,7 @@ class TestEvaluate:
             rng = np.random.default_rng(seed)
             g = rng.standard_normal((2, 6))
             g /= np.linalg.norm(g, axis=1)[:, None]
-            clf = PrototypeClassifier(
-                embeddings={0: g[0], 1: g[1]}, temperature=0.07, classes_seen=(0, 1)
-            )
+            clf = PrototypeClassifier([0, 1], g, 0.07)
             x = rng.standard_normal((100, 6))
             x /= np.linalg.norm(x, axis=1)[:, None]
             labels = np.repeat([0, 1], 50)
@@ -256,15 +252,14 @@ class TestEvaluate:
         store, plan = tiny_world(seed=3)
         sess = plan.sessions[0]
         oracle = Oracle.from_store(store)
-        protos = {}
+        protos = []
         pool_ids = np.array(sess.pool_ids)
-        for c in sess.class_space:
+        classes = sorted(sess.class_space)
+        for c in classes:
             ids = pool_ids[oracle.labels_of(pool_ids) == c]
             m = store.vectors_for(ids).mean(axis=0)
-            protos[c] = m / np.linalg.norm(m)
-        clf = PrototypeClassifier(
-            embeddings=protos, temperature=0.07, classes_seen=tuple(sorted(sess.class_space))
-        )
+            protos.append(m / np.linalg.norm(m))
+        clf = PrototypeClassifier(classes, protos, 0.07)
         assert evaluate(clf, store.subset(sess.test_ids), oracle) == (1.0,)
 
     @pytest.mark.parametrize("sessions", [1, 2])
@@ -277,8 +272,7 @@ class TestEvaluate:
         old = [c for s in specs[:-1] for c in s.class_space]
         classes = tuple(sorted((*new, *old)))
         g = np.random.default_rng(1).standard_normal((len(classes), store.dim))
-        clf = PrototypeClassifier(
-            dict(zip(classes, g / np.linalg.norm(g, axis=1)[:, None])), 0.07, classes)
+        clf = PrototypeClassifier(classes, g / np.linalg.norm(g, axis=1)[:, None], 0.07)
         ids = np.array([i for s in specs for i in s.test_ids])
         labels = oracle.labels_of(ids)
         want = (
@@ -290,9 +284,7 @@ class TestEvaluate:
         assert 0.0 < want[0] < 1.0
 
     def test_empty_test_set(self):
-        clf = PrototypeClassifier(
-            embeddings={0: np.array([1.0, 0.0])}, temperature=0.07, classes_seen=(0,)
-        )
+        clf = PrototypeClassifier([0], [[1.0, 0.0]], 0.07)
         store = FeatureStore(np.ones((1, 2)), normalized=True).subset([])
         with pytest.raises(EmptyTestSet):
             evaluate(clf, store, Oracle.from_store(store))
@@ -399,13 +391,38 @@ class TestRun:
         assert err.value.session == 2
         assert isinstance(err.value.__cause__, EmptyTestSet)
 
+    @pytest.mark.parametrize("strategy", ["cbs", "margin"])
+    def test_sessions_with_lower_class_ids_merge_in_class_order(self, monkeypatch, strategy):
+        # Generated worlds number classes upward; reversed, every session's
+        # classes fall below the ones already learned.
+        store, plan = tiny_world(seed=5, num_sessions=3)
+        plan = dataclasses.replace(plan, sessions=plan.sessions[::-1])
+        seen = []
+        train = protocol.train_session
+
+        def spy(clf, buffer, *args, **kwargs):
+            out = train(clf, buffer, *args, **kwargs)
+            seen.append((buffer.distributions.classes.tolist(), out.classes.tolist()))
+            return out
+
+        monkeypatch.setattr(protocol, "train_session", spy)
+        cfg = RunConfig(use_unlabeled_distributions=True)
+        report = run(plan, strategy, store, cfg)
+        learned = []
+        for (buffered, classes), sess, sess_report in zip(seen, plan.sessions, report.per_session):
+            assert buffered == learned
+            assert classes == sorted(learned + [c for c, n in sess_report.per_class_counts.items()
+                                                if n])
+            learned = classes
+        assert learned[0] < plan.sessions[0].class_space[0]
+
     def test_var_floor_reaches_the_replay_gaussians(self, monkeypatch):
         stored = []
         estimate_class_distributions = protocol.estimate_class_distributions
 
         def spy(*args, **kwargs):
             out = estimate_class_distributions(*args, **kwargs)
-            stored.extend(out.values())
+            stored.append(out)
             return out
 
         monkeypatch.setattr(protocol, "estimate_class_distributions", spy)
@@ -520,9 +537,9 @@ class TestUncertaintyRounds:
                 ids = selection.ids[:n]
                 labels = oracle.labels_of(ids)
                 assert classes == sorted(set(labels[n - cfg.round_size:].tolist()))
-                want = new_class_prototypes(clf, (ids, labels), work, sess.class_space)
+                want_classes, want = new_class_prototypes(clf, (ids, labels), work, sess.class_space)
                 for c, prototype in zip(classes, prototypes):
-                    np.testing.assert_array_equal(prototype, want[c])
+                    np.testing.assert_array_equal(prototype, want[want_classes.searchsorted(c)])
 
     @pytest.mark.parametrize("strategy", ["margin", "entropy"])
     @pytest.mark.parametrize("round_size, world", [
@@ -560,9 +577,9 @@ class TestUncertaintyRounds:
                 if ids:
                     new = new_class_prototypes(clf, (ids, oracle.labels_of(ids)), work,
                                                sess.class_space)
-                    round_clf = PrototypeClassifier(new, clf.temperature, tuple(sorted(new)))
-                    logits = round_clf.embedding_matrix() @ vectors.T / clf.temperature
-                    want = softmax_stats(round_clf.classes_seen, logits, want)
+                    new_classes, protos = new
+                    logits = protos @ vectors.T / clf.temperature
+                    want = softmax_stats(tuple(new_classes.tolist()), logits, want)
                 assert stats.classes == want.classes
                 # In ulps of the largest logit 1/T for top and second, of z for
                 # z, and of z/T for s (which cancels); the worlds below
