@@ -16,17 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceedsPool, DegenerateClassifier, NoClasses
+from .errors import DegenerateClassifier, NoClasses
 from .features import FeatureStore
 from .learner import PrototypeClassifier
-from .selection import Selection
-
-
-def _check_budget(pool, budget: int) -> None:
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if budget > len(pool):
-        raise BudgetExceedsPool(f"budget {budget} exceeds pool size {len(pool)}")
+from .selection import Selection, _check_budget
 
 
 def random_select(store: FeatureStore, budget: int, seed: int) -> Selection:

@@ -24,6 +24,12 @@ from .learner import DEFAULT_ALPHA, DEFAULT_REPLAY_PER_CLASS, DEFAULT_TEMPERATUR
 CONFIG_SCHEMA_VERSION = 1
 ENV_PREFIX = "CBSEL_"
 
+# Smallest accepted temperature. Prototypes and feature rows are unit
+# vectors, so a cosine logit is at most about 1 / T in magnitude and a
+# difference of two logits about 2 / T; from T = 1e-300 up both stay far
+# below float64's overflow at 1.8e308; a subnormal T can overflow them.
+TEMPERATURE_FLOOR = 1e-300
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -33,7 +39,7 @@ class RunConfig:
     var_floor: float = VAR_FLOOR                      # finite, > 0; minimum per-dimension variance
     kmeans_max_iter: int = DEFAULT_MAX_ITER           # >= 1
     kmeans_tol: float = DEFAULT_TOL                   # > 0; max centroid displacement to converge
-    temperature: float = DEFAULT_TEMPERATURE          # finite, > 0; cosine-softmax temperature
+    temperature: float = DEFAULT_TEMPERATURE          # finite, >= 1e-300 or logits overflow; cosine-softmax temperature
     alpha: float = DEFAULT_ALPHA                      # [0, 1]; weight of the previous prototype in replay blending
     replay_per_class: int = DEFAULT_REPLAY_PER_CLASS  # >= 0; pseudo-features sampled per old class
     round_size: int = 20                              # >= 1; labels per uncertainty round
@@ -48,6 +54,9 @@ class RunConfig:
             raise ConfigError("kmeans_tol must be > 0")
         if not 0.0 < self.temperature < math.inf:
             raise ConfigError("temperature must be finite and > 0")
+        if self.temperature < TEMPERATURE_FLOOR:
+            raise ConfigError(f"temperature must be >= {TEMPERATURE_FLOOR:g}, "
+                              "or the cosine logits overflow")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
         if self.replay_per_class < 0:

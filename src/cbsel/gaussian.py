@@ -83,7 +83,7 @@ def estimate_grouped(vectors: np.ndarray, labels: np.ndarray,
 def _group_moments(arr, group, counts, var_floor):
     """(C, D) means and floored variances of the rows of each group; row i
     is in group `group[i]` and group c has `counts[c]` rows."""
-    # One bincount over (group, dimension) bins, as kmeans._update sums: each
+    # One bincount over (group, dimension) bins, as in kmeans._sums: each
     # bin adds its rows in row order from 0.0, which for D >= 2 gives the bits
     # of arr.mean(axis=0) on the group's rows. For D = 1 numpy sums the
     # contiguous column pairwise instead, so those bits differ.

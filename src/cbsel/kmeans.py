@@ -1,6 +1,24 @@
 """Seeded k-means on normalized features: k-means++ init, Lloyd iterations,
 empty-cluster repair. Squared Euclidean distance on the unit sphere orders
-points the same way cosine distance does."""
+points the same way cosine distance does.
+
+Results have the bits of the plain algorithm (tests/reference_impls.py
+keeps it). On pools of 2 * ASSIGN_BLOCK_ROWS rows or more, three steps do
+less work for the same bits:
+
+- k-means++ seeding keeps each row's squared distance d2 to its nearest
+  center. A new center lowers d2 only on rows nearer to it than that. The
+  norm-expanded distance |x|^2 + |c|^2 - 2 x.c, one product x @ c per
+  center against row norms computed once, picks those rows out: the exact
+  distance and np.minimum run only where the expanded distance is at most
+  d2 plus a margin that bounds its rounding error (see _plus_plus_init).
+  On every other row the exact distance is above d2, where np.minimum keeps
+  d2, so every d2, every draw and every center is unchanged.
+- argmin_rows adds the bias to whole 64-row tiles in one contiguous add.
+- After the first Lloyd step only the clusters whose membership changed
+  are summed again, from their rows in ascending order, as the full sum
+  adds them.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +33,8 @@ DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-4
 # Fewest rows per block of argmin_rows's scores (see there).
 ASSIGN_BLOCK_ROWS = 1024
+# Rows per tile of argmin_rows's bias add on large inputs (see there).
+BIAS_TILE_ROWS = 64
 
 
 @dataclass
@@ -54,11 +74,25 @@ def kmeans(
     centroids = _plus_plus_init(x, k, rng)
     assign = _assign(x, centroids)
     bins = np.empty(x.shape, dtype=np.int64)
+    # On large pools, after the first step only the clusters whose
+    # membership changed are summed again.
+    resum = n >= 2 * ASSIGN_BLOCK_ROWS
+    changed = None  # None: sum every cluster
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        new_centroids = _update(x, assign, centroids, k, bins)
-        assign = _assign(x, new_centroids)
+        if changed is None:
+            sums = _sums(x, assign, k, bins)
+        else:
+            sums = _resum(x, assign, changed, sums, k, bins)
+        new_centroids = _means(sums, np.bincount(assign, minlength=k), centroids)
+        new_assign = _assign(x, new_centroids)
+        if resum:
+            moved = new_assign != assign
+            changed = np.zeros(k, dtype=bool)
+            changed[assign[moved]] = True
+            changed[new_assign[moved]] = True
+        assign = new_assign
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol:
@@ -76,28 +110,82 @@ def kmeans(
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
+    """k-means++ centers: the first uniformly, each next one drawn with
+    probability proportional to `d2`, the squared distance to its nearest
+    center so far.
+
+    On pools of 2 * ASSIGN_BLOCK_ROWS rows or more, a new center c measures
+    exactly (`_dist2_to`) only the rows whose expanded distance
+    e = |x|^2 + |c|^2 - 2 x.c is at most `margin` above their d2.
+
+    Error bound: let t be |x - c|^2 in exact arithmetic, u = eps / 2, and
+    R^2 the largest |x|^2 floored at 1. The exact path rounds D differences,
+    D squares and a D-term sum, so it is within
+    (D + 2) u t <= (D + 2) u (|x| + |c|)^2 of t to first order. e rounds
+    three D-term sums and two additions, so it is within
+    (D + 2) u (|x| + |c|)^2 of t as well. As (|x| + |c|)^2 <= 4 R^2, the two
+    differ by at most 4 (D + 2) eps R^2. `margin` is four times that; the
+    slack covers the second-order terms, R^2 itself being rounded, the
+    rounding of e - margin and the absolute error of underflowing products
+    (hence the floor at 1). So a row left out has an exact distance above
+    its d2, and np.minimum would have kept d2's bits.
+    """
+    n, d = x.shape
     diff = np.empty_like(x)
     chosen = [int(rng.integers(n))]
     d2 = _dist2_to(x, x[chosen[0]], diff)
+    cdf = np.empty(n)
+    filtered = n >= 2 * ASSIGN_BLOCK_ROWS
+    if filtered:
+        sq = np.einsum("ij,ij->i", x, x)
+        margin = 16.0 * (d + 2) * np.finfo(np.float64).eps * max(float(sq.max()), 1.0)
+        est = np.empty(n)
+        admit = np.empty(n, dtype=bool)
     while len(chosen) < k:
         total = float(d2.sum())
         if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = _draw(d2, total, rng, cdf)
         else:
             # All remaining points coincide with a center; take the lowest
             # unchosen index so the run stays deterministic.
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
         chosen.append(idx)
-        d2 = np.minimum(d2, _dist2_to(x, x[idx], diff))
+        c = x[idx]
+        if not filtered:
+            np.minimum(d2, _dist2_to(x, c, diff), out=d2)
+            continue
+        np.matmul(x, c, out=est)
+        est *= -2.0
+        est += sq
+        est += sq[idx] - margin
+        np.less_equal(est, d2, out=admit)
+        rows = np.flatnonzero(admit)
+        d2[rows] = np.minimum(d2[rows], _dist2_to(x, c, diff, rows))
     return x[chosen].copy()
 
 
-def _dist2_to(x: np.ndarray, c: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Squared distances of the rows of `x` to `c`; `diff`, shaped like `x`,
-    holds the differences."""
-    np.subtract(x, c, out=diff)
+def _draw(d2: np.ndarray, total: float, rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """`rng.choice(len(d2), p=d2 / total)` in the steps that call takes, with
+    its checks left out (they consume no draws and cannot fail on d2 >= 0,
+    total = d2.sum() > 0); `cdf` is a scratch buffer shaped like `d2`."""
+    np.divide(d2, total, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
+def _dist2_to(x: np.ndarray, c: np.ndarray, diff: np.ndarray,
+              rows: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances of the rows of `x`, or of x[rows], to `c`; `diff`,
+    shaped like `x`, holds the differences. A row's distance has the same
+    bits either way."""
+    if rows is None:
+        np.subtract(x, c, out=diff)
+    else:
+        # mode="clip" writes straight into `out`; the default buffers a copy.
+        diff = np.take(x, rows, axis=0, out=diff[: rows.size], mode="clip")
+        diff -= c
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -120,15 +208,27 @@ def argmin_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) ->
     same length-D dot product as in one unblocked product, with
     single-threaded BLAS on every kernel tried. Small blocks would not keep
     the bits: a one-row block goes through gemv.
+
+    On inputs of 2 * ASSIGN_BLOCK_ROWS rows or more, `bias` is added to each
+    block's whole BIAS_TILE_ROWS-row tiles as one contiguous add of the bias
+    repeated BIAS_TILE_ROWS times, and row by row to the rest: the same
+    additions, in fewer and longer inner loops.
     """
     n, k = x.shape[0], w.shape[1]
     last = max(0, n // ASSIGN_BLOCK_ROWS - 1) * ASSIGN_BLOCK_ROWS
     scores = np.empty((n - last, k))
     out = np.empty(n, dtype=np.intp)
+    tiled = bias is not None and n >= 2 * ASSIGN_BLOCK_ROWS
+    tile = np.tile(bias, BIAS_TILE_ROWS) if tiled else None
     for a in range(0, last + 1, ASSIGN_BLOCK_ROWS):
         b = n if a == last else a + ASSIGN_BLOCK_ROWS
         s = np.matmul(x[a:b], w, out=scores[: b - a])
-        if bias is not None:
+        if tiled:
+            body = (b - a) // BIAS_TILE_ROWS * BIAS_TILE_ROWS
+            tiles = s[:body].reshape(-1, tile.size)  # a view: s is contiguous
+            tiles += tile
+            s[body:] += bias
+        elif bias is not None:
             s += bias
         np.argmin(s, axis=1, out=out[a:b])
     return out
@@ -138,18 +238,40 @@ def _update(x: np.ndarray, assign: np.ndarray, old: np.ndarray, k: int,
             bins: np.ndarray | None = None) -> np.ndarray:
     """Member means in one pass; an empty cluster keeps its old centroid.
     `bins`, an int64 array shaped like `x`, is overwritten if given."""
+    if bins is None:
+        bins = np.empty(x.shape, dtype=np.int64)
+    return _means(_sums(x, assign, k, bins), np.bincount(assign, minlength=k), old)
+
+
+def _sums(x: np.ndarray, assign: np.ndarray, k: int, bins: np.ndarray) -> np.ndarray:
+    """(k, D) member sums of the rows of `x`; `bins` has at least as many
+    rows as `x` and its first len(x) rows are overwritten."""
     # One bincount over (cluster, dimension) bins: each bin adds its rows in
     # ascending order from 0.0, as np.add.at does, so the sums are bit-equal;
     # np.add.reduceat over sorted rows measurably is not. A caller that
     # updates many times passes one bins buffer, so no step faults in a
     # fresh N x D array.
-    d = x.shape[1]
-    counts = np.bincount(assign, minlength=k)
-    if bins is None:
-        bins = np.empty(x.shape, dtype=np.int64)
-    np.multiply(assign[:, None], d, out=bins)
-    bins += np.arange(d)
-    sums = np.bincount(bins.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
+    n, d = x.shape
+    b = bins[:n]
+    np.multiply(assign[:, None], d, out=b)
+    b += np.arange(d)
+    return np.bincount(b.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
+
+
+def _resum(x: np.ndarray, assign: np.ndarray, changed: np.ndarray, sums: np.ndarray, k: int,
+           bins: np.ndarray) -> np.ndarray:
+    """`sums` with the clusters marked in `changed` summed again under
+    `assign`, from their rows in ascending order: the bits `_sums` gives."""
+    members = changed[assign]
+    if 2 * np.count_nonzero(members) > len(x):
+        # Gathering most rows would cost more time and memory than summing all.
+        return _sums(x, assign, k, bins)
+    rows = np.flatnonzero(members)
+    sums[changed] = _sums(x[rows], assign[rows], k, bins)[changed]
+    return sums
+
+
+def _means(sums: np.ndarray, counts: np.ndarray, old: np.ndarray) -> np.ndarray:
     out = old.copy()
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]

@@ -37,6 +37,13 @@ class Selection:
     discarded: list[int] = field(default_factory=list)
 
 
+def _check_budget(pool, budget: int) -> None:
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if budget > len(pool):
+        raise BudgetExceedsPool(f"budget {budget} exceeds pool size {len(pool)}")
+
+
 def allocate_budget(cluster_sizes, budget: int) -> tuple[int, ...]:
     """Per-cluster pick counts K_j = min(M_j, ceil(M_j * B / N)):
     proportional budgets with rounding up, clamped to cluster size.
@@ -212,9 +219,7 @@ def cbs_select(
     (store, num_classes, budget, seed); the discard draws from its own
     derived stream so unrelated config changes never reshuffle it.
     """
-    n = len(store)
-    if budget > n:
-        raise BudgetExceedsPool(f"budget {budget} exceeds pool size {n}")
+    _check_budget(store, budget)
     clustering = kmeans(
         store, num_classes, derive_seed(seed, "kmeans"),
         max_iter=kmeans_max_iter, tol=kmeans_tol,

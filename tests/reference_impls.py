@@ -17,7 +17,7 @@ from cbsel.errors import (
     NoClasses,
 )
 from cbsel.gaussian import VAR_FLOOR, ClassGaussians, estimate, kl_divergence
-from cbsel.kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL, kmeans
+from cbsel.kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL, Clustering, kmeans
 from cbsel.seeding import derive_rng, derive_seed
 from cbsel.selection import Selection, allocate_budget
 
@@ -32,6 +32,90 @@ class CombinatorialGuard(CbselError):
 
 class EmptyAccumulator(CbselError):
     pass
+
+
+def plus_plus_init(x, k, rng):
+    """k-means++ centers measuring every row against every new center, with
+    the draw through `Generator.choice`."""
+    n = x.shape[0]
+    chosen = [int(rng.integers(n))]
+    diff = x - x[chosen[0]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    while len(chosen) < k:
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            # All remaining points coincide with a center; take the lowest
+            # unchosen index so the run stays deterministic.
+            taken = set(chosen)
+            idx = next(i for i in range(n) if i not in taken)
+        chosen.append(idx)
+        diff = x - x[idx]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+    return x[chosen].copy()
+
+
+def plain_assign(x, centroids):
+    """Nearest centroid of each row, ||c||^2 - 2 x.c in one unblocked product."""
+    return np.argmin(np.sum(centroids * centroids, axis=1) - 2.0 * x @ centroids.T, axis=1)
+
+
+def add_at_update(x, assign, old, k, bins=None):
+    """Member means from np.add.at sums; an empty cluster keeps its old
+    centroid. `bins` (the program's scratch buffer) is not used."""
+    counts = np.bincount(assign, minlength=k)
+    sums = np.zeros_like(old)
+    np.add.at(sums, assign, x)
+    out = old.copy()
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled, None]
+    return out
+
+
+def lloyd_kmeans(store, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+    """`kmeans` as the plain algorithm: every row measured at every seeding
+    step, every centroid summed again at every step, one unblocked product
+    per assignment."""
+    x = store.vectors
+    rng = np.random.default_rng(seed)
+    centroids = plus_plus_init(x, k, rng)
+    assign = plain_assign(x, centroids)
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        new_centroids = add_at_update(x, assign, centroids, k)
+        assign = plain_assign(x, new_centroids)
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    # Empty clusters take the rows farthest from their centroids, then one
+    # more Lloyd step, until none is empty (the last round skips the step).
+    for attempt in range(k + 1):
+        counts = np.bincount(assign, minlength=k)
+        empties = np.where(counts == 0)[0]
+        if empties.size == 0:
+            break
+        diff = x - centroids[assign]
+        order = np.argsort(-np.einsum("ij,ij->i", diff, diff), kind="stable")
+        cursor = 0
+        for j in empties:
+            while True:
+                i = int(order[cursor])
+                cursor += 1
+                if counts[assign[i]] >= 2:
+                    break
+            counts[assign[i]] -= 1
+            counts[j] += 1
+            assign[i] = j
+        centroids = add_at_update(x, assign, centroids, k)
+        if attempt < k:
+            assign = plain_assign(x, centroids)
+            centroids = add_at_update(x, assign, centroids, k)
+    diff = x - centroids[assign]
+    return Clustering(k=k, assignments=assign, centroids=centroids, iterations_run=iterations,
+                      inertia=float(np.einsum("ij,ij->", diff, diff)))
 
 
 def sample(g, k, rng):

@@ -210,6 +210,27 @@ class TestSimulate:
         assert manifest["error"] == "ConfigError"
         assert manifest["message"] == f"{name} must be finite and > 0"
 
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    def test_a_subnormal_temperature_exits_2_with_a_config_error(self, world, tmp_path,
+                                                                  monkeypatch, capsys, source):
+        extra = []
+        if source == "flag":
+            extra = ["--temperature", "1e-320"]
+        elif source == "env":
+            monkeypatch.setenv("CBSEL_TEMPERATURE", "1e-320")
+        else:
+            path = tmp_path / "run.json"
+            path.write_text('{"temperature": 1e-320}')
+            extra = ["--config", str(path)]
+        rc = main(["simulate", "--plan", str(world["plan"]),
+                   "--features", str(world["features"]), "--strategy", "margin",
+                   "--out", str(tmp_path / "x.json"), *extra])
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ConfigError"
+        assert manifest["message"].startswith("temperature must be >= 1e-300")
+        assert not (tmp_path / "x.json").exists()
+
     def test_flag_overrides_env(self, world, tmp_path, monkeypatch):
         monkeypatch.setenv("CBSEL_ALPHA", "2.0")
         rc = main(["simulate", "--plan", str(world["plan"]),

@@ -1,10 +1,13 @@
 import json
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from cbsel.config import ENV_PREFIX, RunConfig, from_json, load_config
+from cbsel.baselines import SoftmaxStats
+from cbsel.config import ENV_PREFIX, TEMPERATURE_FLOOR, RunConfig, from_json, load_config
 from cbsel.errors import ConfigError, PlanError
+from cbsel.learner import PrototypeClassifier
 
 
 class TestRunConfig:
@@ -37,6 +40,27 @@ class TestRunConfig:
     def test_range_violations(self, field, value):
         with pytest.raises(ConfigError):
             RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [1e-320, 5e-324, 1e-301])
+    def test_temperature_below_the_floor(self, value):
+        with pytest.raises(ConfigError, match="^temperature must be >= 1e-300"):
+            RunConfig(temperature=value)
+
+    def test_uncertainty_keys_stay_finite_at_the_floor(self):
+        # Opposite unit prototypes: the logits reach +-1 / T, the widest gap.
+        assert RunConfig(temperature=TEMPERATURE_FLOOR).temperature == 1e-300
+        clf = PrototypeClassifier([0, 1], [[1.0, 0.0], [-1.0, 0.0]], TEMPERATURE_FLOOR)
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8]])
+        stats = SoftmaxStats.of(clf, rows)
+        assert np.isfinite(stats.margin()).all()
+        assert np.isfinite(stats.entropy()).all()
+
+    @pytest.mark.parametrize("value", [0.07, 0.01])
+    def test_usual_temperatures_load(self, tmp_path, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"temperature": value}))
+        assert load_config(path, env={}).temperature == value
+        assert load_config(env={"CBSEL_TEMPERATURE": str(value)}).temperature == value
 
     def test_alpha_endpoints_allowed(self):
         assert RunConfig(alpha=0.0).alpha == 0.0

@@ -1,12 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbsel import kmeans as kmeans_module
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import KTooLarge, NotNormalized
 from cbsel.features import FeatureStore
-from cbsel.kmeans import Clustering, _assign, _inertia, _update, argmin_rows, kmeans
-from reference_impls import IndexOutOfRange, cluster_members
+from cbsel.kmeans import (
+    ASSIGN_BLOCK_ROWS,
+    Clustering,
+    _assign,
+    _dist2_to,
+    _draw,
+    _inertia,
+    _plus_plus_init,
+    _update,
+    argmin_rows,
+    kmeans,
+)
+from reference_impls import (
+    IndexOutOfRange,
+    add_at_update,
+    cluster_members,
+    lloyd_kmeans,
+    plain_assign,
+    plus_plus_init,
+)
 
 
 def unit_store(vectors, ids=None):
@@ -21,21 +41,20 @@ def blob_store(centers, per_blob=30, sigma=0.02, seed=0):
     return unit_store(np.vstack(blocks))
 
 
-def reference_assign(x, centroids):
-    """Reference assignment, ||c||^2 - 2 x.c in plain form; _assign must match its bits."""
-    return np.argmin(np.sum(centroids * centroids, axis=1) - 2.0 * x @ centroids.T, axis=1)
+def quality_pools():
+    """The five session pools of a world shaped like the quality sweep's."""
+    world = WorldConfig(num_sessions=5, classes_per_session=20, dim=16,
+                        pool_per_class=30, test_per_class=10, separation=3.0,
+                        imbalance_ratio=10.0, sigma=0.2, budget=100, seed=0)
+    store, plan = generate(world)
+    return [store.subset(spec.pool_ids) for spec in plan.sessions]
 
 
-def reference_update(x, assign, old, k, bins=None):
-    """Reference update, member sums with np.add.at; _update must match its
-    bits. `bins` (the program's scratch buffer) is not used."""
-    counts = np.bincount(assign, minlength=k)
-    sums = np.zeros_like(old)
-    np.add.at(sums, assign, x)
-    out = old.copy()
-    filled = counts > 0
-    out[filled] = sums[filled] / counts[filled, None]
-    return out
+def assert_same_clustering(got, want):
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    np.testing.assert_array_equal(got.centroids, want.centroids)
+    assert got.iterations_run == want.iterations_run
+    assert got.inertia == want.inertia
 
 
 class TestBasics:
@@ -135,7 +154,7 @@ class TestLloydStep:
         assign = rng.integers(0, 4, size=50)
         old = rng.standard_normal((4, 1))
         np.testing.assert_array_equal(_update(x, assign, old, 4),
-                                      reference_update(x, assign, old, 4))
+                                      add_at_update(x, assign, old, 4))
 
     def test_update_overwrites_a_used_bins_buffer(self):
         # kmeans hands every step the same buffer, still holding the bins of
@@ -147,7 +166,7 @@ class TestLloydStep:
         for _ in range(3):
             assign = rng.integers(0, 4, size=60)
             np.testing.assert_array_equal(_update(x, assign, old, 4, bins),
-                                          reference_update(x, assign, old, 4))
+                                          add_at_update(x, assign, old, 4))
 
     def test_update_keeps_trailing_empty_clusters(self):
         # k exceeds assign.max() + 1, so the sums need bincount's minlength.
@@ -156,7 +175,7 @@ class TestLloydStep:
         assign = rng.integers(0, 3, size=40)
         old = rng.standard_normal((6, 5))
         out = _update(x, assign, old, 6)
-        np.testing.assert_array_equal(out, reference_update(x, assign, old, 6))
+        np.testing.assert_array_equal(out, add_at_update(x, assign, old, 6))
         np.testing.assert_array_equal(out[3:], old[3:])
 
     def test_assign_breaks_ties_toward_the_lower_centroid(self):
@@ -176,7 +195,7 @@ class TestLloydStep:
         x = unit_store(rng.standard_normal((n, d))).vectors
         half = x[rng.choice(n, size=k // 2, replace=False)]
         centroids = np.vstack([half, np.nextafter(half, np.inf)])
-        np.testing.assert_array_equal(_assign(x, centroids), reference_assign(x, centroids))
+        np.testing.assert_array_equal(_assign(x, centroids), plain_assign(x, centroids))
 
     @pytest.mark.parametrize("n", [1023, 2049, 5000])
     def test_argmin_rows_matches_the_unblocked_argmin(self, n):
@@ -191,26 +210,26 @@ class TestLloydStep:
         assert (got % 2 == 0).all()
         np.testing.assert_array_equal(argmin_rows(x, w, bias), np.argmin(x @ w + bias, axis=1))
 
-    def test_loop_matches_the_reference_step_bit_for_bit(self, large_pool, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1023, 2047, 2048, 2111, 3000])
+    def test_argmin_rows_bias_matches_the_unblocked_argmin(self, n):
+        # Pools of 2,048 rows or more add the bias tile by tile. Columns come
+        # in pairs, exact twins or twins whose biases are one ulp apart, so
+        # every choice within a pair rests on the last bits of the sum.
+        rng = np.random.default_rng([n, 3])
+        x = rng.standard_normal((n, 16))
+        w = np.repeat(rng.standard_normal((16, 50)), 2, axis=1)
+        bias = np.repeat(rng.standard_normal(50), 2)
+        bias[1::4] = np.nextafter(bias[1::4], -np.inf)
+        np.testing.assert_array_equal(argmin_rows(x, w, bias), np.argmin(x @ w + bias, axis=1))
+
+    def test_loop_matches_the_reference_step_bit_for_bit(self, large_pool):
         # The benchmark-sized pool with k = 100, then five pools shaped like
-        # the quality sweep's (about 300 rows, k = 20).
-        world = WorldConfig(num_sessions=5, classes_per_session=20, dim=16,
-                            pool_per_class=30, test_per_class=10, separation=3.0,
-                            imbalance_ratio=10.0, sigma=0.2, budget=100, seed=0)
-        store, plan = generate(world)
-        cases = [(large_pool, 100, 1)] + [
-            (store.subset(spec.pool_ids), 20, s) for s, spec in enumerate(plan.sessions)
-        ]
+        # the quality sweep's (about 300 rows, k = 20), against the plain
+        # algorithm: every seeding step measures every row, every Lloyd step
+        # sums every cluster, every assignment is one unblocked product.
+        cases = [(large_pool, 100, 1)] + [(pool, 20, s) for s, pool in enumerate(quality_pools())]
         for pool, k, seed in cases:
-            got = kmeans(pool, k, seed=seed)
-            with monkeypatch.context() as patch:
-                patch.setattr(kmeans_module, "_assign", reference_assign)
-                patch.setattr(kmeans_module, "_update", reference_update)
-                want = kmeans(pool, k, seed=seed)
-            np.testing.assert_array_equal(got.assignments, want.assignments)
-            np.testing.assert_array_equal(got.centroids, want.centroids)
-            assert got.iterations_run == want.iterations_run
-            assert got.inertia == want.inertia
+            assert_same_clustering(kmeans(pool, k, seed=seed), lloyd_kmeans(pool, k, seed=seed))
 
     def test_inertia_never_rises(self, large_pool, monkeypatch):
         # The benchmark-sized pool with k = 100, watched through the loop's own
@@ -229,6 +248,119 @@ class TestLloydStep:
         assert len(steps) == result.iterations_run + 1 > 2
         rises = [t for t in range(1, len(steps)) if steps[t] > steps[t - 1] + 1e-9]
         assert rises == [], f"Lloyd inertia rose at steps {rises}"
+
+
+# Pools with 2 * ASSIGN_BLOCK_ROWS rows or more take the filtered seeding,
+# the tiled bias add and the re-sum of changed clusters.
+LARGE = 2 * ASSIGN_BLOCK_ROWS + 52
+
+
+def seeding_pools():
+    """(name, unit rows, k): degenerate and adversarial pools on both sides
+    of the large-pool paths."""
+    rng = np.random.default_rng(19)
+
+    def unit(v):
+        return unit_store(v).vectors
+
+    angle = 2.0 * np.pi * np.arange(LARGE) / LARGE
+    return [
+        # One distinct row: every draw after the first takes the fallback.
+        ("identical", np.tile(unit(rng.standard_normal((1, 8))), (LARGE, 1)), 6),
+        ("duplicates", unit(rng.standard_normal((300, 16)))[rng.integers(0, 300, LARGE)], 100),
+        ("one dimension", np.where(rng.random((LARGE, 1)) < 0.3, -1.0, 1.0), 5),
+        # Evenly spaced on a circle: a row is equally far from the two rows
+        # mirrored about it, so a new center often ties with the row's
+        # nearest old one up to rounding, where the filter's margin must hold.
+        ("circle", np.stack([np.cos(angle), np.sin(angle)], axis=1), 300),
+        ("k = n", unit(rng.standard_normal((2 * ASSIGN_BLOCK_ROWS, 4))), 2 * ASSIGN_BLOCK_ROWS),
+        ("small k = n", unit(rng.standard_normal((40, 3))), 40),
+        ("n < 64", unit(rng.standard_normal((40, 3))), 7),
+        ("D = 64", unit(rng.standard_normal((LARGE, 64))), 50),
+    ]
+
+
+SEEDING_POOLS = seeding_pools()
+SEEDING_IDS = [name for name, _, _ in SEEDING_POOLS]
+
+
+class TestSeeding:
+    def test_large_pool_centers_match_the_reference(self, large_pool):
+        for seed in range(3):
+            np.testing.assert_array_equal(
+                _plus_plus_init(large_pool.vectors, 100, np.random.default_rng(seed)),
+                plus_plus_init(large_pool.vectors, 100, np.random.default_rng(seed)))
+
+    def test_quality_pool_centers_match_the_reference(self):
+        for seed, pool in enumerate(quality_pools()):
+            np.testing.assert_array_equal(
+                _plus_plus_init(pool.vectors, 20, np.random.default_rng(seed)),
+                plus_plus_init(pool.vectors, 20, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("name,x,k", SEEDING_POOLS, ids=SEEDING_IDS)
+    def test_centers_match_the_reference(self, name, x, k):
+        for seed in range(2):
+            np.testing.assert_array_equal(_plus_plus_init(x, k, np.random.default_rng(seed)),
+                                          plus_plus_init(x, k, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("name,x,k", SEEDING_POOLS, ids=SEEDING_IDS)
+    def test_kmeans_matches_the_reference(self, name, x, k):
+        store = FeatureStore(x, normalized=True)
+        assert_same_clustering(kmeans(store, k, seed=4), lloyd_kmeans(store, k, seed=4))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+    @pytest.mark.parametrize("name,x,k", SEEDING_POOLS, ids=SEEDING_IDS)
+    def test_every_draw_sees_the_exact_nearest_center_distances(self, name, x, k, scale,
+                                                                monkeypatch):
+        # The d2 behind each draw, bit for bit: the minimum over the centers
+        # so far of the full-array exact distances. Rows far from unit norm
+        # check that the margin scales with them.
+        x = x * scale
+        seen = []
+
+        def recording_draw(d2, total, rng, cdf):
+            seen.append(d2.copy())
+            return _draw(d2, total, rng, cdf)
+
+        monkeypatch.setattr(kmeans_module, "_draw", recording_draw)
+        centers = _plus_plus_init(x, k, np.random.default_rng(5))
+        # Draws stop at the first fallback: from there every d2 is 0.
+        assert 1 <= len(seen) + 1 <= k
+        nearest = np.full(len(x), np.inf)
+        for c, d2 in zip(centers, seen):
+            diff = x - c
+            nearest = np.minimum(nearest, np.einsum("ij,ij->i", diff, diff))
+            np.testing.assert_array_equal(d2, nearest)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.sampled_from([1, 2, 3, 7, 16, 17, 64]),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @example(1, 64, 0, 1.0)    # the only row, D = 64
+    @example(300, 64, 1, 0.0)  # one row of many, D = 64
+    def test_dist2_to_on_a_row_subset_has_the_bits_of_the_full_call(self, n, d, seed, frac):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        c = rng.standard_normal(d)
+        full = _dist2_to(x, c, np.empty_like(x))
+        rows = np.flatnonzero(rng.random(n) < frac)
+        if rows.size == 0:
+            rows = rng.integers(n, size=1)
+        diff = np.empty_like(x)
+        np.testing.assert_array_equal(_dist2_to(x[rows], c, diff[: rows.size]), full[rows])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_draw_takes_the_index_generator_choice_takes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5000))
+        d2 = rng.random(n) ** int(rng.integers(1, 12))
+        d2[rng.random(n) < rng.random()] = 0.0
+        d2[int(rng.integers(n))] = float(rng.random()) + 1e-300
+        total = float(d2.sum())
+        mine, numpys = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        cdf = np.empty(n)
+        for _ in range(20):
+            assert _draw(d2, total, mine, cdf) == int(numpys.choice(n, p=d2 / total))
+        assert mine.random() == numpys.random()  # the same draws were used
 
 
 class TestEmptyClusterRepair:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbsel import selection as selection_module
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import BudgetExceedsPool, KTooLarge
 from cbsel.features import FeatureStore
@@ -278,6 +279,15 @@ class TestCbsSelect:
         store = self.blob_store(per_blob=10)
         with pytest.raises(BudgetExceedsPool):
             cbs_select(store, num_classes=2, budget=21, seed=0)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_rejects_a_budget_below_one_before_clustering(self, budget, monkeypatch):
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("kmeans ran before the budget check")
+
+        monkeypatch.setattr(selection_module, "kmeans", no_kmeans)
+        with pytest.raises(ValueError, match=r"^budget must be >= 1$"):
+            cbs_select(self.blob_store(), num_classes=2, budget=budget, seed=0)
 
 
 def assert_same_selection(got, want):
