@@ -36,6 +36,7 @@ from .protocol import (
     report_json,
     run,
     save_report,
+    usable_cpus,
 )
 from .seeding import derive_seed
 
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", type=str, required=True, help="comma-separated")
     p.add_argument("--seeds", type=str, required=True, help="comma-separated")
     p.add_argument("--out-dir", type=str, required=True)
-    p.add_argument("--workers", type=int, default=_usable_cpus(),
+    p.add_argument("--workers", type=int, default=usable_cpus(),
                    help="worker processes that run cells at once (default: the number "
                         "of usable CPUs); 1 runs every cell in this process")
     _add_config_flags(p)
@@ -258,13 +259,6 @@ def _failure(cell: tuple[str, int, int], exc: BaseException) -> dict:
     strategy, budget, seed = cell
     return {"strategy": strategy, "budget": budget, "seed": seed,
             "error": type(exc).__name__, "message": str(exc)}
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _int_list(text: str, flag: str) -> list[int]:

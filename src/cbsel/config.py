@@ -28,6 +28,10 @@ ENV_PREFIX = "CBSEL_"
 # vectors, so a cosine logit is at most about 1 / T in magnitude and a
 # difference of two logits about 2 / T; from T = 1e-300 up both stay far
 # below float64's overflow at 1.8e308; a subnormal T can overflow them.
+# Far above the floor, from about T = 1e-4 down, the softmax saturates:
+# a row's top probability rounds to 1 once its two largest cosines differ
+# by a few dozen T, so every margin reads 1 and every entropy 0, and
+# entropy/margin rank all open rows equal and pick them in id order.
 TEMPERATURE_FLOOR = 1e-300
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -39,7 +43,7 @@ class RunConfig:
     var_floor: float = VAR_FLOOR                      # finite, > 0; minimum per-dimension variance
     kmeans_max_iter: int = DEFAULT_MAX_ITER           # >= 1
     kmeans_tol: float = DEFAULT_TOL                   # > 0; max centroid displacement to converge
-    temperature: float = DEFAULT_TEMPERATURE          # finite, >= 1e-300 or logits overflow; cosine-softmax temperature
+    temperature: float = DEFAULT_TEMPERATURE          # finite, >= 1e-300 or logits overflow; saturates from ~1e-4 down; cosine-softmax temperature
     alpha: float = DEFAULT_ALPHA                      # [0, 1]; weight of the previous prototype in replay blending
     replay_per_class: int = DEFAULT_REPLAY_PER_CLASS  # >= 0; pseudo-features sampled per old class
     round_size: int = 20                              # >= 1; labels per uncertainty round

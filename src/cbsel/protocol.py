@@ -10,9 +10,12 @@ seed; per-session and per-purpose random streams are derived by hashing.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +43,7 @@ from .errors import (
 )
 from .features import FeatureStore, hidden_labels
 from .gaussian import VAR_FLOOR, estimate_grouped, kl_divergence
+from .kmeans import ASSIGN_BLOCK_ROWS
 from .learner import (
     MemoryBuffer,
     PrototypeClassifier,
@@ -256,7 +260,15 @@ STRATEGIES = SELECTORS | SCORERS
 
 
 def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig | None = None) -> RunReport:
-    """Execute the full protocol and return per-session metrics plus their mean."""
+    """Execute the full protocol and return per-session metrics plus their mean.
+
+    A `SELECTORS` strategy does not look at the learner, so on large pools
+    the selections of sessions 2..T start at once on helper threads (see
+    `_helper_count`) while this thread selects and trains session 1. A
+    selection no helper has started when its session comes is taken back
+    and run here. Results are used in session order, so the report and any
+    exception are the ones of a serial run, and no helper outlives the call.
+    """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {list(STRATEGIES)}")
     cfg = config if config is not None else RunConfig()
@@ -277,34 +289,103 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
     past_classes: set[int] = set()
     accuracies: list[float] = []
 
-    for t, sess in enumerate(plan.sessions, start=1):
-        try:
-            clf, buffer, sess_report = _run_session(
-                t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
-                past_test_ids, past_classes,
-            )
-        except CbselError as exc:
-            raise SessionFailure(t, exc) from exc
-        report.per_session.append(sess_report)
-        accuracies.append(sess_report.accuracy)
-        past_test_ids.extend(sess.test_ids)
-        past_classes |= set(sess.class_space)
+    with _selections_ahead(plan, strategy, cfg, work, oracle) as ahead:
+        for t, sess in enumerate(plan.sessions, start=1):
+            try:
+                future = ahead.pop(t, None)
+                picked = None if future is None or future.cancel() else future.result()
+                clf, buffer, sess_report = _run_session(
+                    t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
+                    past_test_ids, past_classes, picked,
+                )
+            except CbselError as exc:
+                raise SessionFailure(t, exc) from exc
+            report.per_session.append(sess_report)
+            accuracies.append(sess_report.accuracy)
+            past_test_ids.extend(sess.test_ids)
+            past_classes |= set(sess.class_space)
 
     report.avg = float(np.mean(accuracies))
     return report
 
 
-def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
-                 past_test_ids, past_classes):
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# The variables the BLAS reads its thread count from.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads() -> int | None:
+    """The largest positive thread count set in BLAS_THREAD_VARS; None when
+    none is set, and the BLAS then uses every core."""
+    caps = [int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
+            if v is not None and v.strip().isdigit() and int(v) > 0]
+    return max(caps, default=None)
+
+
+def _helper_count(plan: SessionPlan, strategy: str) -> int:
+    """Threads that select sessions 2..T ahead: one less than usable CPUs //
+    BLAS threads, at most T - 1, so that threads x BLAS threads stay within
+    the cores. There is no helper with BLAS uncapped (it already fills the
+    cores), inside a forked sweep worker (the cells fill them), for the
+    `SCORERS` (their rounds need the learner), or when a later session's
+    pool has fewer than 2 * ASSIGN_BLOCK_ROWS rows (there a selection costs
+    too little to pay for the hand-off)."""
+    later = plan.sessions[1:]
+    blas = _blas_threads()
+    mp = sys.modules.get("multiprocessing")
+    if (strategy not in SELECTORS or not later or blas is None
+            or (mp is not None and mp.parent_process() is not None)
+            or min(len(s.pool_ids) for s in later) < 2 * ASSIGN_BLOCK_ROWS):
+        return 0
+    return max(0, min(usable_cpus() // blas - 1, len(later)))
+
+
+@contextlib.contextmanager
+def _selections_ahead(plan, strategy, cfg, work, oracle):
+    """Session -> future of its `_select`, for sessions 2..T, started on
+    `_helper_count` helper threads; empty when that is 0."""
+    helpers = _helper_count(plan, strategy)
+    if not helpers:
+        yield {}
+        return
+    # Imported here: runs that start no helper do not load the module.
+    from concurrent.futures import ThreadPoolExecutor
+    executor = ThreadPoolExecutor(helpers, thread_name_prefix="cbsel-select")
+    try:
+        yield {t: executor.submit(_select, t, sess, plan, strategy, cfg, work, oracle)
+               for t, sess in enumerate(plan.sessions[1:], start=2)}
+    finally:
+        # On an early exit, drops the selections not yet started and waits for
+        # the running ones; their results and errors belong to sessions a
+        # serial run would not have reached.
+        executor.shutdown(cancel_futures=True)
+
+
+def _select(t, sess, plan, strategy, cfg, work, oracle) -> tuple[FeatureStore, Selection]:
+    """Session t's pool and its `SELECTORS` pick, which needs no learner."""
     pool = work.subset(sess.pool_ids)
+    return pool, SELECTORS[strategy](
+        pool, plan.budget, derive_seed(plan.seed, "session", t, "select"),
+        len(sess.class_space), cfg, oracle)
+
+
+def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
+                 past_test_ids, past_classes, picked=None):
+    """One session; `picked` is its (pool, selection) when a helper made it."""
     rehearsed = None
     if strategy in SCORERS:
+        pool = work.subset(sess.pool_ids)
         selection, rehearsed = _select_uncertainty_rounds(
             t, sess, plan, SCORERS[strategy], cfg, work, pool, oracle, clf, buffer)
     else:
-        selection = SELECTORS[strategy](
-            pool, plan.budget, derive_seed(plan.seed, "session", t, "select"),
-            len(sess.class_space), cfg, oracle)
+        pool, selection = picked or _select(t, sess, plan, strategy, cfg, work, oracle)
     ids = np.asarray(selection.ids, dtype=np.int64)
     labeled = (ids, oracle.labels_of(ids))
 

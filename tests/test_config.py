@@ -55,6 +55,25 @@ class TestRunConfig:
         assert np.isfinite(stats.margin()).all()
         assert np.isfinite(stats.entropy()).all()
 
+    def test_the_softmax_saturates_at_1e_4_and_separates_at_the_default(self):
+        rng = np.random.default_rng(0)
+        prototypes = rng.standard_normal((5, 8))
+        rows = rng.standard_normal((6, 8))
+        prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+
+        def stats(temperature):
+            clf = PrototypeClassifier(range(5), prototypes, RunConfig(temperature=temperature).temperature)
+            return SoftmaxStats.of(clf, rows)
+
+        saturated = stats(1e-4)
+        assert (saturated.margin() == 1.0).all()
+        assert (saturated.entropy() == 0.0).all()
+        usual = stats(0.07)
+        assert usual.margin().min() < 0.5
+        assert len(set(usual.margin().tolist())) == 6
+        assert (usual.entropy() > 0.0).all()
+
     @pytest.mark.parametrize("value", [0.07, 0.01])
     def test_usual_temperatures_load(self, tmp_path, value):
         path = tmp_path / "run.json"
