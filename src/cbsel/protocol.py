@@ -10,12 +10,15 @@ seed; per-session and per-purpose random streams are derived by hashing.
 
 from __future__ import annotations
 
-import contextlib
 import datetime
 import json
 import math
 import os
+import pickle
+import re
+import signal
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +46,6 @@ from .errors import (
 )
 from .features import FeatureStore, hidden_labels
 from .gaussian import VAR_FLOOR, estimate_grouped, kl_divergence
-from .kmeans import ASSIGN_BLOCK_ROWS
 from .learner import (
     MemoryBuffer,
     PrototypeClassifier,
@@ -263,11 +265,11 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
     """Execute the full protocol and return per-session metrics plus their mean.
 
     A `SELECTORS` strategy does not look at the learner, so on large pools
-    the selections of sessions 2..T start at once on helper threads (see
-    `_helper_count`) while this thread selects and trains session 1. A
-    selection no helper has started when its session comes is taken back
-    and run here. Results are used in session order, so the report and any
-    exception are the ones of a serial run, and no helper outlives the call.
+    the next sessions' selections run in forked child processes (see
+    `_helper_count` and `_SelectAhead`) while this process selects and
+    trains the current one. Results are used in session order, a session
+    whose child failed selects here, and no child outlives the call, so the
+    report and any exception are the ones of a serial run.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {list(STRATEGIES)}")
@@ -289,11 +291,11 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
     past_classes: set[int] = set()
     accuracies: list[float] = []
 
-    with _selections_ahead(plan, strategy, cfg, work, oracle) as ahead:
+    ahead = _SelectAhead(plan, strategy, cfg, work, oracle, _helper_count(plan, strategy))
+    try:
         for t, sess in enumerate(plan.sessions, start=1):
             try:
-                future = ahead.pop(t, None)
-                picked = None if future is None or future.cancel() else future.result()
+                picked = ahead.take(t)
                 clf, buffer, sess_report = _run_session(
                     t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
                     past_test_ids, past_classes, picked,
@@ -304,6 +306,8 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
             accuracies.append(sess_report.accuracy)
             past_test_ids.extend(sess.test_ids)
             past_classes |= set(sess.class_space)
+    finally:
+        ahead.close()
 
     report.avg = float(np.mean(accuracies))
     return report
@@ -317,75 +321,143 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The variables the BLAS reads its thread count from.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The variables OpenBLAS (numpy's BLAS) reads its thread count from, first
+# one first: the first that holds a positive number is the one it uses.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _blas_threads() -> int | None:
-    """The largest positive thread count set in BLAS_THREAD_VARS; None when
-    none is set, and the BLAS then uses every core."""
-    caps = [int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
-            if v is not None and v.strip().isdigit() and int(v) > 0]
-    return max(caps, default=None)
+    """The thread count OpenBLAS takes from BLAS_THREAD_VARS, read as it
+    reads them (a leading integer; 0, negative or none means unset); None
+    when none is set, and the BLAS then uses every core."""
+    for var in BLAS_THREAD_VARS:
+        lead = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
+        if lead and int(lead.group()) > 0:
+            return int(lead.group())
+    return None
+
+
+# Later pools smaller than this select in the calling process: there a forked
+# child's start-up and copy-on-write page faults can cost more than the
+# overlap saves. On 2 vCPUs a child made whole `cbs` runs slower on 238-row
+# pools (18 -> 40 ms) and up to 1,965 rows, won or lost with the host's load
+# from 2,396 to 4,316 rows, and won from 5,885 rows up.
+SELECT_AHEAD_MIN_ROWS = 6_000
 
 
 def _helper_count(plan: SessionPlan, strategy: str) -> int:
-    """Threads that select sessions 2..T ahead: one less than usable CPUs //
-    BLAS threads, at most T - 1, so that threads x BLAS threads stay within
-    the cores. There is no helper with BLAS uncapped (it already fills the
-    cores), inside a forked sweep worker (the cells fill them), for the
-    `SCORERS` (their rounds need the learner), or when a later session's
-    pool has fewer than 2 * ASSIGN_BLOCK_ROWS rows (there a selection costs
-    too little to pay for the hand-off)."""
+    """Child processes that select later sessions ahead: one less than
+    usable CPUs // BLAS threads, at most T - 1, so that processes x BLAS
+    threads stay within the cores. There is none with BLAS uncapped (it
+    already fills the cores), inside a forked sweep worker (the cells fill
+    them), for the `SCORERS` (their rounds need the learner), without `fork`
+    or while other threads run (a child would inherit the locks they hold),
+    or when a later pool has fewer than SELECT_AHEAD_MIN_ROWS rows."""
     later = plan.sessions[1:]
     blas = _blas_threads()
     mp = sys.modules.get("multiprocessing")
     if (strategy not in SELECTORS or not later or blas is None
+            or not hasattr(os, "fork") or threading.active_count() > 1
             or (mp is not None and mp.parent_process() is not None)
-            or min(len(s.pool_ids) for s in later) < 2 * ASSIGN_BLOCK_ROWS):
+            or min(len(s.pool_ids) for s in later) < SELECT_AHEAD_MIN_ROWS):
         return 0
     return max(0, min(usable_cpus() // blas - 1, len(later)))
 
 
-@contextlib.contextmanager
-def _selections_ahead(plan, strategy, cfg, work, oracle):
-    """Session -> future of its `_select`, for sessions 2..T, started on
-    `_helper_count` helper threads; empty when that is 0."""
-    helpers = _helper_count(plan, strategy)
-    if not helpers:
-        yield {}
-        return
-    # Imported here: runs that start no helper do not load the module.
-    from concurrent.futures import ThreadPoolExecutor
-    executor = ThreadPoolExecutor(helpers, thread_name_prefix="cbsel-select")
+class _SelectAhead:
+    """Selects the sessions after the current one in forked child processes,
+    at most `helpers` at once (none: every session selects in this process),
+    so a finished selection waits in at most that many children. A
+    `SELECTORS` pick reads only its session's pool, so a child forked at any
+    point picks what this process would. A child sends back its Selection or
+    nothing: when it fails, `take` returns None and the session selects in
+    this process, which raises the serial error."""
+
+    def __init__(self, plan, strategy, cfg, work, oracle, helpers):
+        self._args = (plan, strategy, cfg, work, oracle)
+        self._helpers = helpers
+        self._children = {}  # session -> (pid, read end of its pipe)
+        self._next = 2
+        self._top_up()
+
+    def _top_up(self) -> None:
+        plan = self._args[0]
+        while len(self._children) < self._helpers and self._next <= len(plan.sessions):
+            try:
+                self._children[self._next] = _fork_select(self._next, *self._args)
+            except OSError:  # no process or pipe to spare: the rest select here
+                self._helpers = 0
+            self._next += 1
+
+    def take(self, t: int) -> Selection | None:
+        """Session t's Selection if a child made it; then starts the next child."""
+        child = self._children.pop(t, None)
+        if child is None:
+            return None
+        pid, read = child
+        try:
+            with open(read, "rb") as fh:
+                data = fh.read()
+        finally:
+            ok = os.waitpid(pid, 0)[1] == 0
+        self._top_up()
+        return pickle.loads(data) if ok else None
+
+    def close(self) -> None:
+        """Stops and reaps the children of sessions the run did not reach."""
+        for pid, read in self._children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
+        self._children.clear()
+
+
+def _fork_select(t, plan, strategy, cfg, work, oracle) -> tuple[int, int]:
+    """Forks a child that selects session t and pickles the Selection into
+    a pipe; returns the child's pid and the pipe's read end."""
+    read, write = os.pipe()
     try:
-        yield {t: executor.submit(_select, t, sess, plan, strategy, cfg, work, oracle)
-               for t, sess in enumerate(plan.sessions[1:], start=2)}
-    finally:
-        # On an early exit, drops the selections not yet started and waits for
-        # the running ones; their results and errors belong to sessions a
-        # serial run would not have reached.
-        executor.shutdown(cancel_futures=True)
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            sess = plan.sessions[t - 1]
+            selection = _pick(t, sess, plan, strategy, cfg, work.subset(sess.pool_ids), oracle)
+            with open(write, "wb") as fh:
+                pickle.dump(selection, fh, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            # Skips the parent's atexit handlers and the flush of the stdio
+            # buffers the child inherited.
+            os._exit(status)
+    os.close(write)
+    return pid, read
 
 
-def _select(t, sess, plan, strategy, cfg, work, oracle) -> tuple[FeatureStore, Selection]:
-    """Session t's pool and its `SELECTORS` pick, which needs no learner."""
-    pool = work.subset(sess.pool_ids)
-    return pool, SELECTORS[strategy](
+def _pick(t, sess, plan, strategy, cfg, pool, oracle) -> Selection:
+    """Session t's `SELECTORS` pick from its pool; it needs no learner."""
+    return SELECTORS[strategy](
         pool, plan.budget, derive_seed(plan.seed, "session", t, "select"),
         len(sess.class_space), cfg, oracle)
 
 
 def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
                  past_test_ids, past_classes, picked=None):
-    """One session; `picked` is its (pool, selection) when a helper made it."""
+    """One session; `picked` is its Selection when a child made it."""
+    pool = work.subset(sess.pool_ids)
     rehearsed = None
     if strategy in SCORERS:
-        pool = work.subset(sess.pool_ids)
         selection, rehearsed = _select_uncertainty_rounds(
             t, sess, plan, SCORERS[strategy], cfg, work, pool, oracle, clf, buffer)
+    elif picked is not None:
+        selection = picked
     else:
-        pool, selection = picked or _select(t, sess, plan, strategy, cfg, work, oracle)
+        selection = _pick(t, sess, plan, strategy, cfg, pool, oracle)
     ids = np.asarray(selection.ids, dtype=np.int64)
     labeled = (ids, oracle.labels_of(ids))
 

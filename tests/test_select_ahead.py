@@ -1,14 +1,12 @@
-"""`protocol.run` selecting sessions 2..T ahead on helper threads: the reports
-and failures are the serial ones, no thread outlives the run, and no helper
-starts where the rules say none should."""
+"""`protocol.run` selecting later sessions ahead in forked child processes:
+the reports and failures are the serial ones, no child outlives the run, and
+no child starts where the rules say none should."""
 
-import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
-import sys
+import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -17,18 +15,26 @@ from cbsel.cli import main
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import ConfigError, SessionFailure
 from cbsel.features import save_features
-from cbsel.kmeans import ASSIGN_BLOCK_ROWS
-from cbsel.protocol import BLAS_THREAD_VARS, SCORERS, SELECTORS, report_json, run
+from cbsel.protocol import (
+    BLAS_THREAD_VARS,
+    SCORERS,
+    SELECT_AHEAD_MIN_ROWS,
+    SELECTORS,
+    report_json,
+    run,
+)
 from cbsel.seeding import derive_seed
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="children are forked")
 
 
 @pytest.fixture(scope="module")
 def large():
-    """Three sessions of 4 classes with 2,080-row pools, above the size gate."""
+    """Three sessions of 4 classes with 6,080-row pools, above the size gate."""
     store, plan = generate(WorldConfig(
-        num_sessions=3, classes_per_session=4, dim=8, pool_per_class=520,
+        num_sessions=3, classes_per_session=4, dim=8, pool_per_class=1520,
         test_per_class=5, separation=6.0, imbalance_ratio=1.0, budget=24, seed=11))
-    assert min(len(s.pool_ids) for s in plan.sessions) >= 2 * ASSIGN_BLOCK_ROWS
+    assert min(len(s.pool_ids) for s in plan.sessions) >= SELECT_AHEAD_MIN_ROWS
     return store, plan
 
 
@@ -43,56 +49,61 @@ def small():
 
 def blas(monkeypatch, threads, cpus=2):
     """BLAS capped at `threads` (None: uncapped) on `cpus` usable CPUs."""
-    for var in BLAS_THREAD_VARS:
+    for var in BLAS_THREAD_VARS + ("MKL_NUM_THREADS",):
         monkeypatch.delenv(var, raising=False)
     if threads is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(threads))
     monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
 
 
-def use_executor(monkeypatch, cls):
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", cls)
-
-
-class EagerExecutor(ThreadPoolExecutor):
-    """Every selection has finished on its helper before `submit` returns."""
-
-    def submit(self, *args, **kwargs):
-        future = super().submit(*args, **kwargs)
-        concurrent.futures.wait([future], timeout=60)
-        assert future.done()
-        return future
-
-
-class IdleExecutor(ThreadPoolExecutor):
-    """No selection ever starts, so `run` takes each one back."""
-
-    def submit(self, *args, **kwargs):
-        return Future()
-
-
-class NoExecutor:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a helper executor was created")
-
-
-def spy_selector(monkeypatch, strategy, plan, fail=()):
-    """Record the thread each session's selection runs on; the sessions in
-    `fail` raise a ConfigError instead of selecting."""
+def spy_selector(monkeypatch, strategy, plan, log, fail=(), die=()):
+    """Append "session pid" to the file `log` for each selection, from
+    whichever process runs it. The sessions in `fail` raise a ConfigError;
+    those in `die` end their child without a result."""
     real = SELECTORS[strategy]
     sessions = {derive_seed(plan.seed, "session", t, "select"): t
                 for t in range(1, len(plan.sessions) + 1)}
-    threads = {}
+    parent = os.getpid()
 
     def spy(pool, budget, seed, *rest):
         t = sessions[seed]
-        threads[t] = threading.current_thread().name
+        with open(log, "a") as fh:
+            fh.write(f"{t} {os.getpid()}\n")
+        if t in die and os.getpid() != parent:
+            os._exit(3)
         if t in fail:
             raise ConfigError(f"no pick in session {t}")
         return real(pool, budget, seed, *rest)
 
     monkeypatch.setitem(SELECTORS, strategy, spy)
-    return threads
+
+
+def selected_in(log) -> list[tuple[int, bool]]:
+    """(session, whether this process selected it), in log order."""
+    rows = [line.split() for line in log.read_text().splitlines()]
+    return [(int(t), int(pid) == os.getpid()) for t, pid in rows]
+
+
+def spy_forks(monkeypatch):
+    """The pids of the children `run` forks, in order."""
+    pids = []
+    real = protocol._fork_select
+
+    def spy(*args):
+        child = real(*args)
+        pids.append(child[0])
+        return child
+
+    monkeypatch.setattr(protocol, "_fork_select", spy)
+    return pids
+
+
+def reaped(pid) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def serial_json(plan, strategy, store):
@@ -104,10 +115,14 @@ class TestHelperCount:
         ({}, 8, 0),                                                  # uncapped: BLAS fills the cores
         ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
         ({"OMP_NUM_THREADS": "1"}, 8, 2),                            # at most T - 1
-        ({"MKL_NUM_THREADS": "2"}, 4, 1),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 0),  # the largest cap counts
+        ({"GOTO_NUM_THREADS": "2"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 1),  # OPENBLAS_ comes first
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 1),   # GOTO_ before OMP_
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1),  # 0 is not a cap
+        ({"MKL_NUM_THREADS": "1"}, 8, 0),                            # OpenBLAS does not read it
         ({"OPENBLAS_NUM_THREADS": "1"}, 1, 0),
-        ({"OPENBLAS_NUM_THREADS": "0"}, 8, 0),                       # not a cap
+        ({"OPENBLAS_NUM_THREADS": "2x"}, 4, 1),                      # a leading integer counts
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 8, 0),
         ({"OPENBLAS_NUM_THREADS": "many"}, 8, 0),
     ])
     def test_cpus_over_blas_threads_minus_one(self, large, monkeypatch, env, cpus, expected):
@@ -120,43 +135,74 @@ class TestHelperCount:
 
 class TestSameReports:
     @pytest.mark.parametrize("strategy", list(SELECTORS))
-    def test_ahead_reports_equal_serial_ones(self, large, monkeypatch, strategy):
+    def test_ahead_reports_equal_serial_ones(self, large, monkeypatch, tmp_path, strategy):
         store, plan = large
         blas(monkeypatch, None)
         serial = serial_json(plan, strategy, store)
-        blas(monkeypatch, 1, cpus=3)
-        assert protocol._helper_count(plan, strategy) == 2
-        assert serial_json(plan, strategy, store) == serial
+        for cpus in (3, 2):  # two children at once, then one at a time
+            log = tmp_path / f"log{cpus}"
+            spy_selector(monkeypatch, strategy, plan, log)
+            blas(monkeypatch, 1, cpus)
+            assert protocol._helper_count(plan, strategy) == cpus - 1
+            assert serial_json(plan, strategy, store) == serial
+            assert sorted(selected_in(log)) == [(1, True), (2, False), (3, False)]
 
-        threads = spy_selector(monkeypatch, strategy, plan)
-        use_executor(monkeypatch, EagerExecutor)
-        assert serial_json(plan, strategy, store) == serial
-        assert threads[1] == threading.current_thread().name
-        assert all(threads[t].startswith("cbsel-select") for t in (2, 3))
+    def test_one_helper_forks_each_session_after_reaping_the_one_before(self, large, monkeypatch):
+        store, plan = large
+        blas(monkeypatch, 1, cpus=2)
+        events = []
+        fork, take, waitpid = protocol._fork_select, protocol._SelectAhead.take, os.waitpid
 
-        use_executor(monkeypatch, IdleExecutor)
-        assert serial_json(plan, strategy, store) == serial
-        assert set(threads.values()) == {threading.current_thread().name}
+        def spy_fork(t, *args):
+            events.append(("fork", t))
+            return fork(t, *args)
 
-    def test_more_helpers_than_cores_switching_often(self, monkeypatch):
-        store, plan = generate(WorldConfig(
-            num_sessions=6, classes_per_session=3, dim=8, pool_per_class=700,
-            test_per_class=5, separation=6.0, imbalance_ratio=1.0, budget=15, seed=4))
+        def spy_take(self, t):
+            picked = take(self, t)
+            events.append(("take", t, picked is not None))
+            return picked
+
+        def spy_waitpid(pid, options):
+            events.append(("reap",))
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(protocol, "_fork_select", spy_fork)
+        monkeypatch.setattr(protocol._SelectAhead, "take", spy_take)
+        monkeypatch.setattr(os, "waitpid", spy_waitpid)
+        run(plan, "cbs", store)
+        assert events == [("fork", 2), ("take", 1, False),
+                          ("reap",), ("fork", 3), ("take", 2, True),
+                          ("reap",), ("take", 3, True)]
+
+    def test_a_child_that_dies_is_replaced_by_a_serial_pick(self, large, monkeypatch, tmp_path):
+        store, plan = large
         blas(monkeypatch, None)
         serial = serial_json(plan, "cbs", store)
-        blas(monkeypatch, 1, cpus=16)
-        assert protocol._helper_count(plan, "cbs") == 5
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            ahead = serial_json(plan, "cbs", store)
-        finally:
-            sys.setswitchinterval(interval)
-        assert ahead == serial
+        log = tmp_path / "log"
+        spy_selector(monkeypatch, "cbs", plan, log, die={2})
+        blas(monkeypatch, 1, cpus=3)
+        assert serial_json(plan, "cbs", store) == serial
+        assert sorted(selected_in(log)) == [(1, True), (2, False), (2, True), (3, False)]
+
+    def test_without_a_process_to_spare_the_run_is_serial(self, large, monkeypatch):
+        store, plan = large
+        blas(monkeypatch, None)
+        serial = serial_json(plan, "cbs", store)
+        blas(monkeypatch, 1, cpus=3)
+        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert serial_json(plan, "cbs", store) == serial
+        if fds is not None:
+            assert set(os.listdir("/proc/self/fd")) == fds  # the pipe was closed
 
 
 class TestFailures:
-    def test_a_failing_selection_in_session_2_is_the_serial_failure(self, large, monkeypatch):
+    def test_a_failing_selection_in_session_2_is_the_serial_failure(self, large, monkeypatch,
+                                                                    tmp_path):
         store, plan = large
         trained = []
         train = protocol.train_session
@@ -166,11 +212,11 @@ class TestFailures:
             return train(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "train_session", spy_train)
-        spy_selector(monkeypatch, "cbs", plan, fail={2})
         errors = []
         for threads in (None, 1):
+            log = tmp_path / f"log{threads}"
+            spy_selector(monkeypatch, "cbs", plan, log, fail={2})
             blas(monkeypatch, threads)
-            use_executor(monkeypatch, EagerExecutor)
             trained.clear()
             with pytest.raises(SessionFailure) as err:
                 run(plan, "cbs", store)
@@ -180,38 +226,45 @@ class TestFailures:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
         assert "no pick in session 2" in errors[1]
+        # Session 3's child may have started before the run stopped.
+        assert sorted(e for e in selected_in(log) if e[0] < 3) == [(1, True), (2, False), (2, True)]
 
-    def test_the_first_failing_session_is_raised(self, large, monkeypatch):
+    def test_the_first_failing_session_is_raised(self, large, monkeypatch, tmp_path):
         store, plan = large
         blas(monkeypatch, 1)
-        use_executor(monkeypatch, EagerExecutor)
-        threads = spy_selector(monkeypatch, "random", plan, fail={1, 2})
+        log = tmp_path / "log"
+        spy_selector(monkeypatch, "random", plan, log, fail={1, 2})
         with pytest.raises(SessionFailure, match="no pick in session 1") as err:
             run(plan, "random", store)
         assert err.value.session == 1
-        assert threads[2].startswith("cbsel-select")  # its failure came first
+        assert (1, True) in selected_in(log)
 
-    def test_no_thread_outlives_the_run(self, large, monkeypatch):
+    def test_no_child_outlives_the_run(self, large, monkeypatch, tmp_path):
         store, plan = large
         blas(monkeypatch, 1, cpus=3)
-        before = threading.active_count()
+        pids = spy_forks(monkeypatch)
+        threads = threading.active_count()
         run(plan, "cbs", store)
-        assert threading.active_count() == before
-        spy_selector(monkeypatch, "cbs", plan, fail={1})
+        assert len(pids) == 2 and all(map(reaped, pids))
+        spy_selector(monkeypatch, "cbs", plan, tmp_path / "log", fail={1})
         with pytest.raises(SessionFailure):
             run(plan, "cbs", store)
-        assert threading.active_count() == before
+        assert len(pids) == 4 and all(map(reaped, pids))
+        assert threading.active_count() == threads
 
 
 class TestNoHelper:
     @pytest.fixture(autouse=True)
-    def no_executor(self, monkeypatch):
-        use_executor(monkeypatch, NoExecutor)
+    def no_fork(self, monkeypatch):
+        def fork_select(*args):
+            raise AssertionError("a child was forked")
 
-    def test_the_executor_patch_is_seen(self, large, monkeypatch):
+        monkeypatch.setattr(protocol, "_fork_select", fork_select)
+
+    def test_the_fork_patch_is_seen(self, large, monkeypatch):
         store, plan = large
         blas(monkeypatch, 1)
-        with pytest.raises(AssertionError, match="executor was created"):
+        with pytest.raises(AssertionError, match="child was forked"):
             run(plan, "cbs", store)
 
     def test_not_with_blas_uncapped(self, large, monkeypatch):
@@ -235,6 +288,18 @@ class TestNoHelper:
         blas(monkeypatch, 1, cpus=8)
         run(dataclasses.replace(plan, sessions=plan.sessions[:1]), "cbs", store)
 
+    def test_not_while_another_thread_runs(self, large, monkeypatch):
+        store, plan = large
+        blas(monkeypatch, 1, cpus=8)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            run(plan, "cbs", store)
+        finally:
+            done.set()
+            other.join()
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="worker processes need the fork start method")
     def test_not_in_forked_sweep_workers(self, large, monkeypatch, tmp_path):
@@ -254,7 +319,7 @@ class TestNoHelper:
         rc, out_dir = sweep(2)
         assert rc == 0
         assert not (out_dir / "failures.json").exists()
-        # The same cells in this process would start helpers.
+        # The same cells in this process would fork.
         rc, out_dir = sweep(1)
         assert rc == 1
         failures = json.loads((out_dir / "failures.json").read_text())["failures"]
