@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, load_config
 from .datagen import WorldConfig, generate
 from .errors import CbselError, ConfigError
 from .features import load_features, save_features
+from .forking import Forked, can_fork
 from .protocol import (
     SCORERS,
     SELECTORS,
@@ -165,11 +167,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # Imported here, not at module level: commands that never sweep should
-    # not carry the process-pool modules in their memory.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     cfg = _config_from_args(args)
     plan = SessionPlan.load(args.plan)
     store = load_features(args.features)
@@ -187,22 +184,18 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     cells = [(s, b, r) for s in strategies for b in budgets for r in seeds]
-    sweep = (plan, work, cfg, args.out_dir)
+    run_cell = functools.partial(_run_cell, plan, work, cfg, args.out_dir)
     workers = min(args.workers, len(cells))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # Forked workers inherit the sweep's inputs; only cells and results
-        # are pickled. Futures are read in cell order, so the outputs match
-        # the in-process loop.
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 initializer=_init_sweep, initargs=(sweep,)) as pool:
-            futures = [pool.submit(_run_cell, cell) for cell in cells]
-            outcomes = [_outcome(cell, future) for cell, future in zip(cells, futures)]
+    if workers > 1 and can_fork():
+        # Forked workers inherit the sweep's inputs; only results are
+        # pickled. Worker i runs cells i, i + workers, ..., and results are
+        # read in cell order, so the outputs match the in-process loop.
+        died = "its worker process ended before sending its result"
+        with Forked(run_cell, cells, workers) as sent:
+            outcomes = [_failure(cell, "WorkerDied", died) if o is None else o
+                        for cell, o in zip(cells, sent)]
     else:
-        _init_sweep(sweep)
-        try:
-            outcomes = list(map(_run_cell, cells))
-        finally:
-            _init_sweep(None)
+        outcomes = list(map(run_cell, cells))
 
     results = {cell: o for cell, o in zip(cells, outcomes) if isinstance(o, RunReport)}
     failures = [o for o in outcomes if not isinstance(o, RunReport)]
@@ -220,45 +213,24 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-# (plan, normalized store, config, output directory) of the sweep this
-# process runs cells for: set in the sweep's own process or in each worker.
-_SWEEP: tuple | None = None
-
-
-def _init_sweep(sweep: tuple | None) -> None:
-    global _SWEEP
-    _SWEEP = sweep
-
-
-def _run_cell(cell: tuple[str, int, int]) -> RunReport | dict:
+def _run_cell(plan, work, cfg, out_dir, cell: tuple[str, int, int]) -> RunReport | dict:
     """Run one (strategy, budget, seed) cell and write its report; a cell
     that raises comes back as its failure record."""
-    plan, work, cfg, out_dir = _SWEEP
     strategy, budget, seed = cell
     try:
         report = run(dataclasses.replace(plan, budget=budget, seed=seed),
                      strategy, work, cfg)
     except Exception as exc:
-        return _failure(cell, exc)
+        return _failure(cell, type(exc).__name__, str(exc))
     _atomic_write(report_json(report),
                   os.path.join(out_dir, f"report_{strategy}_b{budget}_s{seed}.json"))
     return report
 
 
-def _outcome(cell: tuple[str, int, int], future) -> RunReport | dict:
-    """A cell's result, or a failure record when its worker died."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        return _failure(cell, exc)
-
-
-def _failure(cell: tuple[str, int, int], exc: BaseException) -> dict:
+def _failure(cell: tuple[str, int, int], error: str, message: str) -> dict:
     strategy, budget, seed = cell
     return {"strategy": strategy, "budget": budget, "seed": seed,
-            "error": type(exc).__name__, "message": str(exc)}
+            "error": error, "message": message}
 
 
 def _int_list(text: str, flag: str) -> list[int]:

@@ -14,11 +14,7 @@ import datetime
 import json
 import math
 import os
-import pickle
 import re
-import signal
-import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +41,7 @@ from .errors import (
     UnlabeledId,
 )
 from .features import FeatureStore, hidden_labels
+from .forking import Forked, can_fork
 from .gaussian import VAR_FLOOR, estimate_grouped, kl_divergence
 from .learner import (
     MemoryBuffer,
@@ -266,10 +263,10 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
 
     A `SELECTORS` strategy does not look at the learner, so on large pools
     the next sessions' selections run in forked child processes (see
-    `_helper_count` and `_SelectAhead`) while this process selects and
+    `_helper_count` and `forking.Forked`) while this process selects and
     trains the current one. Results are used in session order, a session
-    whose child failed selects here, and no child outlives the call, so the
-    report and any exception are the ones of a serial run.
+    whose child sent none selects here, and no child outlives the call, so
+    the report and any exception are the ones of a serial run.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {list(STRATEGIES)}")
@@ -291,14 +288,21 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
     past_classes: set[int] = set()
     accuracies: list[float] = []
 
-    ahead = _SelectAhead(plan, strategy, cfg, work, oracle, _helper_count(plan, strategy))
+    def pick(t: int) -> Selection:
+        sess = plan.sessions[t - 1]
+        return _pick(t, sess, plan, strategy, cfg, work.subset(sess.pool_ids), oracle)
+
+    later = range(2, len(plan.sessions) + 1)
     try:
+        ahead = Forked(pick, later, _helper_count(plan, strategy))
+    except OSError:  # no process or pipe to spare: every session selects here
+        ahead = Forked(pick, later, 0)
+    with ahead:
         for t, sess in enumerate(plan.sessions, start=1):
             try:
-                picked = ahead.take(t)
                 clf, buffer, sess_report = _run_session(
                     t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
-                    past_test_ids, past_classes, picked,
+                    past_test_ids, past_classes, next(ahead) if t > 1 else None,
                 )
             except CbselError as exc:
                 raise SessionFailure(t, exc) from exc
@@ -306,8 +310,6 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
             accuracies.append(sess_report.accuracy)
             past_test_ids.extend(sess.test_ids)
             past_classes |= set(sess.class_space)
-    finally:
-        ahead.close()
 
     report.avg = float(np.mean(accuracies))
     return report
@@ -349,94 +351,16 @@ def _helper_count(plan: SessionPlan, strategy: str) -> int:
     """Child processes that select later sessions ahead: one less than
     usable CPUs // BLAS threads, at most T - 1, so that processes x BLAS
     threads stay within the cores. There is none with BLAS uncapped (it
-    already fills the cores), inside a forked sweep worker (the cells fill
-    them), for the `SCORERS` (their rounds need the learner), without `fork`
-    or while other threads run (a child would inherit the locks they hold),
-    or when a later pool has fewer than SELECT_AHEAD_MIN_ROWS rows."""
+    already fills the cores), for the `SCORERS` (their rounds need the
+    learner), where `forking.can_fork` says no (in a sweep worker, whose
+    cells fill the cores, or without a safe `fork`), or when a later pool
+    has fewer than SELECT_AHEAD_MIN_ROWS rows."""
     later = plan.sessions[1:]
     blas = _blas_threads()
-    mp = sys.modules.get("multiprocessing")
-    if (strategy not in SELECTORS or not later or blas is None
-            or not hasattr(os, "fork") or threading.active_count() > 1
-            or (mp is not None and mp.parent_process() is not None)
+    if (strategy not in SELECTORS or not later or blas is None or not can_fork()
             or min(len(s.pool_ids) for s in later) < SELECT_AHEAD_MIN_ROWS):
         return 0
     return max(0, min(usable_cpus() // blas - 1, len(later)))
-
-
-class _SelectAhead:
-    """Selects the sessions after the current one in forked child processes,
-    at most `helpers` at once (none: every session selects in this process),
-    so a finished selection waits in at most that many children. A
-    `SELECTORS` pick reads only its session's pool, so a child forked at any
-    point picks what this process would. A child sends back its Selection or
-    nothing: when it fails, `take` returns None and the session selects in
-    this process, which raises the serial error."""
-
-    def __init__(self, plan, strategy, cfg, work, oracle, helpers):
-        self._args = (plan, strategy, cfg, work, oracle)
-        self._helpers = helpers
-        self._children = {}  # session -> (pid, read end of its pipe)
-        self._next = 2
-        self._top_up()
-
-    def _top_up(self) -> None:
-        plan = self._args[0]
-        while len(self._children) < self._helpers and self._next <= len(plan.sessions):
-            try:
-                self._children[self._next] = _fork_select(self._next, *self._args)
-            except OSError:  # no process or pipe to spare: the rest select here
-                self._helpers = 0
-            self._next += 1
-
-    def take(self, t: int) -> Selection | None:
-        """Session t's Selection if a child made it; then starts the next child."""
-        child = self._children.pop(t, None)
-        if child is None:
-            return None
-        pid, read = child
-        try:
-            with open(read, "rb") as fh:
-                data = fh.read()
-        finally:
-            ok = os.waitpid(pid, 0)[1] == 0
-        self._top_up()
-        return pickle.loads(data) if ok else None
-
-    def close(self) -> None:
-        """Stops and reaps the children of sessions the run did not reach."""
-        for pid, read in self._children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.close(read)
-            os.waitpid(pid, 0)
-        self._children.clear()
-
-
-def _fork_select(t, plan, strategy, cfg, work, oracle) -> tuple[int, int]:
-    """Forks a child that selects session t and pickles the Selection into
-    a pipe; returns the child's pid and the pipe's read end."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            sess = plan.sessions[t - 1]
-            selection = _pick(t, sess, plan, strategy, cfg, work.subset(sess.pool_ids), oracle)
-            with open(write, "wb") as fh:
-                pickle.dump(selection, fh, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            # Skips the parent's atexit handlers and the flush of the stdio
-            # buffers the child inherited.
-            os._exit(status)
-    os.close(write)
-    return pid, read
 
 
 def _pick(t, sess, plan, strategy, cfg, pool, oracle) -> Selection:

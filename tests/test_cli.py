@@ -1,7 +1,8 @@
 import dataclasses
 import json
-import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
 
@@ -33,6 +34,12 @@ def world(tmp_path_factory):
                "--out-features", str(features), "--out-plan", str(plan)])
     assert rc == 0
     return {"config": cfg_path, "features": features, "plan": plan}
+
+
+def assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestEntryPoints:
@@ -353,7 +360,7 @@ class TestSweep:
         for workers in (1, 2, 3):
             out_dir = tmp_path / f"w{workers}"
             assert self._sweep(world, out_dir, *grid, "--workers", str(workers)) == 1
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             files = {}
             for path in sorted(out_dir.iterdir()):
                 files[path.name] = [line for line in path.read_bytes().splitlines(True)
@@ -376,8 +383,7 @@ class TestSweep:
         assert "--workers" in manifest["message"]
         assert not out_dir.exists()
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="worker processes need the fork start method")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
     def test_dead_worker_fails_its_cells_not_the_sweep(self, world, tmp_path,
                                                        monkeypatch, capsys):
         real_run = cli.run
@@ -389,20 +395,73 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "run", run_or_die)
         out_dir = tmp_path / "sweep"
+        # Worker 1 runs (random, s1) then (cbs, s1); worker 2 the s2 cells.
         rc = self._sweep(world, out_dir, "--strategies", "random,cbs", "--budgets", "6",
                          "--seeds", "1,2", "--workers", "2")
         assert rc == 1
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert "Traceback" not in capsys.readouterr().err
         failures = json.loads((out_dir / "failures.json").read_text())["failures"]
-        failed = {(f["strategy"], f["seed"]) for f in failures}
-        assert {("cbs", 1), ("cbs", 2)} <= failed
-        assert all(f["error"] == "BrokenProcessPool" for f in failures)
-        survivors = {(s, r) for s in ("random", "cbs") for r in (1, 2)} - failed
-        for s, r in survivors:
-            assert (out_dir / f"report_{s}_b6_s{r}.json").exists()
+        assert {(f["strategy"], f["seed"]) for f in failures} == {("cbs", 1), ("cbs", 2)}
+        assert all(f["error"] == "WorkerDied" for f in failures)
+        for r in (1, 2):
+            assert (out_dir / f"report_random_b6_s{r}.json").exists()
         lines = (out_dir / "summary.csv").read_text().splitlines()
-        assert len(lines) == (2 if survivors else 1)
+        assert len(lines) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+    def test_a_worker_killed_mid_result_fails_only_its_unsent_cells(self, world, tmp_path,
+                                                                    monkeypatch):
+        dump = pickle.dump
+
+        def dump_half_then_die(report, fh, *args):
+            if (report.strategy, report.seed) == ("random", 2):
+                data = pickle.dumps(report, *args)
+                fh.write(data[:len(data) // 2])
+                fh.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            dump(report, fh, *args)
+
+        monkeypatch.setattr(pickle, "dump", dump_half_then_die)
+        out_dir = tmp_path / "sweep"
+        rc = self._sweep(world, out_dir, "--strategies", "random,cbs", "--budgets", "6",
+                         "--seeds", "1,2", "--workers", "2")
+        assert rc == 1
+        assert_no_child_left()
+        failures = json.loads((out_dir / "failures.json").read_text())["failures"]
+        assert {(f["strategy"], f["seed"]) for f in failures} == {("random", 2), ("cbs", 2)}
+        assert all(f["error"] == "WorkerDied" for f in failures)
+        for s in ("random", "cbs"):
+            assert (out_dir / f"report_{s}_b6_s1.json").exists()
+        lines = (out_dir / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["1", "1"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+    def test_a_failed_fork_exits_2_after_reaping_the_workers_made(self, world, tmp_path,
+                                                                  monkeypatch, capsys):
+        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        fork = os.fork
+        pids = []
+
+        def fork_once():
+            if pids:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        rc = self._sweep(world, tmp_path / "sweep", "--strategies", "random,cbs",
+                         "--budgets", "6", "--seeds", "1", "--workers", "2")
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "BlockingIOError"
+        assert "Resource temporarily unavailable" in manifest["message"]
+        assert len(pids) == 1
+        assert_no_child_left()
+        if fds is not None:
+            assert set(os.listdir("/proc/self/fd")) == fds  # both pipes were closed
 
 
 class TestReport:

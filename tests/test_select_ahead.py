@@ -4,13 +4,12 @@ no child starts where the rules say none should."""
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import threading
 
 import pytest
 
-from cbsel import protocol
+from cbsel import forking, protocol
 from cbsel.cli import main
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import ConfigError, SessionFailure
@@ -85,16 +84,17 @@ def selected_in(log) -> list[tuple[int, bool]]:
 
 
 def spy_forks(monkeypatch):
-    """The pids of the children `run` forks, in order."""
+    """The pids of the children forked from here on, in order."""
     pids = []
-    real = protocol._fork_select
+    fork = os.fork
 
-    def spy(*args):
-        child = real(*args)
-        pids.append(child[0])
-        return child
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(protocol, "_fork_select", spy)
+    monkeypatch.setattr(os, "fork", spy)
     return pids
 
 
@@ -147,32 +147,32 @@ class TestSameReports:
             assert serial_json(plan, strategy, store) == serial
             assert sorted(selected_in(log)) == [(1, True), (2, False), (3, False)]
 
-    def test_one_helper_forks_each_session_after_reaping_the_one_before(self, large, monkeypatch):
+    def test_one_helper_is_one_child_selecting_each_later_session(self, large, monkeypatch,
+                                                                 tmp_path):
         store, plan = large
         blas(monkeypatch, 1, cpus=2)
+        log = tmp_path / "log"
+        spy_selector(monkeypatch, "cbs", plan, log)
+        pids = spy_forks(monkeypatch)
         events = []
-        fork, take, waitpid = protocol._fork_select, protocol._SelectAhead.take, os.waitpid
+        next_, waitpid = forking.Forked.__next__, os.waitpid
 
-        def spy_fork(t, *args):
-            events.append(("fork", t))
-            return fork(t, *args)
-
-        def spy_take(self, t):
-            picked = take(self, t)
-            events.append(("take", t, picked is not None))
+        def spy_next(self):
+            picked = next_(self)
+            events.append(("next", picked is not None))
             return picked
 
         def spy_waitpid(pid, options):
-            events.append(("reap",))
+            events.append(("reap", pid))
             return waitpid(pid, options)
 
-        monkeypatch.setattr(protocol, "_fork_select", spy_fork)
-        monkeypatch.setattr(protocol._SelectAhead, "take", spy_take)
+        monkeypatch.setattr(forking.Forked, "__next__", spy_next)
         monkeypatch.setattr(os, "waitpid", spy_waitpid)
         run(plan, "cbs", store)
-        assert events == [("fork", 2), ("take", 1, False),
-                          ("reap",), ("fork", 3), ("take", 2, True),
-                          ("reap",), ("take", 3, True)]
+        assert len(pids) == 1
+        assert events == [("next", True), ("next", True), ("reap", pids[0])]
+        rows = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert [row for row in rows if row[1] != os.getpid()] == [(2, pids[0]), (3, pids[0])]
 
     def test_a_child_that_dies_is_replaced_by_a_serial_pick(self, large, monkeypatch, tmp_path):
         store, plan = large
@@ -256,10 +256,14 @@ class TestFailures:
 class TestNoHelper:
     @pytest.fixture(autouse=True)
     def no_fork(self, monkeypatch):
-        def fork_select(*args):
+        """Every fork raises; returns the real `os.fork`."""
+        real = os.fork
+
+        def fork():
             raise AssertionError("a child was forked")
 
-        monkeypatch.setattr(protocol, "_fork_select", fork_select)
+        monkeypatch.setattr(os, "fork", fork)
+        return real
 
     def test_the_fork_patch_is_seen(self, large, monkeypatch):
         store, plan = large
@@ -300,9 +304,7 @@ class TestNoHelper:
             done.set()
             other.join()
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="worker processes need the fork start method")
-    def test_not_in_forked_sweep_workers(self, large, monkeypatch, tmp_path):
+    def test_not_in_forked_sweep_workers(self, large, monkeypatch, tmp_path, no_fork):
         store, plan = large
         blas(monkeypatch, 1, cpus=8)
         features, plan_path = tmp_path / "features.csv", tmp_path / "plan.json"
@@ -316,8 +318,20 @@ class TestNoHelper:
                        "--out-dir", str(out_dir), "--workers", str(workers)])
             return rc, out_dir
 
-        rc, out_dir = sweep(2)
+        forks = []
+
+        def fork_unless_in_a_child():
+            if forking.IN_CHILD:
+                raise AssertionError("a child was forked")
+            forks.append(None)
+            return no_fork()
+
+        # The sweep's own workers start; a fork inside one raises.
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", fork_unless_in_a_child)
+            rc, out_dir = sweep(2)
         assert rc == 0
+        assert len(forks) == 2
         assert not (out_dir / "failures.json").exists()
         # The same cells in this process would fork.
         rc, out_dir = sweep(1)
