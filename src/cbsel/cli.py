@@ -192,10 +192,10 @@ def _cmd_sweep(args) -> int:
         # read in cell order, so the outputs match the in-process loop.
         died = "its worker process ended before sending its result"
         with Forked(run_cell, cells, workers) as sent:
-            outcomes = [_failure(cell, "WorkerDied", died) if o is None else o
+            outcomes = [_failure(cell, "WorkerDied", died) if o is None else _raise_os_error(o)
                         for cell, o in zip(cells, sent)]
     else:
-        outcomes = list(map(run_cell, cells))
+        outcomes = [_raise_os_error(o) for o in map(run_cell, cells)]
 
     results = {cell: o for cell, o in zip(cells, outcomes) if isinstance(o, RunReport)}
     failures = [o for o in outcomes if not isinstance(o, RunReport)]
@@ -213,18 +213,30 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _run_cell(plan, work, cfg, out_dir, cell: tuple[str, int, int]) -> RunReport | dict:
-    """Run one (strategy, budget, seed) cell and write its report; a cell
-    that raises comes back as its failure record."""
+def _run_cell(plan, work, cfg, out_dir, cell: tuple[str, int, int]) -> RunReport | dict | OSError:
+    """Run one (strategy, budget, seed) cell and write its report. A cell
+    that raises comes back as its failure record. A report write that fails
+    comes back as its OSError, for the sweep to raise (`_raise_os_error`):
+    a forked worker cannot raise into the sweep."""
     strategy, budget, seed = cell
     try:
         report = run(dataclasses.replace(plan, budget=budget, seed=seed),
                      strategy, work, cfg)
     except Exception as exc:
         return _failure(cell, type(exc).__name__, str(exc))
-    _atomic_write(report_json(report),
-                  os.path.join(out_dir, f"report_{strategy}_b{budget}_s{seed}.json"))
+    try:
+        _atomic_write(report_json(report),
+                      os.path.join(out_dir, f"report_{strategy}_b{budget}_s{seed}.json"))
+    except OSError as exc:
+        return exc
     return report
+
+
+def _raise_os_error(outcome):
+    """`outcome`, unless it is an OSError: then the sweep stops with it."""
+    if isinstance(outcome, OSError):
+        raise outcome
+    return outcome
 
 
 def _failure(cell: tuple[str, int, int], error: str, message: str) -> dict:

@@ -2,6 +2,12 @@
 empty-cluster repair. Squared Euclidean distance on the unit sphere orders
 points the same way cosine distance does.
 
+Lloyd's assignments score a float32 copy of the rows, made once per call,
+against the centroids cast to float32; seeding, the member sums, the
+centroids, the shift test and the inertia stay float64. Lloyd stops as soon
+as a step leaves every assignment as it was: the next step would compute
+the same centroids bit for bit.
+
 Results have the bits of the plain algorithm (tests/reference_impls.py
 keeps it). On pools of 2 * ASSIGN_BLOCK_ROWS rows or more, three steps do
 less work for the same bits:
@@ -31,8 +37,9 @@ from .features import FeatureStore
 
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-4
-# Fewest rows per block of argmin_rows's scores (see there).
+# Fewest rows per block of argmin_rows's float64 and float32 scores (see there).
 ASSIGN_BLOCK_ROWS = 1024
+ASSIGN_BLOCK_ROWS_F32 = 1536
 # Rows per tile of argmin_rows's bias add on large inputs (see there).
 BIAS_TILE_ROWS = 64
 
@@ -58,21 +65,23 @@ def kmeans(
 ) -> Clustering:
     """Cluster the store into k groups, deterministically for a given seed.
 
-    Lloyd iterations run from a k-means++ initialization until the largest
-    centroid displacement drops below `tol` or `max_iter` is reached. Empty
-    clusters are repaired before returning, so every cluster index has at
-    least one member and cluster sizes sum to N.
+    Lloyd iterations run from a k-means++ initialization until no row
+    changes cluster, the largest centroid displacement drops below `tol` or
+    `max_iter` is reached. Empty clusters are repaired before returning, so
+    every cluster index has at least one member and cluster sizes sum to N.
     """
     n = len(store)
     if k < 1 or k > n:
         raise KTooLarge(f"k={k} must be in [1, {n}]")
     if not store.normalized:
         raise NotNormalized("kmeans expects L2-normalized features")
-    x = store.vectors
+    # A writeable copy: np.bincount copies read-only weights on every sum.
+    x = store.vectors.copy()
+    x32 = x.astype(np.float32)
     rng = np.random.default_rng(seed)
 
     centroids = _plus_plus_init(x, k, rng)
-    assign = _assign(x, centroids)
+    assign = _assign(x32, centroids)
     bins = np.empty(x.shape, dtype=np.int64)
     # On large pools, after the first step only the clusters whose
     # membership changed are summed again.
@@ -86,19 +95,22 @@ def kmeans(
         else:
             sums = _resum(x, assign, changed, sums, k, bins)
         new_centroids = _means(sums, np.bincount(assign, minlength=k), centroids)
-        new_assign = _assign(x, new_centroids)
+        new_assign = _assign(x32, new_centroids)
         if resum:
             moved = new_assign != assign
+            settled = not moved.any()
             changed = np.zeros(k, dtype=bool)
             changed[assign[moved]] = True
             changed[new_assign[moved]] = True
+        else:
+            settled = np.array_equal(new_assign, assign)
         assign = new_assign
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if settled or shift < tol:
             break
 
-    assign, centroids = _repair_empty(x, assign, centroids, k, bins)
+    assign, centroids = _repair_empty(x, x32, assign, centroids, k, bins)
     del bins  # _inertia's N x D differences take its place
     return Clustering(
         k=k,
@@ -192,22 +204,28 @@ def _dist2_to(x: np.ndarray, c: np.ndarray, diff: np.ndarray,
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin ||x - c||^2 = argmin ||c||^2 - 2 x.c: the ||x||^2 term is the
     # same for every centroid of a row; ties go to the lowest centroid index.
-    # Scaling by -2 is exact and a + (-b) rounds as a - b, so the scores hold
-    # exactly the bits of ||c||^2 - (2x) @ c.T.
-    return argmin_rows(x, (-2.0 * centroids).T, np.sum(centroids * centroids, axis=1))
+    # The centroids are cast to the rows' dtype. Scaling by -2 is exact and
+    # a + (-b) rounds as a - b, so the scores hold exactly the bits of
+    # ||c||^2 - (2x) @ c.T in that dtype.
+    c = centroids.astype(x.dtype, copy=False)
+    return argmin_rows(x, (-2.0 * c).T, np.sum(c * c, axis=1))
 
 
 def argmin_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Per row of `x`, the column index of the smallest entry of
     x @ w (+ `bias`, one value per column), ties to the lowest index.
 
-    Rows are scored in blocks that start at multiples of ASSIGN_BLOCK_ROWS,
-    the last one taking the remainder, so one block's scores stay in cache
-    and no (N, k) score matrix is made. Every block of an input that has
-    ASSIGN_BLOCK_ROWS rows has at least that many: there each score is the
-    same length-D dot product as in one unblocked product, with
-    single-threaded BLAS on every kernel tried. Small blocks would not keep
-    the bits: a one-row block goes through gemv.
+    The scores have the dtype of x @ w. Rows are scored in blocks that start
+    at multiples of `rows` (ASSIGN_BLOCK_ROWS for float64 scores,
+    ASSIGN_BLOCK_ROWS_F32 for float32 ones), the last one taking the
+    remainder, so one block's scores stay in cache and no (N, k) score
+    matrix is made. Every block of an input that has `rows` rows has at
+    least that many: there each score is the same length-D dot product as
+    in one unblocked product, with single-threaded BLAS on every kernel
+    tried. Small blocks would not keep the bits: a one-row block goes
+    through gemv. Nor would float32 blocks that start off a multiple of 768
+    rows: OpenBLAS's Haswell and Zen sgemm give a row's dot products bits
+    that depend on its place within 768-row stretches.
 
     On inputs of 2 * ASSIGN_BLOCK_ROWS rows or more, `bias` is added to each
     block's whole BIAS_TILE_ROWS-row tiles as one contiguous add of the bias
@@ -215,13 +233,15 @@ def argmin_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) ->
     additions, in fewer and longer inner loops.
     """
     n, k = x.shape[0], w.shape[1]
-    last = max(0, n // ASSIGN_BLOCK_ROWS - 1) * ASSIGN_BLOCK_ROWS
-    scores = np.empty((n - last, k))
+    dtype = np.result_type(x, w)
+    rows = ASSIGN_BLOCK_ROWS_F32 if dtype == np.float32 else ASSIGN_BLOCK_ROWS
+    last = max(0, n // rows - 1) * rows
+    scores = np.empty((n - last, k), dtype=dtype)
     out = np.empty(n, dtype=np.intp)
     tiled = bias is not None and n >= 2 * ASSIGN_BLOCK_ROWS
     tile = np.tile(bias, BIAS_TILE_ROWS) if tiled else None
-    for a in range(0, last + 1, ASSIGN_BLOCK_ROWS):
-        b = n if a == last else a + ASSIGN_BLOCK_ROWS
+    for a in range(0, last + 1, rows):
+        b = n if a == last else a + rows
         s = np.matmul(x[a:b], w, out=scores[: b - a])
         if tiled:
             body = (b - a) // BIAS_TILE_ROWS * BIAS_TILE_ROWS
@@ -284,14 +304,16 @@ def _inertia(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
 
 
 def _repair_empty(
-    x: np.ndarray, assign: np.ndarray, centroids: np.ndarray, k: int, bins: np.ndarray
+    x: np.ndarray, x32: np.ndarray, assign: np.ndarray, centroids: np.ndarray, k: int,
+    bins: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Donate the farthest-from-centroid points to empty clusters.
 
     After each donation round the centroids are recomputed and one extra
     Lloyd step runs, which can itself empty a cluster, so the loop repeats
     (bounded). The final round skips the Lloyd step, guaranteeing that no
-    cluster is empty on return.
+    cluster is empty on return. `x32` is `x` in float32, which the Lloyd
+    step's assignment scores.
     """
     for attempt in range(k + 1):
         counts = np.bincount(assign, minlength=k)
@@ -313,6 +335,6 @@ def _repair_empty(
             assign[i] = j
         centroids = _update(x, assign, centroids, k, bins)
         if attempt < k:
-            assign = _assign(x, centroids)
+            assign = _assign(x32, centroids)
             centroids = _update(x, assign, centroids, k, bins)
     return assign, centroids

@@ -238,12 +238,14 @@ def _balanced_random(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
     return balanced_random_select(pool, budget, seed, oracle)
 
 
-# The one strategy table. Every entry looks its selector up in this module's
-# namespace at call time, so a name rebound on the module (by a tracer, say)
-# is the one that runs. SELECTORS are single-shot calls
-# (pool, budget, seed, num_classes, cfg, oracle) -> Selection; SCORERS rank a
-# pool from a `LogitTable` of its rows, (store, budget, table, rows) ->
-# Selection as in `baselines.entropy_select`, and run in rounds inside the
+# The one strategy table. Its entries are bound when the table is built, so
+# rebinding `_cbs` or `_balanced_random` on the module changes nothing; each
+# entry looks up the selector it calls (`cbs_select`, `random_select`, ...)
+# in this module's namespace at call time, so a selector rebound on the
+# module (by a tracer, say) is the one that runs. SELECTORS are single-shot
+# calls (pool, budget, seed, num_classes, cfg, oracle) -> Selection; SCORERS
+# rank a pool from a `LogitTable` of its rows, (store, budget, table, rows)
+# -> Selection as in `baselines.entropy_select`, and run in rounds inside the
 # protocol.
 SELECTORS = {
     "random": lambda pool, budget, seed, *_: random_select(pool, budget, seed),

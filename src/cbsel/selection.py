@@ -6,7 +6,9 @@ later pick is the member whose addition minimizes the KL divergence from the
 cluster's Gaussian to the selected set's Gaussian. Candidate moments come
 from running sums, so one greedy step costs O(members * D). Every cluster
 picks in the same pass: step s scores the rows of all clusters that still
-have picks left, and each takes its own first minimum.
+have picks left, and each takes its own first minimum. The reference
+moments are estimated in float64; the picks are scored in float32, on one
+cast copy of the rows.
 """
 
 from __future__ import annotations
@@ -87,7 +89,10 @@ def greedy_select_clusters(
     exactly as if it were picked alone.
 
     Returns one id list per cluster, in cluster-index order, each in pick
-    order; all argmin ties break toward the lowest id.
+    order; all argmin ties break toward the lowest id. The rows, the
+    reference moments, the running sums, the scores and `var_floor` are
+    cast to float32, so a floor below float32's normal range (about 1.2e-38)
+    takes the value float32 rounds it to.
     """
     want = np.asarray(per_cluster, dtype=np.intp)
     m = want.shape[0]
@@ -107,18 +112,21 @@ def greedy_select_clusters(
     by_rank = np.argsort(-want, kind="stable")
     rank = np.empty(m, dtype=np.intp)
     rank[by_rank] = np.arange(m)
-    ref_mean, ref_var, ks = ref.mean[by_rank], ref.var[by_rank], want[by_rank]
+    f32 = np.float32
+    ref_mean, ref_var = ref.mean[by_rank].astype(f32), ref.var[by_rank].astype(f32)
+    ks = want[by_rank]
     key = rank[assignments]
     rows = np.argsort(key, kind="stable")
     seg = key[rows]
-    x = store.vectors[rows]
+    x = store.vectors[rows].astype(f32)
     starts = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(sizes[by_rank], out=starts[1:])
+    floor = f32(var_floor)
 
     n, d = x.shape
     block = min(GREEDY_BLOCK_ROWS, n)
-    buffers = [np.empty((block, d)) for _ in range(6)]
-    kl = np.empty(n)
+    buffers = [np.empty((block, d), dtype=f32) for _ in range(6)]
+    kl = np.empty(n, dtype=f32)
     picks = np.zeros((int(ks[0]), m), dtype=np.intp)
 
     # First picks: each cluster's member closest to its mean.
@@ -130,17 +138,18 @@ def greedy_select_clusters(
     picks[0] = _first_minima(kl, starts, seg)
     done = np.zeros(n, dtype=bool)
     done[picks[0]] = True
-    sums = np.zeros((m, d))
-    sumsq = np.zeros((m, d))
+    sums = np.zeros((m, d), dtype=f32)
+    sumsq = np.zeros((m, d), dtype=f32)
     v = x[picks[0]]
     sums += v
     sumsq += v * v
 
     # Each later step scores the rows of the clusters still picking with the
-    # float operations of kl_divergence(ref, candidate), in its order, each
-    # cluster's running sums and reference moments gathered to its rows, a
-    # block of rows at a time. Picked rows are then set to +inf and each
-    # cluster takes its first minimum, so ties go to the lowest open id.
+    # float operations of kl_divergence(ref, candidate), in its order and in
+    # float32, each cluster's running sums and reference moments gathered to
+    # its rows, a block of rows at a time. Picked rows are then set to +inf
+    # and each cluster takes its first minimum, so ties go to the lowest open
+    # id.
     for step in range(1, int(ks[0])):
         active = int(np.count_nonzero(ks > step))
         end = int(starts[active])
@@ -156,7 +165,7 @@ def greedy_select_clusters(
             var /= n1
             np.multiply(mean, mean, out=tmp)
             var -= tmp
-            np.maximum(var, var_floor, out=var)
+            np.maximum(var, floor, out=var)
             np.divide(_gather(ref_var, sg, rv), var, out=kl_terms)
             np.subtract(mean, _gather(ref_mean, sg, part), out=tmp)
             np.square(tmp, out=tmp)

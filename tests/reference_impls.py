@@ -57,8 +57,10 @@ def plus_plus_init(x, k, rng):
 
 
 def plain_assign(x, centroids):
-    """Nearest centroid of each row, ||c||^2 - 2 x.c in one unblocked product."""
-    return np.argmin(np.sum(centroids * centroids, axis=1) - 2.0 * x @ centroids.T, axis=1)
+    """Nearest centroid of each row, ||c||^2 - 2 x.c in one unblocked product,
+    with the centroids cast to the rows' dtype."""
+    c = centroids.astype(x.dtype)
+    return np.argmin(np.sum(c * c, axis=1) - 2.0 * x @ c.T, axis=1)
 
 
 def add_at_update(x, assign, old, k, bins=None):
@@ -75,20 +77,23 @@ def add_at_update(x, assign, old, k, bins=None):
 
 def lloyd_kmeans(store, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     """`kmeans` as the plain algorithm: every row measured at every seeding
-    step, every centroid summed again at every step, one unblocked product
-    per assignment."""
+    step, every centroid summed again at every step, one unblocked float32
+    product per assignment, and a stop once a step moves no row."""
     x = store.vectors
+    x32 = x.astype(np.float32)
     rng = np.random.default_rng(seed)
     centroids = plus_plus_init(x, k, rng)
-    assign = plain_assign(x, centroids)
+    assign = plain_assign(x32, centroids)
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
         new_centroids = add_at_update(x, assign, centroids, k)
-        assign = plain_assign(x, new_centroids)
+        new_assign = plain_assign(x32, new_centroids)
+        settled = np.array_equal(new_assign, assign)
+        assign = new_assign
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if settled or shift < tol:
             break
     # Empty clusters take the rows farthest from their centroids, then one
     # more Lloyd step, until none is empty (the last round skips the step).
@@ -111,7 +116,7 @@ def lloyd_kmeans(store, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
             assign[i] = j
         centroids = add_at_update(x, assign, centroids, k)
         if attempt < k:
-            assign = plain_assign(x, centroids)
+            assign = plain_assign(x32, centroids)
             centroids = add_at_update(x, assign, centroids, k)
     diff = x - centroids[assign]
     return Clustering(k=k, assignments=assign, centroids=centroids, iterations_run=iterations,
@@ -131,20 +136,20 @@ class MomentAccumulator:
 
     Supports exact push/pop, so a candidate is scored in O(D) instead of
     re-estimating from scratch; the greedy keeps the same running sums, one
-    row per cluster. Single-owner mutable; clone with `copy()` before
-    sharing.
+    row per cluster, in float32. The sums have the dtype given (float64 by
+    default). Single-owner mutable; clone with `copy()` before sharing.
     """
 
     __slots__ = ("dim", "n", "sum", "sumsq")
 
-    def __init__(self, dim):
+    def __init__(self, dim, dtype=np.float64):
         self.dim = int(dim)
         self.n = 0
-        self.sum = np.zeros(self.dim, dtype=np.float64)
-        self.sumsq = np.zeros(self.dim, dtype=np.float64)
+        self.sum = np.zeros(self.dim, dtype=dtype)
+        self.sumsq = np.zeros(self.dim, dtype=dtype)
 
     def push(self, v):
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v, dtype=self.sum.dtype)
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"expected a vector of length {self.dim}")
         self.sum += v
@@ -156,7 +161,7 @@ class MomentAccumulator:
         """Exact inverse of a prior push of the same vector."""
         if self.n == 0:
             raise EmptyAccumulator("pop on an empty accumulator")
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v, dtype=self.sum.dtype)
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"expected a vector of length {self.dim}")
         self.sum -= v
@@ -172,7 +177,7 @@ class MomentAccumulator:
         return ClassGaussians([0], mean[None, :], var[None, :], [self.n])
 
     def copy(self):
-        out = MomentAccumulator(self.dim)
+        out = MomentAccumulator(self.dim, self.sum.dtype)
         out.n = self.n
         out.sum = self.sum.copy()
         out.sumsq = self.sumsq.copy()
@@ -259,13 +264,14 @@ def cluster_members(store, clustering, j):
 
 def kl_divergence_batch(p, means, variances):
     """Vectorized kl_divergence(p, q_i) from the one-row stack `p` over rows
-    of candidate moments."""
+    of candidate moments, with p's moments cast to the candidates' dtype."""
     if means.shape[1] != p.mean.shape[1]:
         raise DimensionMismatch(f"dim {p.mean.shape[1]} vs {means.shape[1]}")
+    p_mean, p_var = p.mean.astype(means.dtype), p.var.astype(variances.dtype)
     return 0.5 * np.sum(
-        p.var / variances
-        + (means - p.mean) ** 2 / variances
-        + np.log(variances / p.var)
+        p_var / variances
+        + (means - p_mean) ** 2 / variances
+        + np.log(variances / p_var)
         - 1.0,
         axis=1,
     )
@@ -274,24 +280,27 @@ def kl_divergence_batch(p, means, variances):
 def loop_greedy_select_cluster(members, k, var_floor=VAR_FLOOR):
     """The greedy of one cluster as its own loop, on a store of the cluster's
     members: every step scores all members into buffers made once and masks
-    the picked rows to +inf."""
+    the picked rows to +inf. The reference moments are estimated in float64;
+    everything else, `var_floor` included, is float32."""
     n = len(members)
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} must be in [1, {n}]")
-    ids, x = members.ids, members.vectors
+    ids, x = members.ids, members.vectors.astype(np.float32)
 
-    ref = estimate(x, var_floor)
-    d2 = np.einsum("ij,ij->i", x - ref.mean, x - ref.mean)
+    ref = estimate(members.vectors, var_floor)
+    ref_mean, ref_var = ref.mean.astype(np.float32), ref.var.astype(np.float32)
+    floor = np.float32(var_floor)
+    d2 = np.einsum("ij,ij->i", x - ref_mean, x - ref_mean)
     first = int(np.argmin(d2))
 
     picked = [first]
-    acc = MomentAccumulator(members.dim).push(x[first])
+    acc = MomentAccumulator(members.dim, np.float32).push(x[first])
     done = np.zeros(n, dtype=bool)
     done[first] = True
 
     xx = x * x
     mean, var, kl_terms, tmp = (np.empty_like(x) for _ in range(4))
-    kl = np.empty(n)
+    kl = np.empty(n, dtype=np.float32)
     while len(picked) < k:
         n1 = acc.n + 1
         np.add(x, acc.sum, out=mean)
@@ -300,13 +309,13 @@ def loop_greedy_select_cluster(members, k, var_floor=VAR_FLOOR):
         var /= n1
         np.multiply(mean, mean, out=tmp)
         var -= tmp
-        np.maximum(var, var_floor, out=var)
-        np.divide(ref.var, var, out=kl_terms)
-        np.subtract(mean, ref.mean, out=tmp)
+        np.maximum(var, floor, out=var)
+        np.divide(ref_var, var, out=kl_terms)
+        np.subtract(mean, ref_mean, out=tmp)
         np.square(tmp, out=tmp)
         tmp /= var
         kl_terms += tmp
-        np.divide(var, ref.var, out=tmp)
+        np.divide(var, ref_var, out=tmp)
         np.log(tmp, out=tmp)
         kl_terms += tmp
         kl_terms -= 1.0

@@ -409,6 +409,30 @@ class TestSweep:
         lines = (out_dir / "summary.csv").read_text().splitlines()
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_failed_report_write_exits_2_whatever_the_workers(self, world, tmp_path,
+                                                                 monkeypatch, capsys, workers):
+        # The cbs reports cannot be written, as on a full disk. A forked
+        # worker sends the OSError back, and the sweep raises it as the
+        # in-process loop does.
+        write = cli._atomic_write
+
+        def write_or_fail(text, path):
+            if os.path.basename(path).startswith("report_cbs_"):
+                raise OSError(28, "No space left on device")
+            write(text, path)
+
+        monkeypatch.setattr(cli, "_atomic_write", write_or_fail)
+        out_dir = tmp_path / "sweep"
+        rc = self._sweep(world, out_dir, "--strategies", "random,cbs", "--budgets", "6",
+                         "--seeds", "1,2", "--workers", workers)
+        assert rc == 2
+        assert_no_child_left()
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest == {"error": "OSError", "message": "[Errno 28] No space left on device"}
+        assert not (out_dir / "failures.json").exists()
+        assert not (out_dir / "summary.csv").exists()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
     def test_a_worker_killed_mid_result_fails_only_its_unsent_cells(self, world, tmp_path,
                                                                     monkeypatch):

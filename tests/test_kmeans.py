@@ -9,6 +9,7 @@ from cbsel.errors import KTooLarge, NotNormalized
 from cbsel.features import FeatureStore
 from cbsel.kmeans import (
     ASSIGN_BLOCK_ROWS,
+    ASSIGN_BLOCK_ROWS_F32,
     Clustering,
     _assign,
     _dist2_to,
@@ -197,6 +198,40 @@ class TestLloydStep:
         centroids = np.vstack([half, np.nextafter(half, np.inf)])
         np.testing.assert_array_equal(_assign(x, centroids), plain_assign(x, centroids))
 
+    def test_float32_blocks_start_at_multiples_of_768_rows(self):
+        # OpenBLAS's Haswell and Zen sgemm keep a row's bits only then (see
+        # argmin_rows); other kernels pass the bit tests at other sizes.
+        assert ASSIGN_BLOCK_ROWS_F32 % 768 == 0
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 1535, 1536, 1537, 2047, 2048, 2049,
+                                   3071, 3072, 3073, 15696])
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("k", [2, 100])
+    def test_float32_assign_matches_the_unblocked_float32_product(self, n, d, k):
+        # The rows k-means scores: float32, against float64 centroids that
+        # _assign casts. Pools on both sides of the float64 and the float32
+        # block boundaries; each centroid has a twin one float32 ulp away in
+        # every coordinate.
+        rng = np.random.default_rng([n, d, k, 32])
+        x = unit_store(rng.standard_normal((n, d))).vectors.astype(np.float32)
+        half = x[rng.choice(n, size=k // 2, replace=False)]
+        centroids = np.vstack([half, np.nextafter(half, np.float32(np.inf))]).astype(np.float64)
+        np.testing.assert_array_equal(_assign(x, centroids), plain_assign(x, centroids))
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 1535, 1536, 1537, 2047, 2048, 2049,
+                                   3071, 3072, 3073, 5000])
+    def test_float32_argmin_rows_matches_the_unblocked_float32_argmin(self, n):
+        # Columns come in pairs, exact twins or twins whose float32 biases are
+        # one ulp apart, and the scores stay float32 throughout.
+        rng = np.random.default_rng([n, 32])
+        x = rng.standard_normal((n, 16)).astype(np.float32)
+        w = np.repeat(rng.standard_normal((16, 50)), 2, axis=1).astype(np.float32)
+        bias = np.repeat(rng.standard_normal(50), 2).astype(np.float32)
+        bias[1::4] = np.nextafter(bias[1::4], np.float32(-np.inf))
+        want = np.argmin(x @ w + bias, axis=1)
+        np.testing.assert_array_equal(argmin_rows(x, w, bias), want)
+        np.testing.assert_array_equal(argmin_rows(x, w), np.argmin(x @ w, axis=1))
+
     @pytest.mark.parametrize("n", [1023, 2049, 5000])
     def test_argmin_rows_matches_the_unblocked_argmin(self, n):
         # Every column has an exact twin, so every row ties and must take the
@@ -230,6 +265,25 @@ class TestLloydStep:
         cases = [(large_pool, 100, 1)] + [(pool, 20, s) for s, pool in enumerate(quality_pools())]
         for pool, k, seed in cases:
             assert_same_clustering(kmeans(pool, k, seed=seed), lloyd_kmeans(pool, k, seed=seed))
+
+    def test_stops_at_the_first_step_that_moves_no_row(self, large_pool, monkeypatch):
+        # Every Lloyd step before the last moves some row; on these pools the
+        # last moves none, before the shift falls below the tolerance.
+        seen = []
+
+        def recording_assign(x, centroids):
+            seen.append(_assign(x, centroids))
+            return seen[-1]
+
+        monkeypatch.setattr(kmeans_module, "_assign", recording_assign)
+        cases = [(large_pool, 100, 1)] + [(pool, 20, s) for s, pool in enumerate(quality_pools())]
+        for pool, k, seed in cases:
+            seen.clear()
+            result = kmeans(pool, k, seed=seed)
+            steps = seen[: result.iterations_run + 1]
+            assert result.iterations_run < 100
+            assert all((a != b).any() for a, b in zip(steps[:-2], steps[1:-1]))
+            np.testing.assert_array_equal(steps[-1], steps[-2])
 
     def test_inertia_never_rises(self, large_pool, monkeypatch):
         # The benchmark-sized pool with k = 100, watched through the loop's own

@@ -56,15 +56,38 @@ def assert_greedy_steps(members, picked, var_floor=VAR_FLOOR):
             assert picked_kl <= kl_with(chosen, i) + 1e-9, f"step {step} passed over id {i}"
 
 
+# The smallest float32 subnormal: the floor the greedy's float32 scores see
+# for a var_floor of 1e-45. A candidate with zero variance along an axis then
+# has a variance ratio far beyond float32's range, so its KL overflows to
+# +inf, where 1e-320, which float32 rounds to 0, would make it NaN.
+SUBNORMAL_FLOOR = 1e-45
+
+
+def record_scores(monkeypatch):
+    """The scores each greedy step hands to `_first_minima`, one copy per
+    step, step 0's being the squared distances to the cluster means."""
+    seen = []
+    first_minima = selection_module._first_minima
+
+    def recording(values, starts, seg):
+        seen.append(values.copy())
+        return first_minima(values, starts, seg)
+
+    monkeypatch.setattr(selection_module, "_first_minima", recording)
+    return seen
+
+
 def reference_greedy(members, k, var_floor=VAR_FLOOR):
     """The greedy step as a gather of the open rows and kl_divergence_batch
-    on them; greedy_select_cluster must pick exactly what it picks."""
-    ids, x = members.ids, members.vectors
-    ref = estimate(x, var_floor)
-    d2 = np.einsum("ij,ij->i", x - ref.mean, x - ref.mean)
+    on them, in float32 from float64 reference moments, as the program
+    scores; greedy_select_cluster must pick exactly what it picks."""
+    ids, x = members.ids, members.vectors.astype(np.float32)
+    ref = estimate(members.vectors, var_floor)
+    ref_mean = ref.mean.astype(np.float32)
+    d2 = np.einsum("ij,ij->i", x - ref_mean, x - ref_mean)
     first = int(np.argmin(d2))
     picked = [first]
-    acc = MomentAccumulator(members.dim).push(x[first])
+    acc = MomentAccumulator(members.dim, np.float32).push(x[first])
     remaining = np.ones(len(members), dtype=bool)
     remaining[first] = False
     while len(picked) < k:
@@ -72,7 +95,8 @@ def reference_greedy(members, k, var_floor=VAR_FLOOR):
         xc = x[cand_rows]
         n1 = acc.n + 1
         mean = (acc.sum[None, :] + xc) / n1
-        var = np.maximum((acc.sumsq[None, :] + xc * xc) / n1 - mean * mean, var_floor)
+        var = np.maximum((acc.sumsq[None, :] + xc * xc) / n1 - mean * mean,
+                         np.float32(var_floor))
         kl = kl_divergence_batch(ref, mean, var)
         chosen = int(cand_rows[np.argmin(kl)])
         picked.append(chosen)
@@ -184,13 +208,15 @@ class TestGreedySelect:
             k = m if case % 4 == 0 else int(rng.integers(1, m + 1))
             assert greedy_select_cluster(members, k) == reference_greedy(members, k), case
 
-    def test_candidates_all_at_infinity_take_the_lowest_open_id(self):
+    def test_candidates_all_at_infinity_take_the_lowest_open_id(self, monkeypatch):
         # With a var_floor this small, both candidates' KL overflows to +inf:
         # each has zero variance with the first pick (id 0) along one axis.
         members = FeatureStore(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        seen = record_scores(monkeypatch)
         with np.errstate(over="ignore"):
-            assert greedy_select_cluster(members, 2, var_floor=1e-320) == [0, 1]
-            assert reference_greedy(members, 2, var_floor=1e-320) == [0, 1]
+            assert greedy_select_cluster(members, 2, var_floor=SUBNORMAL_FLOOR) == [0, 1]
+            assert reference_greedy(members, 2, var_floor=SUBNORMAL_FLOOR) == [0, 1]
+        assert len(seen) == 2 and np.isposinf(seen[1]).all()
 
     def test_k_out_of_range(self):
         members = store_1d([0.0, 1.0])
@@ -280,6 +306,14 @@ class TestCbsSelect:
         with pytest.raises(BudgetExceedsPool):
             cbs_select(store, num_classes=2, budget=21, seed=0)
 
+    def test_leaves_the_store_vectors_alone(self, large_pool):
+        # k-means and the greedy score float32 copies; the store keeps its
+        # float64 rows, bit for bit.
+        before = large_pool.vectors.copy()
+        cbs_select(large_pool, 100, 3000, seed=1)
+        assert large_pool.vectors.dtype == np.float64
+        np.testing.assert_array_equal(large_pool.vectors.view(np.uint64), before.view(np.uint64))
+
     @pytest.mark.parametrize("budget", [0, -3])
     def test_rejects_a_budget_below_one_before_clustering(self, budget, monkeypatch):
         def no_kmeans(*args, **kwargs):
@@ -346,7 +380,7 @@ class TestAllClustersAtOnce:
         assert greedy_select_clusters(store, assignments, per_cluster) == \
             loop_greedy_select_clusters(store, assignments, per_cluster)
 
-    def test_one_cluster_falls_back_while_the_others_stay_finite(self):
+    def test_one_cluster_falls_back_while_the_others_stay_finite(self, monkeypatch):
         # Cluster 1 is the three-row corner whose candidates' KL overflows at
         # this var_floor; clusters 0 and 2 differ in every coordinate, so
         # their scores stay finite while cluster 1 takes its first open row.
@@ -356,23 +390,35 @@ class TestAllClustersAtOnce:
         assignments = np.repeat([0, 1, 2], [6, 3, 8])
         store = FeatureStore(x)
         per_cluster = [4, 2, 5]
+        seen = record_scores(monkeypatch)
         with np.errstate(over="ignore"):
-            got = greedy_select_clusters(store, assignments, per_cluster, var_floor=1e-320)
-            want = loop_greedy_select_clusters(store, assignments, per_cluster, var_floor=1e-320)
+            got = greedy_select_clusters(store, assignments, per_cluster, var_floor=SUBNORMAL_FLOOR)
+            want = loop_greedy_select_clusters(store, assignments, per_cluster,
+                                               var_floor=SUBNORMAL_FLOOR)
         assert got == want
         assert got[1] == [6, 7]
+        # Step 1 scores the rows by rank: cluster 2 (5 picks), cluster 0 (4),
+        # then the corner (2). Only the two picked rows before it are +inf.
+        step1 = seen[1]
+        assert np.isposinf(step1[14:]).all()
+        assert np.count_nonzero(np.isfinite(step1[:14])) == 12
 
-    def test_a_nan_score_is_picked_as_argmin_picks_it(self):
+    def test_a_nan_score_is_picked_as_argmin_picks_it(self, monkeypatch):
         # In cluster 0 (rows 0-3, D = 1) the duplicate of the first pick has
-        # variance 0, floored to 1e-320; its ratio to the cluster's variance
-        # underflows to 0, and inf - inf makes its KL NaN. np.argmin takes
-        # the first NaN, so the loop picks it over the finite row 0.
+        # variance 0, floored to 1e-320, which is 0 in float32; its ratio to
+        # the cluster's variance is 0, and inf - inf makes its KL NaN.
+        # np.argmin takes the first NaN, so the loop picks it over the finite
+        # row 0.
         store = FeatureStore(np.array([[0.0], [500.0], [1000.0], [500.0], [3.0], [4.0], [6.0]]))
         assignments = np.array([0, 0, 0, 0, 1, 1, 1])
+        seen = record_scores(monkeypatch)
         with np.errstate(all="ignore"):
             got = greedy_select_clusters(store, assignments, [2, 3], var_floor=1e-320)
             assert got == loop_greedy_select_clusters(store, assignments, [2, 3], var_floor=1e-320)
         assert got[0] == [1, 3]
+        # Step 1 scores cluster 1 (3 picks) first, then cluster 0: row 0 is
+        # finite and row 3 is NaN.
+        assert np.isfinite(seen[1][3]) and np.isnan(seen[1][6])
 
     def test_k_out_of_range_names_the_cluster(self):
         store, assignments = clustered_store([3, 2], 2, seed=0)
