@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .gaussian import VAR_FLOOR
-from .kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .kmeans import DEFAULT_MAX_ITER
 from .learner import DEFAULT_ALPHA, DEFAULT_REPLAY_PER_CLASS, DEFAULT_TEMPERATURE
 
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 ENV_PREFIX = "CBSEL_"
 
 # Smallest accepted temperature. Prototypes and feature rows are unit
@@ -42,7 +42,6 @@ _FALSE = {"0", "false", "no", "off"}
 class RunConfig:
     var_floor: float = VAR_FLOOR                      # finite, > 0; minimum per-dimension variance
     kmeans_max_iter: int = DEFAULT_MAX_ITER           # >= 1
-    kmeans_tol: float = DEFAULT_TOL                   # > 0; max centroid displacement to converge
     temperature: float = DEFAULT_TEMPERATURE          # finite, >= 1e-300 or logits overflow; saturates from ~1e-4 down; cosine-softmax temperature
     alpha: float = DEFAULT_ALPHA                      # [0, 1]; weight of the previous prototype in replay blending
     replay_per_class: int = DEFAULT_REPLAY_PER_CLASS  # >= 0; pseudo-features sampled per old class
@@ -54,8 +53,6 @@ class RunConfig:
             raise ConfigError("var_floor must be finite and > 0")
         if self.kmeans_max_iter < 1:
             raise ConfigError("kmeans_max_iter must be >= 1")
-        if not self.kmeans_tol > 0.0:
-            raise ConfigError("kmeans_tol must be > 0")
         if not 0.0 < self.temperature < math.inf:
             raise ConfigError("temperature must be finite and > 0")
         if self.temperature < TEMPERATURE_FLOOR:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import DimensionMismatch
 
 # Smallest per-dimension variance. For unit-norm features this bounds the
 # KL variance ratio by 1e6, which is far from overflow but barely perturbs
@@ -24,22 +24,19 @@ VAR_FLOOR = 1e-6
 @dataclass(frozen=True, eq=False)
 class ClassGaussians:
     """The diagonal Gaussians of some classes, one row per class: ascending
-    int64 class ids, (C, D) means and variances, and the (C,) sample counts
-    behind them. `len()` is the number of classes."""
+    int64 class ids and (C, D) means and variances. `len()` is the number of
+    classes."""
 
     classes: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    count: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in zip(("classes", "mean", "var", "count"),
-                               (np.int64, np.float64, np.float64, np.int64)):
+        for name, dtype in zip(("classes", "mean", "var"), (np.int64, np.float64, np.float64)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         classes, mean, var = self.classes, self.mean, self.var
-        if (mean.shape != var.shape or mean.ndim != 2
-                or not classes.shape == self.count.shape == mean.shape[:1]):
-            raise DimensionMismatch("classes and counts must be (C,), mean and var (C, D) arrays")
+        if mean.shape != var.shape or mean.ndim != 2 or classes.shape != mean.shape[:1]:
+            raise DimensionMismatch("classes must be (C,), mean and var (C, D) arrays")
         if (np.diff(classes) <= 0).any():
             raise ValueError("class ids must be ascending and unique")
         if not (np.isfinite(mean).all() and np.isfinite(var).all()):
@@ -52,32 +49,19 @@ class ClassGaussians:
 
     def take(self, rows) -> "ClassGaussians":
         """The Gaussians in rows `rows`, which must keep the classes ascending."""
-        return ClassGaussians(self.classes[rows], self.mean[rows], self.var[rows], self.count[rows])
-
-
-def estimate(vectors, var_floor: float = VAR_FLOOR) -> ClassGaussians:
-    """Two-pass population estimate: mean = sum/n, var = mean squared deviation.
-
-    The one-group case of `estimate_grouped`: one row, of class 0. Variances
-    are clamped to `var_floor`. Raises EmptyInput on n = 0.
-    """
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[0] == 0:
-        raise EmptyInput("cannot estimate a Gaussian from zero vectors")
-    return estimate_grouped(arr, np.zeros(arr.shape[0], dtype=np.int64), var_floor)
+        return ClassGaussians(self.classes[rows], self.mean[rows], self.var[rows])
 
 
 def estimate_grouped(vectors: np.ndarray, labels: np.ndarray,
                      var_floor: float = VAR_FLOOR) -> ClassGaussians:
-    """`estimate` of every label's rows in one pass: the Gaussians of the
-    distinct labels, ascending. Each class's sums add its rows in their
-    order in `vectors`.
+    """The Gaussians of the distinct labels, ascending, each estimated from
+    its label's rows in one pass: two-pass population moments, mean = sum/n
+    and var = mean squared deviation, variances clamped to `var_floor`. Each
+    class's sums add its rows in their order in `vectors`.
     """
     classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     means, variances = _group_moments(np.asarray(vectors, dtype=np.float64), inverse, counts, var_floor)
-    return ClassGaussians(classes, means, variances, counts)
+    return ClassGaussians(classes, means, variances)
 
 
 def _group_moments(arr, group, counts, var_floor):

@@ -3,10 +3,10 @@ empty-cluster repair. Squared Euclidean distance on the unit sphere orders
 points the same way cosine distance does.
 
 Lloyd's assignments score a float32 copy of the rows, made once per call,
-against the centroids cast to float32; seeding, the member sums, the
-centroids, the shift test and the inertia stay float64. Lloyd stops as soon
-as a step leaves every assignment as it was: the next step would compute
-the same centroids bit for bit.
+against the centroids cast to float32; seeding, the member sums and the
+centroids stay float64. Lloyd has one stop rule: it stops as soon as a step
+leaves every assignment as it was, since the next step would compute the
+same centroids bit for bit, or at the `max_iter` cap.
 
 Results have the bits of the plain algorithm (tests/reference_impls.py
 keeps it). On pools of 2 * ASSIGN_BLOCK_ROWS rows or more, three steps do
@@ -36,7 +36,6 @@ from .errors import KTooLarge, NotNormalized
 from .features import FeatureStore
 
 DEFAULT_MAX_ITER = 100
-DEFAULT_TOL = 1e-4
 # Fewest rows per block of argmin_rows's float64 and float32 scores (see there).
 ASSIGN_BLOCK_ROWS = 1024
 ASSIGN_BLOCK_ROWS_F32 = 1536
@@ -50,7 +49,6 @@ class Clustering:
     assignments: np.ndarray  # (N,) in [0, k), aligned with the store's ids
     centroids: np.ndarray    # (k, D)
     iterations_run: int
-    inertia: float
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.k)
@@ -61,14 +59,13 @@ def kmeans(
     k: int,
     seed: int,
     max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
 ) -> Clustering:
     """Cluster the store into k groups, deterministically for a given seed.
 
-    Lloyd iterations run from a k-means++ initialization until no row
-    changes cluster, the largest centroid displacement drops below `tol` or
-    `max_iter` is reached. Empty clusters are repaired before returning, so
-    every cluster index has at least one member and cluster sizes sum to N.
+    Lloyd iterations run from a k-means++ initialization until a step moves
+    no row to another cluster, or for `max_iter` steps: there is no other
+    stop rule. Empty clusters are repaired before returning, so every
+    cluster index has at least one member and cluster sizes sum to N.
     """
     n = len(store)
     if k < 1 or k > n:
@@ -105,20 +102,12 @@ def kmeans(
         else:
             settled = np.array_equal(new_assign, assign)
         assign = new_assign
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if settled or shift < tol:
+        if settled:
             break
 
     assign, centroids = _repair_empty(x, x32, assign, centroids, k, bins)
-    del bins  # _inertia's N x D differences take its place
-    return Clustering(
-        k=k,
-        assignments=assign,
-        centroids=centroids,
-        iterations_run=iterations,
-        inertia=_inertia(x, centroids, assign),
-    )
+    return Clustering(k=k, assignments=assign, centroids=centroids, iterations_run=iterations)
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -296,11 +285,6 @@ def _means(sums: np.ndarray, counts: np.ndarray, old: np.ndarray) -> np.ndarray:
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]
     return out
-
-
-def _inertia(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
-    diff = x - centroids[assign]
-    return float(np.einsum("ij,ij->", diff, diff))
 
 
 def _repair_empty(

@@ -260,4 +260,4 @@ class MemoryBuffer:
         class id is a caller bug (ValueError)."""
         g = self.distributions
         return MemoryBuffer(ClassGaussians(*_merge_rows(
-            (g.classes, g.mean, g.var, g.count), (new.classes, new.mean, new.var, new.count))))
+            (g.classes, g.mean, g.var), (new.classes, new.mean, new.var))))

@@ -228,7 +228,6 @@ def _cbs(pool, budget, seed, num_classes, cfg, oracle) -> Selection:
     return cbs_select(
         pool, num_classes=num_classes, budget=budget, seed=seed,
         var_floor=cfg.var_floor, kmeans_max_iter=cfg.kmeans_max_iter,
-        kmeans_tol=cfg.kmeans_tol,
     )
 
 

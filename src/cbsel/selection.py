@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BudgetExceedsPool, KTooLarge
 from .features import FeatureStore
 from .gaussian import VAR_FLOOR, estimate_grouped
-from .kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL, kmeans
+from .kmeans import DEFAULT_MAX_ITER, kmeans
 from .seeding import derive_rng, derive_seed
 
 # Rows per block of the greedy's scores (see greedy_select_clusters): small
@@ -218,7 +218,6 @@ def cbs_select(
     seed: int,
     var_floor: float = VAR_FLOOR,
     kmeans_max_iter: int = DEFAULT_MAX_ITER,
-    kmeans_tol: float = DEFAULT_TOL,
 ) -> Selection:
     """Class-balanced selection over a whole pool.
 
@@ -229,10 +228,7 @@ def cbs_select(
     derived stream so unrelated config changes never reshuffle it.
     """
     _check_budget(store, budget)
-    clustering = kmeans(
-        store, num_classes, derive_seed(seed, "kmeans"),
-        max_iter=kmeans_max_iter, tol=kmeans_tol,
-    )
+    clustering = kmeans(store, num_classes, derive_seed(seed, "kmeans"), max_iter=kmeans_max_iter)
     per_cluster = greedy_select_clusters(
         store, clustering.assignments, allocate_budget(clustering.sizes(), budget), var_floor)
     assembled = [i for cluster in per_cluster for i in cluster]

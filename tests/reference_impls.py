@@ -1,6 +1,8 @@
 """Reference implementations the program does not call, kept for the tests
-that pin the program's whole-array passes to them bit for bit, and the
-exhaustive search and streaming moments the tests judge the greedy by."""
+that pin the program's whole-array passes to them bit for bit; the
+exhaustive search and streaming moments the tests judge the greedy by; and
+the one-group Gaussian estimate and the k-means inertia, which only tests
+measure with."""
 
 import itertools
 import math
@@ -13,11 +15,12 @@ from cbsel.errors import (
     DimensionMismatch,
     EmptyAllowedSet,
     EmptyClass,
+    EmptyInput,
     KTooLarge,
     NoClasses,
 )
-from cbsel.gaussian import VAR_FLOOR, ClassGaussians, estimate, kl_divergence
-from cbsel.kmeans import DEFAULT_MAX_ITER, DEFAULT_TOL, Clustering, kmeans
+from cbsel.gaussian import VAR_FLOOR, ClassGaussians, estimate_grouped, kl_divergence
+from cbsel.kmeans import DEFAULT_MAX_ITER, Clustering, kmeans
 from cbsel.seeding import derive_rng, derive_seed
 from cbsel.selection import Selection, allocate_budget
 
@@ -32,6 +35,24 @@ class CombinatorialGuard(CbselError):
 
 class EmptyAccumulator(CbselError):
     pass
+
+
+def estimate(vectors, var_floor=VAR_FLOOR):
+    """The one-group case of `estimate_grouped`: the Gaussian of all rows of
+    `vectors` (one vector is one row), as one row of class 0. Raises
+    EmptyInput on zero rows."""
+    arr = np.asarray(vectors, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.shape[0] == 0:
+        raise EmptyInput("cannot estimate a Gaussian from zero vectors")
+    return estimate_grouped(arr, np.zeros(arr.shape[0], dtype=np.int64), var_floor)
+
+
+def inertia(x, centroids, assign):
+    """Sum over the rows of `x` of the squared distance to their centroid."""
+    diff = x - centroids[assign]
+    return float(np.einsum("ij,ij->", diff, diff))
 
 
 def plus_plus_init(x, k, rng):
@@ -75,7 +96,7 @@ def add_at_update(x, assign, old, k, bins=None):
     return out
 
 
-def lloyd_kmeans(store, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+def lloyd_kmeans(store, k, seed, max_iter=DEFAULT_MAX_ITER):
     """`kmeans` as the plain algorithm: every row measured at every seeding
     step, every centroid summed again at every step, one unblocked float32
     product per assignment, and a stop once a step moves no row."""
@@ -91,9 +112,8 @@ def lloyd_kmeans(store, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         new_assign = plain_assign(x32, new_centroids)
         settled = np.array_equal(new_assign, assign)
         assign = new_assign
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if settled or shift < tol:
+        if settled:
             break
     # Empty clusters take the rows farthest from their centroids, then one
     # more Lloyd step, until none is empty (the last round skips the step).
@@ -118,9 +138,7 @@ def lloyd_kmeans(store, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         if attempt < k:
             assign = plain_assign(x32, centroids)
             centroids = add_at_update(x, assign, centroids, k)
-    diff = x - centroids[assign]
-    return Clustering(k=k, assignments=assign, centroids=centroids, iterations_run=iterations,
-                      inertia=float(np.einsum("ij,ij->", diff, diff)))
+    return Clustering(k=k, assignments=assign, centroids=centroids, iterations_run=iterations)
 
 
 def sample(g, k, rng):
@@ -174,7 +192,7 @@ class MomentAccumulator:
             raise EmptyAccumulator("finalize requires at least one vector")
         mean = self.sum / self.n
         var = np.maximum(self.sumsq / self.n - mean * mean, var_floor)
-        return ClassGaussians([0], mean[None, :], var[None, :], [self.n])
+        return ClassGaussians([0], mean[None, :], var[None, :])
 
     def copy(self):
         out = MomentAccumulator(self.dim, self.sum.dtype)
@@ -239,8 +257,7 @@ def dict_estimate_class_distributions(labeled, pseudo, store, classes, var_floor
         per_class.append((c, estimate(store.vectors_for(members), var_floor)))
     return ClassGaussians([c for c, _ in per_class],
                           np.concatenate([g.mean for _, g in per_class]),
-                          np.concatenate([g.var for _, g in per_class]),
-                          np.concatenate([g.count for _, g in per_class]))
+                          np.concatenate([g.var for _, g in per_class]))
 
 
 def predict_proba_matrix(clf, vectors):
@@ -340,14 +357,13 @@ def loop_greedy_select_clusters(store, assignments, per_cluster, var_floor=VAR_F
 
 
 def loop_cbs_select(store, num_classes, budget, seed, var_floor=VAR_FLOOR,
-                    kmeans_max_iter=DEFAULT_MAX_ITER, kmeans_tol=DEFAULT_TOL):
+                    kmeans_max_iter=DEFAULT_MAX_ITER):
     """`cbs_select` with the greedy run per cluster, on a subset store of
     the cluster's members."""
     n = len(store)
     if budget > n:
         raise BudgetExceedsPool(f"budget {budget} exceeds pool size {n}")
-    clustering = kmeans(store, num_classes, derive_seed(seed, "kmeans"),
-                        max_iter=kmeans_max_iter, tol=kmeans_tol)
+    clustering = kmeans(store, num_classes, derive_seed(seed, "kmeans"), max_iter=kmeans_max_iter)
     per = allocate_budget(clustering.sizes(), budget)
     per_cluster = [
         loop_greedy_select_cluster(store.subset(cluster_members(store, clustering, j)),

@@ -49,7 +49,7 @@ class TestEntryPoints:
         assert err.value.code == 0
         out = capsys.readouterr().out
         assert "cbsel" in out
-        assert "config schema v1" in out
+        assert "config schema v2" in out
 
     def test_version_is_the_package_version(self, capsys):
         # A source checkout has no installed metadata; the version comes
@@ -237,6 +237,37 @@ class TestSimulate:
         assert manifest["error"] == "ConfigError"
         assert manifest["message"].startswith("temperature must be >= 1e-300")
         assert not (tmp_path / "x.json").exists()
+
+    def test_a_config_file_with_the_removed_kmeans_tol_exits_2(self, world, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"kmeans_tol": 1e-4}')
+        rc = main(["simulate", "--plan", str(world["plan"]),
+                   "--features", str(world["features"]), "--strategy", "cbs",
+                   "--out", str(tmp_path / "x.json"), "--config", str(path)])
+        assert rc == 2
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["error"] == "ConfigError"
+        assert "unknown keys ['kmeans_tol']" in manifest["message"]
+        assert not (tmp_path / "x.json").exists()
+
+    def test_a_leftover_kmeans_tol_env_var_is_ignored(self, world, tmp_path, monkeypatch):
+        argv = lambda p: ["simulate", "--plan", str(world["plan"]),
+                          "--features", str(world["features"]), "--strategy", "cbs",
+                          "--out", str(p)]
+        assert main(argv(tmp_path / "a.json")) == 0
+        monkeypatch.setenv("CBSEL_KMEANS_TOL", "0")
+        assert main(argv(tmp_path / "b.json")) == 0
+        a, b = (report_to_dict(load_report(tmp_path / n), include_timestamp=False)
+                for n in ("a.json", "b.json"))
+        assert a == b
+
+    def test_the_removed_kmeans_tol_flag_is_an_argparse_error(self, world, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--plan", str(world["plan"]),
+                  "--features", str(world["features"]), "--strategy", "cbs",
+                  "--out", str(tmp_path / "x.json"), "--kmeans-tol", "1e-4"])
+        assert err.value.code == 2
+        assert "--kmeans-tol" in capsys.readouterr().err
 
     def test_flag_overrides_env(self, world, tmp_path, monkeypatch):
         monkeypatch.setenv("CBSEL_ALPHA", "2.0")

@@ -15,12 +15,12 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.var_floor == 1e-6
         assert cfg.kmeans_max_iter == 100
-        assert cfg.kmeans_tol == 1e-4
         assert cfg.temperature == 0.07
         assert cfg.alpha == 0.5
         assert cfg.replay_per_class == 20
         assert cfg.round_size == 20
         assert cfg.use_unlabeled_distributions is False
+        assert len(cfg.to_dict()) == 7
 
     @pytest.mark.parametrize("field,value", [
         ("var_floor", 0.0),
@@ -28,7 +28,6 @@ class TestRunConfig:
         ("var_floor", float("inf")),
         ("var_floor", float("nan")),
         ("kmeans_max_iter", 0),
-        ("kmeans_tol", 0.0),
         ("temperature", 0.0),
         ("temperature", float("inf")),
         ("temperature", float("nan")),
@@ -124,6 +123,17 @@ class TestLoadConfig:
         path.write_text(json.dumps({"momentum": 0.9}))
         with pytest.raises(ConfigError):
             load_config(path, env={})
+
+    def test_the_removed_kmeans_tol_key_is_unknown(self, tmp_path):
+        # Lloyd's only stop rules are "no row moved" and the max_iter cap.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"kmeans_tol": 1e-4}))
+        with pytest.raises(ConfigError, match=r"unknown keys \['kmeans_tol'\]"):
+            load_config(path, env={})
+
+    def test_a_leftover_kmeans_tol_env_var_is_ignored(self):
+        # "0" was out of range while the key existed.
+        assert load_config(env={ENV_PREFIX + "KMEANS_TOL": "0"}) == RunConfig()
 
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError):

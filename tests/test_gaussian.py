@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbsel.errors import DimensionMismatch, EmptyInput
-from cbsel.gaussian import VAR_FLOOR, ClassGaussians, estimate, estimate_grouped, kl_divergence
-from reference_impls import EmptyAccumulator, MomentAccumulator, kl_divergence_batch, sample
+from cbsel.gaussian import VAR_FLOOR, ClassGaussians, estimate_grouped, kl_divergence
+from reference_impls import EmptyAccumulator, MomentAccumulator, estimate, kl_divergence_batch, sample
 
 # 0.5 * (1/4 + ln 4 - 1), the divergence from N(0,1) to N(0,4)
 KL_VARIANCE_CASE = 0.3181471805599453
@@ -19,7 +19,7 @@ def gauss(mean, var):
     """A one-row stack, of class 0."""
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     var = np.atleast_1d(np.asarray(var, dtype=np.float64))
-    return ClassGaussians([0], mean[None, :], var[None, :], [1])
+    return ClassGaussians([0], mean[None, :], var[None, :])
 
 
 def kl(p, q):
@@ -32,7 +32,6 @@ class TestEstimate:
         g = estimate(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(g.mean, [[2.0, 3.0]])
         np.testing.assert_array_equal(g.var, [[1.0, 1.0]])
-        assert g.count.tolist() == [2]
         assert g.classes.tolist() == [0]
 
     def test_single_vector_hits_the_floor(self):
@@ -80,10 +79,8 @@ class TestEstimateGrouped:
         assert g.classes.dtype == np.int64
         assert g.classes.tolist() == sorted(set(labels.tolist()))
         assert len(g) == len(g.classes)
-        for c, mean, var, n in zip(g.classes, g.mean, g.var, g.count):
-            rows = x[labels == c]
-            want_mean, want_var = reference_estimate(rows, 1e-4)
-            assert n == len(rows)
+        for c, mean, var in zip(g.classes, g.mean, g.var):
+            want_mean, want_var = reference_estimate(x[labels == c], 1e-4)
             assert mean.tobytes() == want_mean.tobytes()
             assert var.tobytes() == want_var.tobytes()
 
@@ -94,7 +91,6 @@ class TestEstimateGrouped:
         want_mean, want_var = reference_estimate(x)
         assert g.mean[0].tobytes() == want_mean.tobytes()
         assert g.var[0].tobytes() == want_var.tobytes()
-        assert g.count.tolist() == [257]
 
     def test_one_dimension_sums_rows_in_order(self):
         # numpy sums a contiguous column pairwise; the grouped pass adds rows
@@ -105,7 +101,7 @@ class TestEstimateGrouped:
 
     def test_no_rows_gives_no_classes(self):
         g = estimate_grouped(np.zeros((0, 3)), np.zeros(0, int))
-        assert len(g) == g.classes.size == g.count.size == 0
+        assert len(g) == g.classes.size == 0
         assert g.mean.shape == g.var.shape == (0, 3)
 
 
@@ -115,13 +111,12 @@ class TestPerRow:
     def test_equals_one_gaussian_per_row(self):
         rng = np.random.default_rng(4)
         means, variances = rng.standard_normal((3, 5)), rng.uniform(0.1, 2.0, (3, 5))
-        g = ClassGaussians([1, 4, 9], means, variances, [4, 1, 9])
+        g = ClassGaussians([1, 4, 9], means, variances)
         assert len(g) == 3
-        assert (g.classes.dtype, g.mean.dtype, g.var.dtype, g.count.dtype) == (
-            np.int64, np.float64, np.float64, np.int64)
-        for row, (c, m, v, n) in enumerate(zip([1, 4, 9], means, variances, [4, 1, 9])):
+        assert (g.classes.dtype, g.mean.dtype, g.var.dtype) == (np.int64, np.float64, np.float64)
+        for row, (c, m, v) in enumerate(zip([1, 4, 9], means, variances)):
             got = g.take([row])
-            assert (got.classes.tolist(), got.count.tolist()) == ([c], [n])
+            assert got.classes.tolist() == [c]
             assert got.mean.tobytes() == m.tobytes()
             assert got.var.tobytes() == v.tobytes()
         assert g.take([0, 2]).classes.tolist() == [1, 9]
@@ -135,17 +130,16 @@ class TestPerRow:
     ])
     def test_checks_the_stacks_like_one_gaussian(self, means, variances, error):
         with pytest.raises(error):
-            ClassGaussians(np.arange(len(means)), means, variances, np.ones(len(means), dtype=int))
+            ClassGaussians(np.arange(len(means)), means, variances)
 
-    @pytest.mark.parametrize("classes, counts, error", [
-        ([0, 1, 2], [1, 1], DimensionMismatch),
-        ([0, 1], [1], DimensionMismatch),
-        ([1, 0], [1, 1], ValueError),
-        ([1, 1], [1, 1], ValueError),
+    @pytest.mark.parametrize("classes, error", [
+        ([0, 1, 2], DimensionMismatch),
+        ([1, 0], ValueError),
+        ([1, 1], ValueError),
     ])
-    def test_checks_the_class_ids_and_counts(self, classes, counts, error):
+    def test_checks_the_class_ids(self, classes, error):
         with pytest.raises(error):
-            ClassGaussians(classes, np.zeros((2, 2)), np.ones((2, 2)), counts)
+            ClassGaussians(classes, np.zeros((2, 2)), np.ones((2, 2)))
 
     def test_an_infinite_floor_is_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -181,9 +175,9 @@ class TestKlDivergence:
             kl_divergence(gauss([0.0], [1.0]), gauss([0.0, 0.0], [1.0, 1.0]))
 
     def test_stacks_must_hold_the_same_classes(self):
-        p = ClassGaussians([1, 2], np.zeros((2, 2)), np.ones((2, 2)), [1, 1])
+        p = ClassGaussians([1, 2], np.zeros((2, 2)), np.ones((2, 2)))
         with pytest.raises(DimensionMismatch):
-            kl_divergence(p, ClassGaussians([1, 3], np.zeros((2, 2)), np.ones((2, 2)), [1, 1]))
+            kl_divergence(p, ClassGaussians([1, 3], np.zeros((2, 2)), np.ones((2, 2))))
         with pytest.raises(DimensionMismatch):
             kl_divergence(p, p.take([0]))
 
@@ -201,10 +195,8 @@ class TestKlDivergence:
     def test_one_divergence_per_row(self):
         rng = np.random.default_rng(6)
         classes = [3, 8, 20, 21]
-        p = ClassGaussians(classes, rng.standard_normal((4, 16)), rng.uniform(0.1, 2.0, (4, 16)),
-                           [1] * 4)
-        q = ClassGaussians(classes, rng.standard_normal((4, 16)), rng.uniform(0.1, 2.0, (4, 16)),
-                           [1] * 4)
+        p = ClassGaussians(classes, rng.standard_normal((4, 16)), rng.uniform(0.1, 2.0, (4, 16)))
+        q = ClassGaussians(classes, rng.standard_normal((4, 16)), rng.uniform(0.1, 2.0, (4, 16)))
         got = kl_divergence(p, q)
         for row in range(4):
             assert got[row] == kl_divergence(p.take([row]), q.take([row]))[0]

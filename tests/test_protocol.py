@@ -18,7 +18,7 @@ from cbsel.errors import (
     UnlabeledId,
 )
 from cbsel.features import FeatureStore
-from cbsel.gaussian import estimate, kl_divergence
+from cbsel.gaussian import kl_divergence
 from cbsel.learner import (
     PrototypeClassifier,
     new_class_prototypes,
@@ -41,7 +41,7 @@ from cbsel.protocol import (
 )
 from cbsel.seeding import derive_seed
 from cbsel.selection import Selection
-from reference_impls import predict_proba_matrix
+from reference_impls import estimate, predict_proba_matrix
 
 
 def tiny_world(seed=0, **overrides):

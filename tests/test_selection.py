@@ -9,7 +9,7 @@ from cbsel import selection as selection_module
 from cbsel.datagen import WorldConfig, generate
 from cbsel.errors import BudgetExceedsPool, KTooLarge
 from cbsel.features import FeatureStore
-from cbsel.gaussian import VAR_FLOOR, estimate, kl_divergence
+from cbsel.gaussian import VAR_FLOOR, kl_divergence
 from cbsel.kmeans import kmeans
 from cbsel.seeding import derive_seed
 from cbsel.selection import (
@@ -23,6 +23,7 @@ from reference_impls import (
     MomentAccumulator,
     brute_force_select,
     cluster_members,
+    estimate,
     kl_divergence_batch,
     loop_cbs_select,
     loop_greedy_select_clusters,
