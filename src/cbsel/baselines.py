@@ -7,7 +7,10 @@ and margin score a pool from a `LogitTable`: cosine logits of every pool row
 against the classes whose prototypes change between rounds, next to the
 `SoftmaxStats` of the classes that stay fixed. `protocol` runs them in
 rounds and updates the table between them, so here a call scores once and
-computes only the statistics its key reads.
+computes only the statistics its key reads. Scoring is mixed precision: the
+cosine products, logits, running max and runner-up, shifts and exponentials
+are float32; the softmax sums, the merge with the fixed classes' statistics
+and the keys are float64.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ class SoftmaxStats:
 
     For the logits l of one row: `top` is the max logit m, `second` the
     runner-up (-inf with one class), z = sum exp(l - m) and
-    s = sum exp(l - m) * l. `second` and `s` are None when their maker was
-    not asked for them.
+    s = sum exp(l - m) * l. `top` and `second` are float32 like the logits,
+    `z` and `s` float64. `second` and `s` are None when their maker was not
+    asked for them.
     """
 
     classes: tuple[int, ...]
@@ -77,19 +81,47 @@ class SoftmaxStats:
 
     @classmethod
     def of(cls, classifier: PrototypeClassifier, vectors: np.ndarray) -> "SoftmaxStats":
-        """All the classifier's cosine logits, one row per vector."""
+        """All the classifier's cosine logits, one row per vector. A
+        `LogitTable`'s `columns.T` is used as it is, without a copy."""
         if not classifier.num_classes:
             raise NoClasses("classifier has no classes yet")
-        logits = classifier.prototypes @ vectors.T / classifier.temperature
+        logits = cosine_logits(classifier.prototypes, pool_columns(vectors), classifier.temperature)
         return softmax_stats(tuple(classifier.classes.tolist()), logits)
 
     def margin(self) -> np.ndarray:
         """Top-1 minus top-2 probability."""
-        return (1.0 - np.exp(self.second - self.top)) / self.z
+        return (1.0 - np.exp(np.subtract(self.second, self.top, dtype=np.float64))) / self.z
 
     def entropy(self) -> np.ndarray:
         """Shannon entropy (natural log) of the softmax."""
         return self.top + np.log(self.z) - self.s / self.z
+
+
+# Unit prototypes and rows give cosine logits of at most about 1 / T in
+# magnitude: a float32 cosine can exceed 1 by a few ulps, so at a cap of
+# half float32's max the shift of a row with cosines just above +-1 would
+# overflow. At a quarter of it, two logits differ by at most about half the
+# max. Below T = 1 / cap (about 1.2e-38) every temperature scores like the
+# cap, where the softmax has long saturated (see config.TEMPERATURE_FLOOR).
+LOGIT_SCALE_CAP = float(np.finfo(np.float32).max) / 4
+
+
+def pool_columns(vectors: np.ndarray) -> np.ndarray:
+    """The C-contiguous float32 (D, N) copy of (N, D) rows that the cosine
+    logits are computed from; `columns.T` of such a copy gives it back."""
+    return np.ascontiguousarray(vectors.T, dtype=np.float32)
+
+
+def logit_scale(temperature: float) -> np.float32:
+    """1 / T in float32, capped at `LOGIT_SCALE_CAP`."""
+    return np.float32(min(1.0 / temperature, LOGIT_SCALE_CAP))
+
+
+def cosine_logits(prototypes: np.ndarray, columns: np.ndarray, temperature: float) -> np.ndarray:
+    """Float32 (C, N) logits of unit (C, D) `prototypes` against the float32
+    (D, N) `columns`: one float32 product times `logit_scale(temperature)`."""
+    product = prototypes.astype(np.float32) @ columns
+    return np.multiply(product, logit_scale(temperature), out=product)
 
 
 def top_two(logits: np.ndarray, top: np.ndarray | None = None,
@@ -118,7 +150,9 @@ def softmax_stats(classes, logits: np.ndarray, old: SoftmaxStats | None = None,
     """`SoftmaxStats` of the class-major `logits` (a row per class of
     `classes`, a column per sample) together with the classes `old`
     summarises over the same samples; `second` and `s` only when asked for.
-    `work`, shaped like `logits`, takes the exponentials."""
+    `work`, shaped like `logits`, takes the exponentials and their products
+    with the logits, in the logits' dtype; z and s are summed, and `old`
+    merged in, in float64."""
     if old is not None and set(old.classes) & set(classes):
         raise ValueError("old statistics and the logits share classes")
     if second:
@@ -129,10 +163,10 @@ def softmax_stats(classes, logits: np.ndarray, old: SoftmaxStats | None = None,
             np.maximum(top, old.top, out=top)
     e = np.subtract(logits, top, out=work)
     np.exp(e, out=e)
-    z = e.sum(axis=0)
-    total = np.einsum("ij,ij->j", e, logits) if s else None
+    z = e.sum(axis=0, dtype=np.float64)
+    total = np.multiply(e, logits, out=e).sum(axis=0, dtype=np.float64) if s else None
     if old is not None:
-        scale = np.exp(old.top - top)
+        scale = np.exp(np.subtract(old.top, top, dtype=np.float64))
         z += scale * old.z
         if s:
             total += scale * old.s
@@ -145,18 +179,20 @@ class LogitTable:
     between scoring rounds, next to the `SoftmaxStats` of the classes that
     stay fixed (`old`).
 
-    The table holds one row of logits per class, in the order the classes
+    The table keeps one float32 (D, N) copy of the pool's rows (`columns`,
+    see `pool_columns`; `SoftmaxStats.of(clf, table.columns.T)` reuses it)
+    and holds one float32 row of logits per class, in the order the classes
     were first set, and one column per pool row; `update` recomputes the
-    rows of the classes it is given with one matmul. `stats` reads the
-    softmax over the fixed and the set classes together.
+    rows of the classes it is given with one float32 matmul. `stats` reads
+    the softmax over the fixed and the set classes together.
     """
 
     def __init__(self, vectors: np.ndarray, temperature: float, capacity: int,
                  old: SoftmaxStats | None = None):
-        self.vectors = vectors
+        self.columns = pool_columns(vectors)
         self.temperature = temperature
         self.old = old
-        self.logits = np.empty((capacity, len(vectors)))
+        self.logits = np.empty((capacity, len(vectors)), dtype=np.float32)
         self._work = np.empty_like(self.logits)
         self._slot: dict[int, int] = {}
 
@@ -167,7 +203,7 @@ class LogitTable:
     def update(self, classes, prototypes: np.ndarray) -> None:
         """Set the logits of `classes` from their unit (C, D) `prototypes`."""
         slots = [self._slot.setdefault(int(c), len(self._slot)) for c in classes]
-        self.logits[slots] = prototypes @ self.vectors.T / self.temperature
+        self.logits[slots] = cosine_logits(prototypes, self.columns, self.temperature)
 
     def stats(self, second: bool = True, s: bool = True) -> SoftmaxStats:
         """`SoftmaxStats` over every class of the table, one row per pool row."""
@@ -196,8 +232,8 @@ def margin_select(store: FeatureStore, budget: int, table: LogitTable,
 def _pick(store, budget, table, rows, keys) -> Selection:
     """The `budget` candidates with the smallest `keys()`, which keys every
     store row."""
-    if len(store) != len(table.vectors):
-        raise ValueError(f"the table has {len(table.vectors)} rows, the store {len(store)}")
+    if len(store) != table.logits.shape[1]:
+        raise ValueError(f"the table has {table.logits.shape[1]} rows, the store {len(store)}")
     ids = store.ids if rows is None else store.ids[rows]
     _check_budget(ids, budget)
     if table.num_classes < 2:

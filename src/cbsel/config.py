@@ -26,12 +26,17 @@ ENV_PREFIX = "CBSEL_"
 
 # Smallest accepted temperature. Prototypes and feature rows are unit
 # vectors, so a cosine logit is at most about 1 / T in magnitude and a
-# difference of two logits about 2 / T; from T = 1e-300 up both stay far
-# below float64's overflow at 1.8e308; a subnormal T can overflow them.
-# Far above the floor, from about T = 1e-4 down, the softmax saturates:
-# a row's top probability rounds to 1 once its two largest cosines differ
-# by a few dozen T, so every margin reads 1 and every entropy 0, and
-# entropy/margin rank all open rows equal and pick them in id order.
+# difference of two logits about 2 / T. From T = 1e-300 up the learner's
+# float64 logits stay far below float64's overflow at 1.8e308; a subnormal
+# T can overflow them. The uncertainty scorers compute their logits in
+# float32 with the scale 1 / T capped at a quarter of float32's max
+# (baselines.LOGIT_SCALE_CAP), so every accepted T gives them finite
+# logits and keys. Far above the floor, from about T = 1e-4 down, the softmax
+# saturates: a row's top probability rounds to 1 once its two largest
+# cosines differ by a few dozen T, so every margin reads 1 and every
+# entropy 0, and entropy/margin rank all open rows equal and pick them in
+# id order. At the other end, from about T = 10, the softmax is near
+# uniform and entropy ranks rows by differences near float32 rounding.
 TEMPERATURE_FLOOR = 1e-300
 
 _TRUE = {"1", "true", "yes", "on"}

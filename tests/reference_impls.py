@@ -1,14 +1,16 @@
 """Reference implementations the program does not call, kept for the tests
 that pin the program's whole-array passes to them bit for bit; the
-exhaustive search and streaming moments the tests judge the greedy by; and
-the one-group Gaussian estimate and the k-means inertia, which only tests
-measure with."""
+exhaustive search and streaming moments the tests judge the greedy by; the
+one-group Gaussian estimate and the k-means inertia, which only tests
+measure with; and the float64 uncertainty scorer the float32 one is judged
+by."""
 
 import itertools
 import math
 
 import numpy as np
 
+from cbsel.baselines import SoftmaxStats, top_two
 from cbsel.errors import (
     BudgetExceedsPool,
     CbselError,
@@ -381,3 +383,69 @@ def loop_cbs_select(store, num_classes, budget, seed, var_floor=VAR_FLOOR,
         ids = assembled
         discarded = []
     return Selection(ids=ids, per_cluster_ids=per_cluster, discarded=discarded)
+
+
+def float64_stats_of(classifier, vectors):
+    """`SoftmaxStats.of` in float64: float64 logits, exponentials and sums."""
+    if not classifier.num_classes:
+        raise NoClasses("classifier has no classes yet")
+    logits = classifier.prototypes @ vectors.T / classifier.temperature
+    return float64_softmax_stats(tuple(classifier.classes.tolist()), logits)
+
+
+def float64_softmax_stats(classes, logits, old=None, second=True, s=True, work=None):
+    """`baselines.softmax_stats` with every step in the float64 logits' dtype."""
+    if old is not None and set(old.classes) & set(classes):
+        raise ValueError("old statistics and the logits share classes")
+    if second:
+        top, runner_up = top_two(logits, *(() if old is None else (old.top, old.second)))
+    else:
+        top, runner_up = logits.max(axis=0), None
+        if old is not None:
+            np.maximum(top, old.top, out=top)
+    e = np.subtract(logits, top, out=work)
+    np.exp(e, out=e)
+    z = e.sum(axis=0)
+    total = np.einsum("ij,ij->j", e, logits) if s else None
+    if old is not None:
+        scale = np.exp(old.top - top)
+        z += scale * old.z
+        if s:
+            total += scale * old.s
+        classes = (*old.classes, *classes)
+    return SoftmaxStats(tuple(sorted(classes)), top, runner_up, z, total)
+
+
+class Float64Stats:
+    """Stands in for `SoftmaxStats` where `protocol` builds the old classes'
+    statistics, so they come from `float64_stats_of`."""
+
+    of = staticmethod(float64_stats_of)
+
+
+class Float64LogitTable:
+    """`baselines.LogitTable` with float64 logits of the float64 rows, each
+    `update` one float64 product divided by the temperature."""
+
+    def __init__(self, vectors, temperature, capacity, old=None):
+        self.columns = vectors.T
+        self.temperature = temperature
+        self.old = old
+        self.logits = np.empty((capacity, len(vectors)))
+        self._work = np.empty_like(self.logits)
+        self._slot = {}
+
+    @property
+    def num_classes(self):
+        return len(self._slot) + (0 if self.old is None else len(self.old.classes))
+
+    def update(self, classes, prototypes):
+        slots = [self._slot.setdefault(int(c), len(self._slot)) for c in classes]
+        self.logits[slots] = prototypes @ self.columns / self.temperature
+
+    def stats(self, second=True, s=True):
+        n = len(self._slot)
+        if not n:
+            return self.old
+        return float64_softmax_stats(tuple(self._slot), self.logits[:n], self.old, second, s,
+                                     self._work[:n])

@@ -11,8 +11,11 @@ from cbsel.baselines import (
     _top,
     balanced_random_select,
     coreset_select,
+    cosine_logits,
     entropy_select,
+    logit_scale,
     margin_select,
+    pool_columns,
     random_select,
     softmax_stats,
     top_two,
@@ -44,7 +47,8 @@ def table_of(clf, vectors, old=None):
 
 def merged_stats(clf, vectors, old):
     """`SoftmaxStats` of `clf`'s logits of `vectors` merged with `old`."""
-    return softmax_stats(tuple(clf.classes.tolist()), clf.prototypes @ vectors.T / clf.temperature, old)
+    logits = cosine_logits(clf.prototypes, pool_columns(vectors), clf.temperature)
+    return softmax_stats(tuple(clf.classes.tolist()), logits, old)
 
 
 def two_class_clf(temperature=0.07):
@@ -181,6 +185,16 @@ class TestUncertaintySelect:
             entropy_select(store, 3, table_of(clf, store.vectors))
 
 
+def full_softmax_stats(logits):
+    """Reference top, runner-up, z and s of the float32 class-major `logits`
+    over all their classes at once, at the program's precisions: float32
+    shifts, exponentials and products, float64 sums."""
+    ordered = np.sort(logits, axis=0)
+    top = ordered[-1]
+    e = np.exp(logits - top)
+    return top, ordered[-2], e.sum(axis=0, dtype=np.float64), (e * logits).sum(axis=0, dtype=np.float64)
+
+
 def full_softmax_scores(logits):
     """Reference margin and entropy from the full softmax of each row."""
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -213,14 +227,27 @@ class TestSoftmaxStats:
     ])
     @pytest.mark.parametrize("temperature", [0.07, 1.0])
     def test_merged_blocks_match_the_full_softmax(self, blocks, temperature):
+        # Against the softmax of the program's float32 logits over all seven
+        # classes at once, in float32 ulps: of the largest logit 1/T for top
+        # and second, of z for z and of z/T for s; the keys in those of z
+        # (margin, 1/z times a difference of at most 1) and of 1/T (entropy).
+        # Merging scales a block's sums in float64 where one block shifts its
+        # exponentials in float32, so they agree to ulps, not bits.
         clf, v = random_clf_and_vectors(7, 40, 8, temperature, seed=len(blocks))
-        want_margin, want_entropy = full_softmax_scores(v @ clf.prototypes.T / temperature)
+        logits = cosine_logits(clf.prototypes, pool_columns(v), temperature)
+        want_margin, want_entropy = full_softmax_scores(logits.T.astype(np.float64))
         stats = SoftmaxStats.of(sub_classifier(clf, blocks[0]), v)
         for block in blocks[1:]:
             stats = merged_stats(sub_classifier(clf, block), v, stats)
         assert stats.classes == tuple(range(7))
-        np.testing.assert_allclose(stats.margin(), want_margin, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(stats.entropy(), want_entropy, rtol=0.0, atol=1e-12)
+        unit = np.spacing(logit_scale(temperature))
+        top, second, z, s = full_softmax_stats(logits)
+        for got, want, ulps in ((stats.top, top, 8 * unit), (stats.second, second, 8 * unit),
+                                (stats.z, z, 32 * np.spacing(z.astype(np.float32))),
+                                (stats.s, s, 16 * np.spacing((z / temperature).astype(np.float32))),
+                                (stats.margin(), want_margin, 32 * np.spacing(np.float32(1.0))),
+                                (stats.entropy(), want_entropy, 16 * unit)):
+            assert np.all(np.abs(got - want) <= ulps)
         assert stats.margin()[0] == stats.margin()[20]
         assert stats.entropy()[0] == stats.entropy()[20]
 
@@ -266,6 +293,57 @@ class TestSoftmaxStats:
         assert (part.second is None) != second and (part.s is None) != s
         for name in ("top", "z") + (("second",) if second else ("s",)):
             np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
+
+
+def unit_rows(rng, n, dim):
+    rows = rng.standard_normal((n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestAnyTemperature:
+    @given(num_classes=st.integers(2, 6), num_old=st.integers(0, 6), n=st.integers(5, 40),
+           dim=st.integers(2, 6), log10_t=st.floats(-300.0, 300.0), on_prototypes=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_picks_are_unique_open_ids_with_finite_keys(
+            self, num_classes, num_old, n, dim, log10_t, on_prototypes, seed, data):
+        # Any temperature RunConfig accepts: finite float32 logits, finite
+        # keys and no RuntimeWarning (pytest makes one an error), with rows
+        # that may sit on a prototype or its opposite (cosines of +-1).
+        temperature = max(10.0 ** log10_t, 1e-300)
+        rng = np.random.default_rng(seed)
+        prototypes = unit_rows(rng, num_classes, dim)
+        rows = unit_rows(rng, n, dim)
+        if on_prototypes:
+            k = min(n, 2 * num_classes)
+            rows[:k] = np.concatenate([prototypes, -prototypes])[:k]
+        clf = PrototypeClassifier(np.arange(num_classes), prototypes, temperature)
+        old_classes = tuple(range(min(num_old, num_classes)))
+        new_classes = tuple(range(len(old_classes), num_classes))
+        old = SoftmaxStats.of(sub_classifier(clf, old_classes), rows) if old_classes else None
+        table = table_of(sub_classifier(clf, new_classes), rows, old)
+        assert np.isfinite(table.logits[:len(new_classes)]).all()
+        open_rows = np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        open_rows[rng.integers(n)] = True
+        budget = data.draw(st.integers(1, int(open_rows.sum())))
+        store = FeatureStore(rows, ids=np.arange(n) * 3 + 1)
+        stats = table.stats()
+        for select, key in ((margin_select, stats.margin()), (entropy_select, stats.entropy())):
+            assert np.isfinite(key).all()
+            ids = select(store, budget, table, open_rows).ids
+            assert len(ids) == len(set(ids)) == budget
+            assert set(ids) <= set(store.ids[open_rows].tolist())
+
+    def test_cosines_just_above_one_stay_finite_at_the_floor(self):
+        # This row's float32 cosines with itself and its opposite are
+        # +-1.0000001, so its logits pass +-LOGIT_SCALE_CAP at T = 1e-300.
+        r = np.array([0.9868491083539974, 0.1616441689047899])
+        clf = PrototypeClassifier([0, 1], np.stack([r, -r]), 1e-300)
+        logits = cosine_logits(clf.prototypes, pool_columns(r[None]), 1.0)
+        assert logits[0, 0] > 1.0 > -1.0 > logits[1, 0]
+        stats = SoftmaxStats.of(clf, np.stack([r, -r, r]))
+        assert np.isfinite(stats.margin()).all()
+        assert np.isfinite(stats.entropy()).all()
 
 
 class TestLogitTable:
