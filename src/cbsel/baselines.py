@@ -10,7 +10,8 @@ rounds and updates the table between them, so here a call scores once and
 computes only the statistics its key reads. Scoring is mixed precision: the
 cosine products, logits, running max and runner-up, shifts and exponentials
 are float32; the softmax sums, the merge with the fixed classes' statistics
-and the keys are float64.
+and the keys are float64. Equal pool rows get equal logits, so they tie
+whatever the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -80,12 +81,11 @@ class SoftmaxStats:
     s: np.ndarray | None
 
     @classmethod
-    def of(cls, classifier: PrototypeClassifier, vectors: np.ndarray) -> "SoftmaxStats":
-        """All the classifier's cosine logits, one row per vector. A
-        `LogitTable`'s `columns.T` is used as it is, without a copy."""
+    def of(cls, classifier: PrototypeClassifier, columns: "PoolColumns") -> "SoftmaxStats":
+        """All the classifier's cosine logits, one row per pool row."""
         if not classifier.num_classes:
             raise NoClasses("classifier has no classes yet")
-        logits = cosine_logits(classifier.prototypes, pool_columns(vectors), classifier.temperature)
+        logits = cosine_logits(classifier.prototypes, columns, classifier.temperature)
         return softmax_stats(tuple(classifier.classes.tolist()), logits)
 
     def margin(self) -> np.ndarray:
@@ -106,10 +106,38 @@ class SoftmaxStats:
 LOGIT_SCALE_CAP = float(np.finfo(np.float32).max) / 4
 
 
-def pool_columns(vectors: np.ndarray) -> np.ndarray:
-    """The C-contiguous float32 (D, N) copy of (N, D) rows that the cosine
-    logits are computed from; `columns.T` of such a copy gives it back."""
-    return np.ascontiguousarray(vectors.T, dtype=np.float32)
+@dataclass(frozen=True)
+class PoolColumns:
+    """A pool's (N, D) rows as the C-contiguous float32 (D, N) `values` that
+    cosine logits are computed from, made by `pool_columns`. `copies` are
+    the rows equal to an earlier row and `firsts` the first of each one's
+    equals: a BLAS product can give equal columns different bits by their
+    place in it, so `cosine_logits` copies the logits of `firsts` to
+    `copies`, and equal rows tie."""
+
+    values: np.ndarray
+    copies: np.ndarray
+    firsts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+
+def pool_columns(vectors: np.ndarray) -> PoolColumns:
+    """The `PoolColumns` of (N, D) rows."""
+    values = np.ascontiguousarray(vectors.T, dtype=np.float32)
+    none = np.zeros(0, dtype=np.intp)
+    # Each column sums in the same order, so equal columns have equal sums;
+    # only when two sums meet are the rows compared whole.
+    sums = np.sort(values.sum(axis=0))
+    if not (sums[1:] == sums[:-1]).any():
+        return PoolColumns(values, none, none)
+    rows = np.ascontiguousarray(values.T) + np.float32(0.0)  # so -0.0 has 0.0's bytes
+    whole = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
+    firsts = first[inverse]
+    copies = np.flatnonzero(firsts != np.arange(len(firsts)))
+    return PoolColumns(values, copies, firsts[copies])
 
 
 def logit_scale(temperature: float) -> np.float32:
@@ -117,11 +145,15 @@ def logit_scale(temperature: float) -> np.float32:
     return np.float32(min(1.0 / temperature, LOGIT_SCALE_CAP))
 
 
-def cosine_logits(prototypes: np.ndarray, columns: np.ndarray, temperature: float) -> np.ndarray:
-    """Float32 (C, N) logits of unit (C, D) `prototypes` against the float32
-    (D, N) `columns`: one float32 product times `logit_scale(temperature)`."""
-    product = prototypes.astype(np.float32) @ columns
-    return np.multiply(product, logit_scale(temperature), out=product)
+def cosine_logits(prototypes: np.ndarray, columns: PoolColumns, temperature: float) -> np.ndarray:
+    """Float32 (C, N) logits of unit (C, D) `prototypes` against a pool's
+    `columns`: one float32 product times `logit_scale(temperature)`, with
+    equal rows given their first equal's logits."""
+    product = prototypes.astype(np.float32) @ columns.values
+    np.multiply(product, logit_scale(temperature), out=product)
+    if len(columns.copies):
+        product[:, columns.copies] = product[:, columns.firsts]
+    return product
 
 
 def top_two(logits: np.ndarray, top: np.ndarray | None = None,
@@ -179,20 +211,20 @@ class LogitTable:
     between scoring rounds, next to the `SoftmaxStats` of the classes that
     stay fixed (`old`).
 
-    The table keeps one float32 (D, N) copy of the pool's rows (`columns`,
-    see `pool_columns`; `SoftmaxStats.of(clf, table.columns.T)` reuses it)
-    and holds one float32 row of logits per class, in the order the classes
-    were first set, and one column per pool row; `update` recomputes the
-    rows of the classes it is given with one float32 matmul. `stats` reads
-    the softmax over the fixed and the set classes together.
+    The table scores the pool's `PoolColumns`, the float32 copy of its rows
+    that `old` is computed from too, and holds one float32 row of logits per
+    class, in the order the classes were first set, and one column per pool
+    row; `update` recomputes the rows of the classes it is given with one
+    float32 matmul. `stats` reads the softmax over the fixed and the set
+    classes together.
     """
 
-    def __init__(self, vectors: np.ndarray, temperature: float, capacity: int,
+    def __init__(self, columns: PoolColumns, temperature: float, capacity: int,
                  old: SoftmaxStats | None = None):
-        self.columns = pool_columns(vectors)
+        self.columns = columns
         self.temperature = temperature
         self.old = old
-        self.logits = np.empty((capacity, len(vectors)), dtype=np.float32)
+        self.logits = np.empty((capacity, len(columns)), dtype=np.float32)
         self._work = np.empty_like(self.logits)
         self._slot: dict[int, int] = {}
 

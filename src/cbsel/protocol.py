@@ -26,6 +26,7 @@ from .baselines import (
     coreset_select,
     entropy_select,
     margin_select,
+    pool_columns,
     random_select,
 )
 from .config import RunConfig, from_json, read_json, to_json
@@ -431,7 +432,7 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
     The old classes are rehearsed once per session, on the session's "train"
     stream, so every round scores against the old prototypes the session
     ends with, and their softmax statistics over the pool are computed once,
-    from the table's float32 copy of the pool.
+    from the same `PoolColumns` the table scores.
     The session's training step takes that rehearsed classifier as it is.
     The session's classes share one `LogitTable` over the pool: each round
     recomputes only the rows of the classes labeled in the round before,
@@ -443,9 +444,9 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
     old = rehearse(clf, buffer, cfg.replay_per_class,
                    derive_seed(plan.seed, "session", t, "train"), cfg.alpha)
     space = np.array(sorted(sess.class_space), dtype=np.int64)
-    table = LogitTable(pool.vectors, clf.temperature, len(space))
-    if old.num_classes:
-        table.old = SoftmaxStats.of(old, table.columns.T)
+    columns = pool_columns(pool.vectors)
+    table = LogitTable(columns, clf.temperature, len(space),
+                       SoftmaxStats.of(old, columns) if old.num_classes else None)
     sums = np.zeros((len(space), pool.dim))
     counts = np.zeros(len(space), dtype=np.int64)
     fresh = np.zeros(0, dtype=np.intp)

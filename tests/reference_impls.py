@@ -418,7 +418,10 @@ def float64_softmax_stats(classes, logits, old=None, second=True, s=True, work=N
 
 class Float64Stats:
     """Stands in for `SoftmaxStats` where `protocol` builds the old classes'
-    statistics, so they come from `float64_stats_of`."""
+    statistics, so they come from `float64_stats_of`. Like
+    `Float64LogitTable` it takes the pool's float64 rows where the program
+    passes `PoolColumns`, so a caller swapping these in also swaps
+    `protocol.pool_columns` for one that hands the rows on as they are."""
 
     of = staticmethod(float64_stats_of)
 

@@ -39,7 +39,7 @@ def predict_proba(clf, f):
 
 def table_of(clf, vectors, old=None):
     """A LogitTable over `vectors` holding every class of `clf`."""
-    table = LogitTable(vectors, clf.temperature, clf.num_classes, old)
+    table = LogitTable(pool_columns(vectors), clf.temperature, clf.num_classes, old)
     if clf.num_classes:
         table.update(clf.classes, clf.prototypes)
     return table
@@ -227,16 +227,18 @@ class TestSoftmaxStats:
     ])
     @pytest.mark.parametrize("temperature", [0.07, 1.0])
     def test_merged_blocks_match_the_full_softmax(self, blocks, temperature):
-        # Against the softmax of the program's float32 logits over all seven
-        # classes at once, in float32 ulps: of the largest logit 1/T for top
-        # and second, of z for z and of z/T for s; the keys in those of z
-        # (margin, 1/z times a difference of at most 1) and of 1/T (entropy).
+        # Against the softmax over all seven classes at once of the blocks'
+        # float32 logits, in float32 ulps: of the largest logit 1/T for top
+        # and second, of z for z and of z/T for s, and of 1 (margin) and 1/T
+        # (entropy) for the keys, which measured at most 0.11 and 0.42 ulps.
         # Merging scales a block's sums in float64 where one block shifts its
         # exponentials in float32, so they agree to ulps, not bits.
         clf, v = random_clf_and_vectors(7, 40, 8, temperature, seed=len(blocks))
-        logits = cosine_logits(clf.prototypes, pool_columns(v), temperature)
+        logits = np.empty((7, len(v)), dtype=np.float32)
+        for block in blocks:
+            logits[block] = cosine_logits(clf.prototypes[block], pool_columns(v), temperature)
         want_margin, want_entropy = full_softmax_scores(logits.T.astype(np.float64))
-        stats = SoftmaxStats.of(sub_classifier(clf, blocks[0]), v)
+        stats = SoftmaxStats.of(sub_classifier(clf, blocks[0]), pool_columns(v))
         for block in blocks[1:]:
             stats = merged_stats(sub_classifier(clf, block), v, stats)
         assert stats.classes == tuple(range(7))
@@ -245,19 +247,19 @@ class TestSoftmaxStats:
         for got, want, ulps in ((stats.top, top, 8 * unit), (stats.second, second, 8 * unit),
                                 (stats.z, z, 32 * np.spacing(z.astype(np.float32))),
                                 (stats.s, s, 16 * np.spacing((z / temperature).astype(np.float32))),
-                                (stats.margin(), want_margin, 32 * np.spacing(np.float32(1.0))),
-                                (stats.entropy(), want_entropy, 16 * unit)):
+                                (stats.margin(), want_margin, np.spacing(np.float32(1.0))),
+                                (stats.entropy(), want_entropy, unit)):
             assert np.all(np.abs(got - want) <= ulps)
         assert stats.margin()[0] == stats.margin()[20]
         assert stats.entropy()[0] == stats.entropy()[20]
 
     def test_an_empty_classifier_has_no_statistics(self):
         with pytest.raises(NoClasses):
-            SoftmaxStats.of(empty_classifier(), np.eye(2))
+            SoftmaxStats.of(empty_classifier(), pool_columns(np.eye(2)))
 
     def test_one_column_block(self):
         clf, v = random_clf_and_vectors(1, 5, 3, 0.07, seed=0)
-        stats = SoftmaxStats.of(clf, v)
+        stats = SoftmaxStats.of(clf, pool_columns(v))
         assert np.all(stats.second == -np.inf)
         assert np.all(stats.margin() == 1.0)
         assert np.all(stats.entropy() == 0.0)
@@ -266,7 +268,7 @@ class TestSoftmaxStats:
         clf, v = random_clf_and_vectors(6, 30, 5, 0.07, seed=3)
         store = FeatureStore(v)
         rows = np.arange(30) % 3 != 1
-        old = SoftmaxStats.of(sub_classifier(clf, (0, 1, 2, 3)), v)
+        old = SoftmaxStats.of(sub_classifier(clf, (0, 1, 2, 3)), pool_columns(v))
         table = table_of(sub_classifier(clf, (4, 5)), v, old)
         sub = store.subset(store.ids[rows])
         for select in (entropy_select, margin_select):
@@ -275,19 +277,20 @@ class TestSoftmaxStats:
     def test_old_block_alone_is_scoreable(self):
         clf, v = random_clf_and_vectors(3, 10, 4, 0.07, seed=4)
         store = FeatureStore(v)
-        old_only = LogitTable(v, 0.07, 0, SoftmaxStats.of(clf, v))
+        columns = pool_columns(v)
+        old_only = LogitTable(columns, 0.07, 0, SoftmaxStats.of(clf, columns))
         assert margin_select(store, 4, old_only).ids == margin_select(store, 4, table_of(clf, v)).ids
 
     def test_classes_in_both_blocks_rejected(self):
         clf, v = random_clf_and_vectors(3, 10, 4, 0.07, seed=5)
-        table = table_of(clf, v, SoftmaxStats.of(sub_classifier(clf, (1,)), v))
+        table = table_of(clf, v, SoftmaxStats.of(sub_classifier(clf, (1,)), pool_columns(v)))
         with pytest.raises(ValueError, match="share classes"):
             entropy_select(FeatureStore(v), 2, table)
 
     @pytest.mark.parametrize("second, s", [(True, False), (False, True)])
     def test_a_statistic_not_asked_for_is_left_out(self, second, s):
         clf, v = random_clf_and_vectors(5, 20, 4, 0.07, seed=6)
-        old = SoftmaxStats.of(sub_classifier(clf, (0, 1)), v)
+        old = SoftmaxStats.of(sub_classifier(clf, (0, 1)), pool_columns(v))
         full = table_of(sub_classifier(clf, (2, 3, 4)), v, old).stats()
         part = table_of(sub_classifier(clf, (2, 3, 4)), v, old).stats(second=second, s=s)
         assert (part.second is None) != second and (part.s is None) != s
@@ -320,7 +323,7 @@ class TestAnyTemperature:
         clf = PrototypeClassifier(np.arange(num_classes), prototypes, temperature)
         old_classes = tuple(range(min(num_old, num_classes)))
         new_classes = tuple(range(len(old_classes), num_classes))
-        old = SoftmaxStats.of(sub_classifier(clf, old_classes), rows) if old_classes else None
+        old = SoftmaxStats.of(sub_classifier(clf, old_classes), pool_columns(rows)) if old_classes else None
         table = table_of(sub_classifier(clf, new_classes), rows, old)
         assert np.isfinite(table.logits[:len(new_classes)]).all()
         open_rows = np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -341,9 +344,50 @@ class TestAnyTemperature:
         clf = PrototypeClassifier([0, 1], np.stack([r, -r]), 1e-300)
         logits = cosine_logits(clf.prototypes, pool_columns(r[None]), 1.0)
         assert logits[0, 0] > 1.0 > -1.0 > logits[1, 0]
-        stats = SoftmaxStats.of(clf, np.stack([r, -r, r]))
+        stats = SoftmaxStats.of(clf, pool_columns(np.stack([r, -r, r])))
         assert np.isfinite(stats.margin()).all()
         assert np.isfinite(stats.entropy()).all()
+
+
+class TestEqualRows:
+    # Shapes in which a BLAS product gave equal columns different bits by
+    # their place in it: the first two on OpenBLAS's SkylakeX kernels, the
+    # others on its Haswell and Zen ones. A one-class block is a
+    # matrix-vector product, the others matrix products.
+    @pytest.mark.parametrize("num_old, n, dim", [(1, 40, 64), (2, 3944, 64), (5, 100, 8), (50, 100, 16)])
+    def test_equal_rows_get_equal_keys(self, num_old, n, dim):
+        rng = np.random.default_rng(n)
+        rows = unit_rows(rng, n, dim)
+        rows[1, 0] = 0.0
+        rows[1] /= np.linalg.norm(rows[1])
+        rows[[n // 2, n - 1]] = rows[0]
+        rows[n - 2] = rows[1]
+        rows[n - 2, 0] = -0.0
+        columns = pool_columns(rows)
+        assert columns.copies.tolist() == [n // 2, n - 2, n - 1]
+        assert columns.firsts.tolist() == [0, 1, 0]
+        clf = PrototypeClassifier(np.arange(num_old + 1), unit_rows(rng, num_old + 1, dim), 0.07)
+        for old_classes, new_classes in (((), tuple(range(num_old + 1))),
+                                         (tuple(range(num_old)), (num_old,)),
+                                         ((0,), tuple(range(1, num_old + 1)))):
+            old = SoftmaxStats.of(sub_classifier(clf, old_classes), columns) if old_classes else None
+            table = LogitTable(columns, clf.temperature, len(new_classes), old)
+            table.update(new_classes, clf.prototypes[list(new_classes)])
+            stats = table.stats()
+            for key in (stats.margin(), stats.entropy()):
+                assert key[0] == key[n // 2] == key[n - 1]
+                assert key[1] == key[n - 2]
+            store = FeatureStore(rows)
+            for select in (margin_select, entropy_select):
+                picked = set(select(store, n // 2, table).ids)
+                assert not {n // 2, n - 1} & picked or 0 in picked
+                assert n - 2 not in picked or 1 in picked
+
+    def test_rows_with_equal_sums_are_compared_whole(self):
+        rows = np.array([[0.6, 0.8], [0.8, 0.6], [0.6, 0.8], [1.0, 0.0]])
+        columns = pool_columns(rows)
+        assert columns.copies.tolist() == [2] and columns.firsts.tolist() == [0]
+        assert len(pool_columns(rows[[0, 1, 3]]).copies) == 0
 
 
 class TestLogitTable:
@@ -352,14 +396,14 @@ class TestLogitTable:
         rng = np.random.default_rng(8)
         g = rng.standard_normal((5, 6))
         stale = PrototypeClassifier(np.arange(5), g / np.linalg.norm(g, axis=1, keepdims=True), 0.07)
-        table = LogitTable(v, 0.07, 5)
+        table = LogitTable(pool_columns(v), 0.07, 5)
         # Classes arrive out of id order and (3, 1) are set twice: the first
         # time from stale prototypes that the second update replaces.
         table.update((3, 1), stale.prototypes[[3, 1]])
         table.update((4, 0), clf.prototypes[[4, 0]])
         table.update((1, 3, 2), clf.prototypes[[1, 3, 2]])
         assert table.num_classes == 5
-        want = SoftmaxStats.of(clf, v)
+        want = SoftmaxStats.of(clf, pool_columns(v))
         got = table.stats()
         assert got.classes == want.classes
         np.testing.assert_array_equal(got.top, want.top)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cbsel.baselines import SoftmaxStats
+from cbsel.baselines import SoftmaxStats, pool_columns
 from cbsel.config import ENV_PREFIX, TEMPERATURE_FLOOR, RunConfig, from_json, load_config
 from cbsel.errors import ConfigError, PlanError
 from cbsel.learner import PrototypeClassifier
@@ -50,7 +50,7 @@ class TestRunConfig:
         assert RunConfig(temperature=TEMPERATURE_FLOOR).temperature == 1e-300
         clf = PrototypeClassifier([0, 1], [[1.0, 0.0], [-1.0, 0.0]], TEMPERATURE_FLOOR)
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8]])
-        stats = SoftmaxStats.of(clf, rows)
+        stats = SoftmaxStats.of(clf, pool_columns(rows))
         assert np.isfinite(stats.margin()).all()
         assert np.isfinite(stats.entropy()).all()
 
@@ -63,7 +63,7 @@ class TestRunConfig:
 
         def stats(temperature):
             clf = PrototypeClassifier(range(5), prototypes, RunConfig(temperature=temperature).temperature)
-            return SoftmaxStats.of(clf, rows)
+            return SoftmaxStats.of(clf, pool_columns(rows))
 
         saturated = stats(1e-4)
         assert (saturated.margin() == 1.0).all()

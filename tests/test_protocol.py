@@ -580,14 +580,14 @@ class TestUncertaintyRounds:
 
             selection, rehearsed = select(t, sess, plan, scoring, cfg, work, pool, oracle, clf, buffer)
             for stats, rows, picked in seen:
-                vectors = pool.vectors[rows]
-                want = SoftmaxStats.of(rehearsed, vectors) if rehearsed.num_classes else None
+                columns = pool_columns(pool.vectors[rows])
+                want = SoftmaxStats.of(rehearsed, columns) if rehearsed.num_classes else None
                 ids = selection.ids[:np.count_nonzero(~rows)]
                 if ids:
                     new = new_class_prototypes(clf, (ids, oracle.labels_of(ids)), work,
                                                sess.class_space)
                     new_classes, protos = new
-                    logits = cosine_logits(protos, pool_columns(vectors), clf.temperature)
+                    logits = cosine_logits(protos, columns, clf.temperature)
                     want = softmax_stats(tuple(new_classes.tolist()), logits, want)
                 assert stats.classes == want.classes
                 # In float32 ulps of the largest logit 1/T for top and second,
@@ -673,6 +673,7 @@ class TestFloat64Reference:
         got = run(plan, strategy, store, cfg)
         monkeypatch.setattr(protocol, "LogitTable", Float64LogitTable)
         monkeypatch.setattr(protocol, "SoftmaxStats", Float64Stats)
+        monkeypatch.setattr(protocol, "pool_columns", lambda vectors: vectors)
         want = run(plan, strategy, store, cfg)
         assert [set(s.selected_ids) for s in got.per_session] == \
             [set(s.selected_ids) for s in want.per_session]
