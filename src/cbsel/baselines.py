@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DegenerateClassifier, NoClasses
 from .features import FeatureStore
+from .kmeans import _dist2_to
 from .learner import PrototypeClassifier
 from .selection import Selection, _check_budget
 
@@ -294,20 +295,15 @@ def coreset_select(store: FeatureStore, budget: int, seed: int) -> Selection:
     del seed
     _check_budget(store, budget)
     ids, x = store.ids, store.vectors
-    diff = x - x.mean(axis=0)
-    first = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    diff = np.empty_like(x)
+    first = int(np.argmin(_dist2_to(x, x.mean(axis=0), diff)))
 
     picked = [first]
-    min_d2 = _d2_to(x, x[first])
+    min_d2 = _dist2_to(x, x[first], diff)
     min_d2[first] = -1.0
     while len(picked) < budget:
         nxt = int(np.argmax(min_d2))
         picked.append(nxt)
-        np.minimum(min_d2, _d2_to(x, x[nxt]), out=min_d2)
+        np.minimum(min_d2, _dist2_to(x, x[nxt], diff), out=min_d2)
         min_d2[nxt] = -1.0
     return Selection(ids=[int(ids[i]) for i in picked])
-
-
-def _d2_to(x: np.ndarray, point: np.ndarray) -> np.ndarray:
-    d = x - point
-    return np.einsum("ij,ij->i", d, d)

@@ -6,8 +6,9 @@ are written with 17 significant digits so a save/load round-trip is
 lossless for float64.
 
 Hidden labels ride along for the oracle and the metrics code only; selection
-strategies must not read them. Access goes through :func:`hidden_labels`,
-which checks the consumer name.
+strategies must not read them. A store holds them as one int64 column, with
+``NO_LABEL`` in each row without a label. Access goes through
+:func:`hidden_labels`, which checks the consumer name.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ class FeatureStore:
     Freshly loaded or generated stores have ids dense in [0, N). Subsets
     keep the parent's ids so downstream selections always report pool-wide
     ids. `normalized` is set by `l2_normalize`, `generate` and subsets of a
-    normalized store, and is not re-checked. All mutation-style operations
-    return new stores; the arrays are read-only.
+    normalized store, and is not re-checked. Hidden labels are one int64
+    column aligned with the rows: `NO_LABEL` marks a row without a label, and
+    a store built with labels=None holds it in every row. All mutation-style
+    operations return new stores; the arrays are read-only.
     """
 
     def __init__(
@@ -68,14 +71,12 @@ class FeatureStore:
             ids = np.asarray(ids, dtype=np.int64)
         if ids.shape != (n,):
             raise DimensionMismatch("ids length does not match the number of rows")
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
-            if labels.shape != (n,):
-                raise DimensionMismatch("labels length does not match the number of rows")
+        labels = np.asarray(np.full(n, NO_LABEL) if labels is None else labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise DimensionMismatch("labels length does not match the number of rows")
         if np.any(ids[1:] < ids[:-1]):
             order = np.argsort(ids, kind="stable")
-            vectors, ids = vectors[order], ids[order]
-            labels = None if labels is None else labels[order]
+            vectors, ids, labels = vectors[order], ids[order], labels[order]
         if np.any(ids[1:] == ids[:-1]):
             raise ParseError("duplicate ids in feature store")
         self.dim = int(vectors.shape[1])
@@ -83,10 +84,8 @@ class FeatureStore:
         self.ids = ids
         self.normalized = bool(normalized)
         self._labels = labels
-        self.vectors.setflags(write=False)
-        self.ids.setflags(write=False)
-        if self._labels is not None:
-            self._labels.setflags(write=False)
+        for v in (vectors, ids, labels):
+            v.setflags(write=False)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -94,13 +93,9 @@ class FeatureStore:
     def _rows(self, ids) -> np.ndarray:
         """Row of each id, in the given order; UnknownId names the first absent id."""
         ids = np.asarray(ids, dtype=np.int64)
-        rows = self.ids.searchsorted(ids)
-        if len(self) == 0:
-            absent = np.ones(ids.shape, dtype=bool)
-        else:
-            absent = self.ids.take(rows, mode="clip") != ids
-        if absent.any():
-            raise UnknownId(int(ids[absent.argmax()]))
+        rows, found = find_sorted(self.ids, ids)
+        if not found.all():
+            raise UnknownId(int(ids[found.argmin()]))
         return rows
 
     def vectors_for(self, ids) -> np.ndarray:
@@ -117,7 +112,7 @@ class FeatureStore:
         return FeatureStore(
             self.vectors[rows],
             ids=self.ids[rows],
-            labels=None if self._labels is None else self._labels[rows],
+            labels=self._labels[rows],
             normalized=self.normalized,
         )
 
@@ -130,9 +125,20 @@ class FeatureStore:
         return FeatureStore(
             self.vectors / norms[:, None],
             ids=self.ids.copy(),
-            labels=None if self._labels is None else self._labels.copy(),
+            labels=self._labels.copy(),
             normalized=True,
         )
+
+
+def find_sorted(keys: np.ndarray, wanted) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `wanted` sits in the ascending int64 array `keys`: the
+    positions and a mask of the keys found, both shaped like `wanted`. A
+    position is meaningful only where the mask is True."""
+    wanted = np.asarray(wanted, dtype=np.int64)
+    at = keys.searchsorted(wanted)
+    if not len(keys):
+        return at, np.zeros(wanted.shape, dtype=bool)
+    return at, keys.take(at, mode="clip") == wanted
 
 
 def hidden_labels(store: FeatureStore, consumer: str) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +152,6 @@ def hidden_labels(store: FeatureStore, consumer: str) -> tuple[np.ndarray, np.nd
         raise HiddenLabelAccess(
             f"hidden labels are restricted to {_LABEL_CONSUMERS}, not {consumer!r}"
         )
-    if store._labels is None:
-        return store.ids[:0], store.ids[:0]
     keep = store._labels != NO_LABEL
     return store.ids[keep], store._labels[keep]
 
@@ -201,15 +205,13 @@ def _load_fast(path) -> FeatureStore | None:
     heads = [line.split(",", 2)[:2] for line in body]
     ids = [int(id_cell) for id_cell, _ in heads]
     labels = [NO_LABEL if cell.strip() == "" else int(cell) for _, cell in heads]
-    unlabeled = sum(cell.strip() == "" for _, cell in heads)
-    if labels.count(NO_LABEL) != unlabeled:
+    if labels.count(NO_LABEL) != sum(cell.strip() == "" for _, cell in heads):
         return None  # a -1 label cell: the validator names it
-    any_label = unlabeled < len(heads)
     vectors = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
                          quotechar=None, usecols=range(2, dim + 2), ndmin=2)
     if vectors.shape != (len(body), dim):
         return None
-    return _dense_store(ids, labels, any_label, vectors)  # raises on a non-finite value
+    return _dense_store(ids, labels, vectors)  # raises on a non-finite value
 
 
 def _load_validated(path) -> FeatureStore:
@@ -224,7 +226,6 @@ def _load_validated(path) -> FeatureStore:
             ids: list[int] = []
             labels: list[int] = []
             rows: list[list[float]] = []
-            any_label = False
             for rownum, row in enumerate(records, start=2):
                 if len(row) != dim + 2:
                     raise DimensionMismatch(
@@ -248,7 +249,6 @@ def _load_validated(path) -> FeatureStore:
                         raise ParseError(
                             f"label {row[1]!r} is reserved for a row without a label",
                             row=rownum, column=2)
-                    any_label = True
                 values = []
                 for col, cell in enumerate(row[2:], start=3):
                     try:
@@ -265,7 +265,7 @@ def _load_validated(path) -> FeatureStore:
                 rows.append(values)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
-    return _dense_store(ids, labels, any_label, rows)
+    return _dense_store(ids, labels, rows)
 
 
 def _csv_records(fh):
@@ -284,7 +284,7 @@ def _csv_records(fh):
         row += 1
 
 
-def _dense_store(ids: list[int], labels: list[int], any_label: bool, vectors) -> FeatureStore:
+def _dense_store(ids: list[int], labels: list[int], vectors) -> FeatureStore:
     """The store of parsed rows, once their ids are checked dense in [0, N)."""
     n = len(ids)
     if n == 0:
@@ -294,7 +294,7 @@ def _dense_store(ids: list[int], labels: list[int], any_label: bool, vectors) ->
     return FeatureStore(
         np.asarray(vectors, dtype=np.float64),
         ids=np.asarray(ids, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.int64) if any_label else None,
+        labels=np.asarray(labels, dtype=np.int64),
         normalized=False,
     )
 
@@ -313,10 +313,7 @@ def save_features(store: FeatureStore, path) -> None:
         for start in range(0, len(store), _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)
             ids = store.ids[block].tolist()
-            if store._labels is None:
-                labels = [""] * len(ids)
-            else:
-                labels = ["" if y == NO_LABEL else str(y) for y in store._labels[block].tolist()]
+            labels = ["" if y == NO_LABEL else str(y) for y in store._labels[block].tolist()]
             fh.write("".join([
                 row_format % (i, label, *v)
                 for i, label, v in zip(ids, labels, store.vectors[block].tolist())

@@ -25,7 +25,7 @@ from .errors import (
     NotNormalized,
     ZeroVector,
 )
-from .features import FeatureStore
+from .features import FeatureStore, find_sorted
 from .gaussian import VAR_FLOOR, ClassGaussians, estimate_grouped
 from .kmeans import argmin_rows
 from .seeding import derive_rng
@@ -123,11 +123,10 @@ def pseudo_label(clf: PrototypeClassifier, vectors: np.ndarray, allowed) -> np.n
     allowed = np.array(sorted({int(c) for c in allowed}), dtype=np.int64)
     if not allowed.size:
         raise EmptyAllowedSet("pseudo_label requires at least one allowed class")
-    missing = allowed[~np.isin(allowed, clf.classes)]
-    if missing.size:
-        raise ValueError(f"allowed classes not in classifier: {missing.tolist()}")
-    g = clf.prototypes[clf.classes.searchsorted(allowed)]
-    return allowed[argmin_rows(vectors, (-g).T)]
+    rows, found = find_sorted(clf.classes, allowed)
+    if not found.all():
+        raise ValueError(f"allowed classes not in classifier: {allowed[~found].tolist()}")
+    return allowed[argmin_rows(vectors, (-clf.prototypes[rows]).T)]
 
 
 def estimate_class_distributions(
@@ -146,10 +145,10 @@ def estimate_class_distributions(
     labels = np.concatenate((labeled[1], pseudo[1]))[first]
     got = estimate_grouped(store.vectors_for(ids), labels, var_floor)
     want = np.unique(np.fromiter((int(c) for c in classes), dtype=np.int64))
-    found = np.isin(want, got.classes)
+    rows, found = find_sorted(got.classes, want)
     if not found.all():
         raise EmptyClass(int(want[found.argmin()]))
-    return got.take(got.classes.searchsorted(want))
+    return got.take(rows)
 
 
 def rehearse(
@@ -178,8 +177,8 @@ def rehearse(
     g = buffer.distributions
     if replay_per_class == 0 or alpha == 1.0 or not len(g):
         return clf
-    rows = clf.classes.searchsorted(g.classes)
-    if not np.array_equal(clf.classes.take(rows, mode="clip"), g.classes):
+    rows, found = find_sorted(clf.classes, g.classes)
+    if not found.all():
         raise ValueError("the buffer holds classes the classifier lacks")
     replayed = np.empty((len(g), replay_per_class, g.mean.shape[1]))
     derive_rng(seed, "replay").standard_normal(out=replayed)

@@ -41,7 +41,7 @@ from .errors import (
     UnknownId,
     UnlabeledId,
 )
-from .features import FeatureStore, hidden_labels
+from .features import FeatureStore, find_sorted, hidden_labels
 from .forking import Forked, can_fork
 from .gaussian import VAR_FLOOR, estimate_grouped, kl_divergence
 from .learner import (
@@ -138,16 +138,10 @@ class Oracle:
         """Labels of `ids`, in the given order; the first id without a label
         raises UnlabeledId (a row of the store) or UnknownId."""
         ids = np.asarray(ids, dtype=np.int64)
-        rows = self.ids.searchsorted(ids)
-        if len(self.ids):
-            found = self.ids.take(rows, mode="clip") == ids
-        else:
-            found = np.zeros(ids.shape, dtype=bool)
+        rows, found = find_sorted(self.ids, ids)
         if not found.all():
             row_id = int(ids[found.argmin()])
-            at = self.store_ids.searchsorted(row_id)
-            in_store = at < len(self.store_ids) and self.store_ids[at] == row_id
-            raise (UnlabeledId if in_store else UnknownId)(row_id)
+            raise (UnlabeledId if find_sorted(self.store_ids, row_id)[1] else UnknownId)(row_id)
         return self.classes[rows]
 
 
@@ -467,24 +461,17 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
             )
         selected.extend(picked.ids)
         rows = pool.ids.searchsorted(picked.ids)
-        at = _positions_in(space, oracle.labels_of(picked.ids))
+        labels = oracle.labels_of(picked.ids)
+        at, found = find_sorted(space, labels)
+        if not found.all():
+            bad = np.unique(labels[~found]).tolist()
+            raise LabelOutsideSessionSpace(f"labels/classes outside the current session space: {bad}")
         np.add.at(sums, at, pool.vectors[rows])
         counts += np.bincount(at, minlength=len(space))
         fresh = np.unique(at)
         open_rows[rows] = False
         round_idx += 1
     return Selection(ids=selected), old
-
-
-def _positions_in(space: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Index of each label in the ascending class array `space`;
-    LabelOutsideSessionSpace lists the labels it lacks."""
-    at = space.searchsorted(labels)
-    bad = space.take(at, mode="clip") != labels
-    if bad.any():
-        raise LabelOutsideSessionSpace(
-            f"labels/classes outside the current session space: {sorted(set(labels[bad].tolist()))}")
-    return at
 
 
 def report_to_dict(report: RunReport, include_timestamp: bool = True) -> dict:

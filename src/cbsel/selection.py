@@ -57,10 +57,7 @@ def allocate_budget(cluster_sizes, budget: int) -> tuple[int, ...]:
     if any(m < 1 for m in sizes):
         raise ValueError("every cluster must have at least one member")
     n = sum(sizes)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if budget > n:
-        raise BudgetExceedsPool(f"budget {budget} exceeds pool size {n}")
+    _check_budget(range(n), budget)
     return tuple(min(m, -((-m * budget) // n)) for m in sizes)
 
 

@@ -21,6 +21,7 @@ from cbsel.features import (
     FeatureStore,
     _load_fast,
     _load_validated,
+    find_sorted,
     hidden_labels,
     load_features,
     save_features,
@@ -85,6 +86,33 @@ class TestLookups:
         got = store.vectors_for([3, 0])
         np.testing.assert_array_equal(got, [[-1.0, 2.0], [1.0, 0.0]])
 
+    def test_empty_store(self):
+        store = FeatureStore(np.zeros((0, 2)))
+        assert store.vectors_for([]).shape == (0, 2)
+        with pytest.raises(UnknownId) as err:
+            store.vectors_for([4, 3])
+        assert err.value.row_id == 4
+
+    @pytest.mark.parametrize("keys, wanted", [
+        ([], []),
+        ([], [3, 1, 3]),
+        ([10, 20, 30], []),
+        ([10, 20, 30], [35, 5, 15, 25]),
+        ([10, 20, 30], [20, 20, 10, 30, 20]),
+        ([10, 20, 30], [30, 15, 10, 40, 15, 10]),
+        ([-7, 0, 2**62], [2**62, -7, -8, 1]),
+    ])
+    def test_find_sorted(self, keys, wanted):
+        keys = np.array(keys, dtype=np.int64)
+        at, found = find_sorted(keys, wanted)
+        assert at.shape == found.shape == (len(wanted),)
+        position = {k: i for i, k in enumerate(keys.tolist())}
+        assert found.tolist() == [w in position for w in wanted]
+        assert at[found].tolist() == [position[w] for w in wanted if w in position]
+        # The missing keys come out in the order they were asked for.
+        assert np.asarray(wanted, dtype=np.int64)[~found].tolist() == \
+            [w for w in wanted if w not in position]
+
 
 class TestSubset:
     def test_keeps_parent_ids_and_labels(self):
@@ -148,11 +176,20 @@ class TestHiddenLabels:
         store = small_store(labels=(0, NO_LABEL, 1, NO_LABEL))
         assert label_lists(store) == ([0, 2], [0, 1])
 
-    def test_store_without_labels(self):
-        store = FeatureStore(np.eye(3))
-        ids, classes = hidden_labels(store, "oracle")
-        assert ids.dtype == classes.dtype == np.int64
-        assert ids.size == classes.size == 0
+    def test_store_without_labels(self, tmp_path):
+        # labels=None is a column of NO_LABEL: the same labels, subsets,
+        # normalized stores and CSV bytes.
+        for labels in (None, [NO_LABEL] * 3):
+            store = FeatureStore(np.eye(3) + 1.0, labels=labels)
+            for s in (store, store.subset([2, 0]), store.l2_normalize()):
+                ids, classes = hidden_labels(s, "oracle")
+                assert ids.dtype == classes.dtype == np.int64
+                assert ids.size == classes.size == 0
+                assert s._labels.dtype == np.int64
+                assert s._labels.tolist() == [NO_LABEL] * len(s)
+            save_features(store, tmp_path / "f.csv")
+            assert (tmp_path / "f.csv").read_bytes() == \
+                b"id,label,f0,f1,f2\r\n0,,2,1,1\r\n1,,1,2,1\r\n2,,1,1,2\r\n"
 
 
 class TestCsvRoundTrip:
@@ -244,7 +281,7 @@ def reference_save(store, path):
         writer.writerow(["id", "label"] + [f"f{d}" for d in range(store.dim)])
         for r in range(len(store)):
             label = ""
-            if store._labels is not None and int(store._labels[r]) != NO_LABEL:
+            if int(store._labels[r]) != NO_LABEL:
                 label = str(int(store._labels[r]))
             writer.writerow(
                 [int(store.ids[r]), label] + [format(v, ".17g") for v in store.vectors[r]]
@@ -308,8 +345,8 @@ def _outcome(load, path):
 
 
 def _arrays(store):
-    labels = None if store._labels is None else store._labels.tolist()
-    return ("store", store.vectors.shape, store.vectors.tobytes(), store.ids.tolist(), labels)
+    return ("store", store.vectors.shape, store.vectors.tobytes(), store.ids.tolist(),
+            store._labels.tolist())
 
 
 # Cells where csv plus float()/int() and np.loadtxt disagree, or nearly do.

@@ -217,8 +217,10 @@ class TestPseudoLabel:
             pseudo_label(orthogonal_clf(2), np.eye(2), allowed=set())
 
     def test_allowed_must_be_known(self):
-        with pytest.raises(ValueError):
-            pseudo_label(orthogonal_clf(2), np.eye(2), allowed={5})
+        cases = ((orthogonal_clf(2), r"\[5, 7\]"), (empty_classifier(), r"\[0, 5, 7\]"))
+        for clf, missing in cases:
+            with pytest.raises(ValueError, match=f"allowed classes not in classifier: {missing}$"):
+                pseudo_label(clf, np.eye(2), allowed={7, 0, 5})
 
 
 def pair(ids, classes):
@@ -277,9 +279,10 @@ class TestEstimateClassDistributions:
 
     def test_empty_class_raises(self):
         store = FeatureStore(np.eye(2), normalized=True)
-        with pytest.raises(EmptyClass) as err:
-            estimate_class_distributions(pair([0], [0]), NO_LABELS, store, classes={0, 1})
-        assert err.value.class_id == 1
+        for labeled, want in ((pair([0], [0]), 1), (NO_LABELS, 0)):
+            with pytest.raises(EmptyClass) as err:
+                estimate_class_distributions(labeled, NO_LABELS, store, classes={0, 1})
+            assert err.value.class_id == want
 
     def test_empty_class_with_pseudo_labels_names_the_lowest(self):
         store = FeatureStore(np.eye(3), normalized=True)
@@ -378,9 +381,11 @@ class TestRehearse:
             rehearse(clf, MemoryBuffer(g), replay_per_class=4, seed=2, alpha=0.5)
 
     def test_a_buffered_class_the_classifier_lacks_is_rejected(self):
+        # An empty classifier lacks every class, and is rejected the same way.
         g = ClassGaussians([1, 5], [[1.0, 0.0], [0.0, 1.0]], np.ones((2, 2)))
-        with pytest.raises(ValueError, match="classes the classifier lacks"):
-            rehearse(orthogonal_clf(2), MemoryBuffer(g), replay_per_class=4, seed=2)
+        for clf in (orthogonal_clf(2), empty_classifier()):
+            with pytest.raises(ValueError, match="classes the classifier lacks"):
+                rehearse(clf, MemoryBuffer(g), replay_per_class=4, seed=2)
 
 
 class TestNewClassPrototypes:

@@ -167,6 +167,10 @@ class TestOracle:
             oracle.labels_of([4])
         with pytest.raises(UnknownId):
             oracle.labels_of([6])
+        # An empty store: every id is unknown.
+        with pytest.raises(UnknownId) as unknown:
+            Oracle.from_store(FeatureStore(np.zeros((0, 2)))).labels_of([7, 3])
+        assert unknown.value.row_id == 7
 
 
 class TestMetrics:

@@ -129,7 +129,7 @@ class TestAllocateBudget:
             assert sum(per) >= budget
 
     def test_budget_exceeds_pool(self):
-        with pytest.raises(BudgetExceedsPool):
+        with pytest.raises(BudgetExceedsPool, match="^budget 7 exceeds pool size 6$"):
             allocate_budget([3, 3], 7)
 
     def test_rejects_empty_cluster(self):
@@ -137,7 +137,7 @@ class TestAllocateBudget:
             allocate_budget([0, 5], 2)
 
     def test_rejects_zero_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^budget must be >= 1$"):
             allocate_budget([5], 0)
 
 
