@@ -1,6 +1,8 @@
 """Comparison selection strategies sharing one interface: random,
 balanced-random (needs oracle labels, so it is a reference point rather than
-a deployable strategy), entropy, margin, and k-center coreset.
+a deployable strategy), entropy, margin, and k-center coreset. Coreset runs
+k-means++ seeding's loop, so on pools of 2,048 rows or more it takes that
+loop's exact distance filter, with the same picks.
 
 Every strategy returns a Selection with exactly B unique pool ids. Entropy
 and margin score a pool from a `LogitTable`: cosine logits of every pool row
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateClassifier, NoClasses
 from .features import FeatureStore
-from .kmeans import _dist2_to
+from .kmeans import _dist2_to, next_centers
 from .learner import PrototypeClassifier
 from .selection import Selection, _check_budget
 
@@ -289,21 +291,17 @@ def _top(ids: np.ndarray, key: np.ndarray, budget: int) -> Selection:
 
 def coreset_select(store: FeatureStore, budget: int, seed: int) -> Selection:
     """k-center greedy: start at the mean-closest point, then repeatedly take
-    the point farthest from its nearest selected point. Fully deterministic;
-    `seed` is accepted for interface parity only.
+    the point farthest from its nearest selected point, the lowest row on
+    ties (`kmeans.next_centers`). Fully deterministic; `seed` is accepted
+    for interface parity only.
     """
     del seed
     _check_budget(store, budget)
-    ids, x = store.ids, store.vectors
-    diff = np.empty_like(x)
-    first = int(np.argmin(_dist2_to(x, x.mean(axis=0), diff)))
+    x = store.vectors
+    first = int(np.argmin(_dist2_to(x, x.mean(axis=0), np.empty_like(x))))
 
-    picked = [first]
-    min_d2 = _dist2_to(x, x[first], diff)
-    min_d2[first] = -1.0
-    while len(picked) < budget:
-        nxt = int(np.argmax(min_d2))
-        picked.append(nxt)
-        np.minimum(min_d2, _dist2_to(x, x[nxt], diff), out=min_d2)
-        min_d2[nxt] = -1.0
-    return Selection(ids=[int(ids[i]) for i in picked])
+    def farthest(d2: np.ndarray) -> int | None:
+        i = int(np.argmax(d2))
+        return i if d2[i] > 0.0 else None
+
+    return Selection(ids=store.ids[next_centers(x, first, budget, farthest)].tolist())

@@ -19,10 +19,9 @@ import math
 import os
 import statistics
 import sys
-import tempfile
 
 from . import __version__
-from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, load_config
+from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, atomic_write, load_config
 from .datagen import WorldConfig, generate
 from .errors import CbselError, ConfigError
 from .features import load_features, save_features
@@ -146,7 +145,8 @@ def _cmd_select(args) -> int:
         "seed": args.seed,
         "selected_ids": [int(i) for i in selection.ids],
     }
-    _write_json(payload, args.out)
+    with atomic_write(args.out) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"selected {len(selection.ids)} of {len(store)} samples -> {args.out}")
     return 0
 
@@ -199,13 +199,12 @@ def _cmd_sweep(args) -> int:
 
     results = {cell: o for cell, o in zip(cells, outcomes) if isinstance(o, RunReport)}
     failures = [o for o in outcomes if not isinstance(o, RunReport)]
-    _atomic_write(_summary_csv(results), os.path.join(args.out_dir, "summary.csv"))
+    with atomic_write(os.path.join(args.out_dir, "summary.csv")) as fh:
+        fh.write(_summary_csv(results))
     if failures:
         failures.sort(key=lambda f: (f["strategy"], f["budget"], f["seed"]))
-        _atomic_write(
-            json.dumps({"failures": failures}, sort_keys=True, indent=2) + "\n",
-            os.path.join(args.out_dir, "failures.json"),
-        )
+        with atomic_write(os.path.join(args.out_dir, "failures.json")) as fh:
+            fh.write(json.dumps({"failures": failures}, sort_keys=True, indent=2) + "\n")
         print(f"{len(failures)} of {len(cells)} cells failed; "
               f"see {os.path.join(args.out_dir, 'failures.json')}", file=sys.stderr)
         return 1
@@ -225,8 +224,7 @@ def _run_cell(plan, work, cfg, out_dir, cell: tuple[str, int, int]) -> RunReport
     except Exception as exc:
         return _failure(cell, type(exc).__name__, str(exc))
     try:
-        _atomic_write(report_json(report),
-                      os.path.join(out_dir, f"report_{strategy}_b{budget}_s{seed}.json"))
+        save_report(report, os.path.join(out_dir, f"report_{strategy}_b{budget}_s{seed}.json"))
     except OSError as exc:
         return exc
     return report
@@ -274,7 +272,8 @@ def _cmd_report(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(text, args.out)
+        with atomic_write(args.out) as fh:
+            fh.write(text)
     return 0
 
 
@@ -303,23 +302,6 @@ def _report_csv(report: RunReport) -> str:
         f"{report.avg:.10g}", "", "", "", "", "", "", "",
     ])
     return out.getvalue()
-
-
-def _write_json(payload: dict, path: str) -> None:
-    _atomic_write(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
-
-
-def _atomic_write(text: str, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def main(argv=None) -> int:

@@ -2,11 +2,12 @@
 defaults, then a JSON config file, then CBSEL_* environment variables, then
 explicit flag overrides. Unknown keys are rejected rather than ignored.
 `read_json`, `from_json` and `to_json` read and write the config, world, plan
-and report files.
+and report files, and every output file is written through `atomic_write`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -95,6 +96,22 @@ def read_json(path, error: type[Exception]):
             return json.load(fh)
         except ValueError as exc:
             raise error(f"{path} is not a UTF-8 JSON file: {exc}") from None
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """A UTF-8 text file, `.tmp-*.part` beside `path`, moved onto `path` when
+    the block ends and removed if it raises, so `path` is never torn.
+    newline="" writes a CSV's \\r\\n as given; the umask sets the mode."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def to_json(obj) -> dict:

@@ -305,10 +305,13 @@ def save_features(store: FeatureStore, path) -> None:
     The bytes are those `csv.writer` writes with its default dialect,
     ``\\r\\n`` line endings included; no cell this format holds needs
     quoting. Rows are formatted and written `_WRITE_BLOCK_ROWS` at a time,
-    so the text held in memory does not grow with the number of rows.
+    so the text held in memory does not grow with the number of rows. A
+    failed write leaves `path` as it was (`config.atomic_write`).
     """
+    from .config import atomic_write  # config imports kmeans, which imports this module
+
     row_format = "%d,%s," + ",".join(["%.17g"] * store.dim) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(["id", "label"] + [f"f{d}" for d in range(store.dim)]) + "\r\n")
         for start in range(0, len(store), _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)

@@ -59,28 +59,29 @@ def estimate_grouped(vectors: np.ndarray, labels: np.ndarray,
     and var = mean squared deviation, variances clamped to `var_floor`. Each
     class's sums add its rows in their order in `vectors`.
     """
-    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    means, variances = _group_moments(np.asarray(vectors, dtype=np.float64), inverse, counts, var_floor)
-    return ClassGaussians(classes, means, variances)
-
-
-def _group_moments(arr, group, counts, var_floor):
-    """(C, D) means and floored variances of the rows of each group; row i
-    is in group `group[i]` and group c has `counts[c]` rows."""
-    # One bincount over (group, dimension) bins, as in kmeans._sums: each
-    # bin adds its rows in row order from 0.0, which for D >= 2 gives the bits
-    # of arr.mean(axis=0) on the group's rows. For D = 1 numpy sums the
-    # contiguous column pairwise instead, so those bits differ.
-    k, d = counts.shape[0], arr.shape[1]
-    bins = (group[:, None] * d + np.arange(d)).ravel()
-    n = counts[:, None]
-    means = np.bincount(bins, weights=arr.ravel(), minlength=k * d).reshape(k, d) / n
+    classes, group, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    arr = np.asarray(vectors, dtype=np.float64)
+    k, n = len(classes), counts[:, None]
+    means = group_sums(arr, group, k) / n
     dev = means[group]  # then overwritten: one N x D temporary, not two
     np.subtract(arr, dev, out=dev)
     dev *= dev
-    variances = np.bincount(bins, weights=dev.ravel(), minlength=k * d).reshape(k, d) / n
-    np.maximum(variances, var_floor, out=variances)
-    return means, variances
+    variances = np.maximum(group_sums(dev, group, k) / n, var_floor)
+    return ClassGaussians(classes, means, variances)
+
+
+def group_sums(x: np.ndarray, group: np.ndarray, k: int,
+               bins: np.ndarray | None = None) -> np.ndarray:
+    """(k, D) sums of the rows of `x` in each group, row i in group
+    `group[i]`. One bincount over (group, dimension) bins adds each bin's
+    rows in ascending order from 0.0, the bits of np.add.at (np.add.reduceat
+    over sorted rows differs) and, for D >= 2, of x[group == c].sum(axis=0);
+    for D = 1 numpy sums a column pairwise. `bins`, int64 with at least
+    len(x) rows and D columns, is overwritten if given, so a caller that sums
+    many times faults in no fresh N x D array."""
+    n, d = x.shape
+    b = np.add.outer(group * d, np.arange(d), out=None if bins is None else bins[:n])
+    return np.bincount(b.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
 
 
 def kl_divergence(p: ClassGaussians, q: ClassGaussians) -> np.ndarray:

@@ -12,14 +12,14 @@ Results have the bits of the plain algorithm (tests/reference_impls.py
 keeps it). On pools of 2 * ASSIGN_BLOCK_ROWS rows or more, three steps do
 less work for the same bits:
 
-- k-means++ seeding keeps each row's squared distance d2 to its nearest
-  center. A new center lowers d2 only on rows nearer to it than that. The
+- `next_centers`, the k-center loop of k-means++ seeding and of
+  `baselines.coreset_select`, keeps each row's squared distance d2 to its
+  nearest center, which a new center lowers only on rows nearer to it. The
   norm-expanded distance |x|^2 + |c|^2 - 2 x.c, one product x @ c per
   center against row norms computed once, picks those rows out: the exact
-  distance and np.minimum run only where the expanded distance is at most
-  d2 plus a margin that bounds its rounding error (see _plus_plus_init).
-  On every other row the exact distance is above d2, where np.minimum keeps
-  d2, so every d2, every draw and every center is unchanged.
+  distance and np.minimum run only where it is at most d2 plus a bound on
+  its rounding error (see there). Elsewhere the exact distance is above d2,
+  so every d2, every draw, every coreset pick and every center is unchanged.
 - argmin_rows adds the bias to whole 64-row tiles in one contiguous add.
 - After the first Lloyd step only the clusters whose membership changed
   are summed again, from their rows in ascending order, as the full sum
@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import KTooLarge, NotNormalized
 from .features import FeatureStore
+from .gaussian import group_sums
 
 DEFAULT_MAX_ITER = 100
 # Fewest rows per block of argmin_rows's float64 and float32 scores (see there).
@@ -83,14 +84,11 @@ def kmeans(
     # On large pools, after the first step only the clusters whose
     # membership changed are summed again.
     resum = n >= 2 * ASSIGN_BLOCK_ROWS
-    changed = None  # None: sum every cluster
+    changed = sums = None  # None: sum every cluster
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        if changed is None:
-            sums = _sums(x, assign, k, bins)
-        else:
-            sums = _resum(x, assign, changed, sums, k, bins)
+        sums = _resum(x, assign, changed, sums, k, bins)
         new_centroids = _means(sums, np.bincount(assign, minlength=k), centroids)
         new_assign = _assign(x32, new_centroids)
         if resum:
@@ -113,7 +111,23 @@ def kmeans(
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ centers: the first uniformly, each next one drawn with
     probability proportional to `d2`, the squared distance to its nearest
-    center so far.
+    center so far (`next_centers`)."""
+    cdf = np.empty(len(x))
+
+    def draw(d2: np.ndarray) -> int | None:
+        total = float(d2.sum())
+        return _draw(d2, total, rng, cdf) if total > 0.0 else None
+
+    return x[next_centers(x, int(rng.integers(len(x))), k, draw)]
+
+
+def next_centers(x: np.ndarray, first: int, k: int, choose) -> list[int]:
+    """Row `first` of `x`, then k - 1 more rows, each `choose(d2)`: the
+    k-center loop of k-means++ seeding and of coreset. d2 is every row's
+    squared distance to its nearest chosen row (0.0 on a chosen row). When
+    `choose` finds no row with d2 > 0 it returns None and the lowest
+    unchosen row is taken, so duplicates and k above the number of distinct
+    rows stay deterministic.
 
     On pools of 2 * ASSIGN_BLOCK_ROWS rows or more, a new center c measures
     exactly (`_dist2_to`) only the rows whose expanded distance
@@ -133,9 +147,8 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     """
     n, d = x.shape
     diff = np.empty_like(x)
-    chosen = [int(rng.integers(n))]
-    d2 = _dist2_to(x, x[chosen[0]], diff)
-    cdf = np.empty(n)
+    chosen = [first]
+    d2 = _dist2_to(x, x[first], diff)
     filtered = n >= 2 * ASSIGN_BLOCK_ROWS
     if filtered:
         sq = np.einsum("ij,ij->i", x, x)
@@ -143,12 +156,8 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         est = np.empty(n)
         admit = np.empty(n, dtype=bool)
     while len(chosen) < k:
-        total = float(d2.sum())
-        if total > 0.0:
-            idx = _draw(d2, total, rng, cdf)
-        else:
-            # All remaining points coincide with a center; take the lowest
-            # unchosen index so the run stays deterministic.
+        idx = choose(d2)
+        if idx is None:
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
         chosen.append(idx)
@@ -163,7 +172,7 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         np.less_equal(est, d2, out=admit)
         rows = np.flatnonzero(admit)
         d2[rows] = np.minimum(d2[rows], _dist2_to(x, c, diff, rows))
-    return x[chosen].copy()
+    return chosen
 
 
 def _draw(d2: np.ndarray, total: float, rng: np.random.Generator, cdf: np.ndarray) -> int:
@@ -246,37 +255,21 @@ def argmin_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) ->
 def _update(x: np.ndarray, assign: np.ndarray, old: np.ndarray, k: int,
             bins: np.ndarray | None = None) -> np.ndarray:
     """Member means in one pass; an empty cluster keeps its old centroid.
-    `bins`, an int64 array shaped like `x`, is overwritten if given."""
-    if bins is None:
-        bins = np.empty(x.shape, dtype=np.int64)
-    return _means(_sums(x, assign, k, bins), np.bincount(assign, minlength=k), old)
+    `bins` is `group_sums`'s."""
+    return _means(group_sums(x, assign, k, bins), np.bincount(assign, minlength=k), old)
 
 
-def _sums(x: np.ndarray, assign: np.ndarray, k: int, bins: np.ndarray) -> np.ndarray:
-    """(k, D) member sums of the rows of `x`; `bins` has at least as many
-    rows as `x` and its first len(x) rows are overwritten."""
-    # One bincount over (cluster, dimension) bins: each bin adds its rows in
-    # ascending order from 0.0, as np.add.at does, so the sums are bit-equal;
-    # np.add.reduceat over sorted rows measurably is not. A caller that
-    # updates many times passes one bins buffer, so no step faults in a
-    # fresh N x D array.
-    n, d = x.shape
-    b = bins[:n]
-    np.multiply(assign[:, None], d, out=b)
-    b += np.arange(d)
-    return np.bincount(b.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
-
-
-def _resum(x: np.ndarray, assign: np.ndarray, changed: np.ndarray, sums: np.ndarray, k: int,
-           bins: np.ndarray) -> np.ndarray:
+def _resum(x: np.ndarray, assign: np.ndarray, changed: np.ndarray | None,
+           sums: np.ndarray | None, k: int, bins: np.ndarray) -> np.ndarray:
     """`sums` with the clusters marked in `changed` summed again under
-    `assign`, from their rows in ascending order: the bits `_sums` gives."""
-    members = changed[assign]
-    if 2 * np.count_nonzero(members) > len(x):
+    `assign`, from their rows in ascending order: the bits `group_sums` gives.
+    With `changed` None every cluster is summed."""
+    members = None if changed is None else changed[assign]
+    if members is None or 2 * np.count_nonzero(members) > len(x):
         # Gathering most rows would cost more time and memory than summing all.
-        return _sums(x, assign, k, bins)
+        return group_sums(x, assign, k, bins)
     rows = np.flatnonzero(members)
-    sums[changed] = _sums(x[rows], assign[rows], k, bins)[changed]
+    sums[changed] = group_sums(x[rows], assign[rows], k, bins)[changed]
     return sums
 
 

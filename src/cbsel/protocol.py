@@ -29,7 +29,7 @@ from .baselines import (
     pool_columns,
     random_select,
 )
-from .config import RunConfig, from_json, read_json, to_json
+from .config import RunConfig, atomic_write, from_json, read_json, to_json
 from .errors import (
     CbselError,
     ConfigError,
@@ -111,7 +111,7 @@ class SessionPlan:
         return from_json(cls, d, PlanError).validate()
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -513,7 +513,7 @@ def report_json(report: RunReport, include_timestamp: bool = True) -> str:
 
 
 def save_report(report: RunReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(report_json(report))
 
 

@@ -79,6 +79,24 @@ def plus_plus_init(x, k, rng):
     return x[chosen].copy()
 
 
+def plain_coreset(x, budget):
+    """Row indices of k-center greedy, every row measured against every new
+    center: the row closest to the mean, then each time the unchosen row
+    farthest from its nearest chosen row, the lowest such row on ties (so,
+    once every unchosen row lies on a chosen one, the lowest unchosen row)."""
+    diff = x - x.mean(axis=0)
+    chosen = [int(np.argmin(np.einsum("ij,ij->i", diff, diff)))]
+    diff = x - x[chosen[0]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    while len(chosen) < budget:
+        open_rows = np.setdiff1d(np.arange(len(x)), chosen)
+        idx = int(open_rows[np.argmax(d2[open_rows])])
+        chosen.append(idx)
+        diff = x - x[idx]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+    return chosen
+
+
 def plain_assign(x, centroids):
     """Nearest centroid of each row, ||c||^2 - 2 x.c in one unblocked product,
     with the centroids cast to the rows' dtype."""

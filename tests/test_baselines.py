@@ -22,9 +22,10 @@ from cbsel.baselines import (
 )
 from cbsel.errors import BudgetExceedsPool, DegenerateClassifier, NoClasses
 from cbsel.features import FeatureStore, hidden_labels
+from cbsel.kmeans import ASSIGN_BLOCK_ROWS
 from cbsel.learner import PrototypeClassifier, empty_classifier
 from cbsel.protocol import Oracle
-from reference_impls import predict_proba_matrix
+from reference_impls import plain_coreset, predict_proba_matrix
 
 # Shannon entropies (natural log) of the three hand-built distributions.
 H_UNIFORM = 0.6931471805599453   # (0.5, 0.5)
@@ -505,3 +506,36 @@ class TestCoresetSelect:
         with pytest.raises(BudgetExceedsPool):
             coreset_select(self.line_store(), 4, seed=0)
 
+
+def coreset_pools():
+    """(name, rows, budget) on both sides of the 2 * ASSIGN_BLOCK_ROWS rows
+    from which coreset takes the filtered distance loop."""
+    rng = np.random.default_rng(23)
+    pools = []
+    for size, n in (("small", 300), ("large", 2 * ASSIGN_BLOCK_ROWS + 52)):
+        pools += [
+            (f"{size} gaussian", rng.standard_normal((n, 16)), 60),
+            (f"{size} unit D = 64", unit_rows(rng, n, 64), 40),
+            # Fewer distinct rows than the budget: the last picks take the
+            # lowest unchosen row once every d2 is 0.
+            (f"{size} duplicates", unit_rows(rng, 25, 8)[rng.integers(0, 25, n)], 40),
+            # Integer points: many rows lie exactly as far from two centers,
+            # and ties go to the lowest row.
+            (f"{size} lattice", np.stack(np.divmod(np.arange(n), 50), axis=1).astype(np.float64),
+             60),
+            (f"{size} line", np.arange(n, dtype=np.float64)[:, None] % 7, 12),
+        ]
+    angle = 2.0 * np.pi * np.arange(4200) / 4200
+    pools.append(("large circle", np.stack([np.cos(angle), np.sin(angle)], axis=1), 80))
+    return pools
+
+
+CORESET_POOLS = coreset_pools()
+
+
+@pytest.mark.parametrize("name,x,budget", CORESET_POOLS, ids=[p[0] for p in CORESET_POOLS])
+def test_coreset_picks_the_reference_k_center_rows(name, x, budget):
+    ids = np.random.default_rng(7).choice(10 * len(x), size=len(x), replace=False)
+    ids.sort()
+    store = FeatureStore(x, ids=ids)
+    assert coreset_select(store, budget, seed=0).ids == ids[plain_coreset(x, budget)].tolist()

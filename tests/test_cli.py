@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import json
 import os
 import pickle
 import signal
+import stat
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import cbsel
-from cbsel import cli
+from cbsel import cli, config
 from cbsel.cli import _config_from_args, build_parser, main
 from cbsel.config import ENV_PREFIX, RunConfig, load_config
 from cbsel.errors import ConfigError
@@ -446,14 +448,14 @@ class TestSweep:
         # The cbs reports cannot be written, as on a full disk. A forked
         # worker sends the OSError back, and the sweep raises it as the
         # in-process loop does.
-        write = cli._atomic_write
+        save = cli.save_report
 
-        def write_or_fail(text, path):
+        def save_or_fail(report, path):
             if os.path.basename(path).startswith("report_cbs_"):
                 raise OSError(28, "No space left on device")
-            write(text, path)
+            save(report, path)
 
-        monkeypatch.setattr(cli, "_atomic_write", write_or_fail)
+        monkeypatch.setattr(cli, "save_report", save_or_fail)
         out_dir = tmp_path / "sweep"
         rc = self._sweep(world, out_dir, "--strategies", "random,cbs", "--budgets", "6",
                          "--seeds", "1,2", "--workers", workers)
@@ -688,6 +690,59 @@ class TestUnreadableFiles:
         manifest = json.loads(capsys.readouterr().err)
         assert manifest["error"] == error
         assert str(bad) in manifest["message"]
+
+
+class TornFile:
+    """A file whose first write stores half its text and then fails, as on a
+    full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicWrites:
+    """Every output file is written whole or not at all."""
+
+    @pytest.mark.parametrize("name", ["features.csv", "plan.json", "report.json"])
+    def test_a_failed_write_leaves_the_target_and_no_temporary_file(self, world, tmp_path,
+                                                                    monkeypatch, name):
+        store = load_features(world["features"])
+        plan = SessionPlan.load(world["plan"])
+        report = cbsel.run(plan, "random", store)
+        write = {"features.csv": functools.partial(cbsel.save_features, store),
+                 "plan.json": plan.save,
+                 "report.json": functools.partial(cbsel.save_report, report)}[name]
+        target = tmp_path / name
+        target.write_bytes(b"old contents\r\n")
+        monkeypatch.setattr(config, "open", lambda *a, **kw: TornFile(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(target)
+        assert target.read_bytes() == b"old contents\r\n"
+        assert os.listdir(tmp_path) == [name]
+
+    def test_a_written_file_keeps_its_bytes_and_gets_the_umask_mode(self, tmp_path):
+        target = tmp_path / "out.csv"
+        umask = os.umask(0o027)
+        try:
+            with config.atomic_write(target) as fh:
+                fh.write("a,b\r\n1,2\n")
+        finally:
+            os.umask(umask)
+        assert target.read_bytes() == b"a,b\r\n1,2\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestOversizedCell:
