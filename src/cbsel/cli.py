@@ -10,6 +10,7 @@ cell's results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -21,10 +22,10 @@ import statistics
 import sys
 
 from . import __version__
-from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, atomic_write, load_config
+from .config import CONFIG_SCHEMA_VERSION, TYPES, RunConfig, load_config
 from .datagen import WorldConfig, generate
 from .errors import CbselError, ConfigError
-from .features import load_features, save_features
+from .features import atomic_write, load_features, save_features
 from .forking import Forked, can_fork
 from .protocol import (
     SCORERS,
@@ -201,13 +202,15 @@ def _cmd_sweep(args) -> int:
     failures = [o for o in outcomes if not isinstance(o, RunReport)]
     with atomic_write(os.path.join(args.out_dir, "summary.csv")) as fh:
         fh.write(_summary_csv(results))
+    failures_json = os.path.join(args.out_dir, "failures.json")
     if failures:
         failures.sort(key=lambda f: (f["strategy"], f["budget"], f["seed"]))
-        with atomic_write(os.path.join(args.out_dir, "failures.json")) as fh:
+        with atomic_write(failures_json) as fh:
             fh.write(json.dumps({"failures": failures}, sort_keys=True, indent=2) + "\n")
-        print(f"{len(failures)} of {len(cells)} cells failed; "
-              f"see {os.path.join(args.out_dir, 'failures.json')}", file=sys.stderr)
+        print(f"{len(failures)} of {len(cells)} cells failed; see {failures_json}", file=sys.stderr)
         return 1
+    with contextlib.suppress(FileNotFoundError):  # a failed earlier sweep's list
+        os.remove(failures_json)
     print(f"all {len(cells)} cells done -> {args.out_dir}")
     return 0
 

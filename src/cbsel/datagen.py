@@ -16,6 +16,7 @@ order; the world is then shifted, scaled and normalized in one pass.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +51,12 @@ class WorldConfig:
                      "pool_per_class", "test_per_class", "budget"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not self.separation > 0.0:
-            raise ConfigError("separation must be > 0")
-        if self.imbalance_ratio < 1.0:
-            raise ConfigError("imbalance_ratio must be >= 1")
-        if not self.sigma > 0.0:
-            raise ConfigError("sigma must be > 0")
+        if not 0.0 < self.separation < math.inf:
+            raise ConfigError("separation must be finite and > 0")
+        if not self.imbalance_ratio >= 1.0:  # NaN fails; infinity gives one-row tails
+            raise ConfigError("imbalance_ratio must be a number >= 1")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigError("sigma must be finite and > 0")
 
     @property
     def num_classes(self) -> int:

@@ -13,8 +13,10 @@ strategies must not read them. A store holds them as one int64 column, with
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 
 import numpy as np
 
@@ -299,6 +301,22 @@ def _dense_store(ids: list[int], labels: list[int], vectors) -> FeatureStore:
     )
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A UTF-8 text file, `.tmp-*.part` beside `path`, moved onto `path` when
+    the block ends and removed if it raises, so `path` is never torn.
+    newline="" writes a CSV's \\r\\n as given; the umask sets the mode."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_features(store: FeatureStore, path) -> None:
     """Write a store in the CSV ingestion format (17 significant digits).
 
@@ -306,10 +324,8 @@ def save_features(store: FeatureStore, path) -> None:
     ``\\r\\n`` line endings included; no cell this format holds needs
     quoting. Rows are formatted and written `_WRITE_BLOCK_ROWS` at a time,
     so the text held in memory does not grow with the number of rows. A
-    failed write leaves `path` as it was (`config.atomic_write`).
+    failed write leaves `path` as it was (`atomic_write`).
     """
-    from .config import atomic_write  # config imports kmeans, which imports this module
-
     row_format = "%d,%s," + ",".join(["%.17g"] * store.dim) + "\r\n"
     with atomic_write(path) as fh:
         fh.write(",".join(["id", "label"] + [f"f{d}" for d in range(store.dim)]) + "\r\n")

@@ -62,26 +62,31 @@ def estimate_grouped(vectors: np.ndarray, labels: np.ndarray,
     classes, group, counts = np.unique(labels, return_inverse=True, return_counts=True)
     arr = np.asarray(vectors, dtype=np.float64)
     k, n = len(classes), counts[:, None]
-    means = group_sums(arr, group, k) / n
+    bins = group_bins(group, arr.shape[1])
+    means = group_sums(arr, bins, k) / n
     dev = means[group]  # then overwritten: one N x D temporary, not two
     np.subtract(arr, dev, out=dev)
     dev *= dev
-    variances = np.maximum(group_sums(dev, group, k) / n, var_floor)
+    variances = np.maximum(group_sums(dev, bins, k) / n, var_floor)
     return ClassGaussians(classes, means, variances)
 
 
-def group_sums(x: np.ndarray, group: np.ndarray, k: int,
-               bins: np.ndarray | None = None) -> np.ndarray:
-    """(k, D) sums of the rows of `x` in each group, row i in group
-    `group[i]`. One bincount over (group, dimension) bins adds each bin's
-    rows in ascending order from 0.0, the bits of np.add.at (np.add.reduceat
-    over sorted rows differs) and, for D >= 2, of x[group == c].sum(axis=0);
-    for D = 1 numpy sums a column pairwise. `bins`, int64 with at least
-    len(x) rows and D columns, is overwritten if given, so a caller that sums
-    many times faults in no fresh N x D array."""
-    n, d = x.shape
-    b = np.add.outer(group * d, np.arange(d), out=None if bins is None else bins[:n])
-    return np.bincount(b.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
+def group_bins(group: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The (N, D) int64 bins `group_sums` adds rows by: dimension j of row i
+    in bin group[i] * d + j. `out`, int64 with at least N rows and D
+    columns, is overwritten if given, so a caller that bins many times
+    faults in no fresh N x D array."""
+    return np.add.outer(group * d, np.arange(d), out=None if out is None else out[:len(group)])
+
+
+def group_sums(x: np.ndarray, bins: np.ndarray, k: int) -> np.ndarray:
+    """(k, D) sums of the rows of `x` in each of k groups, binned by
+    `group_bins` of the rows' groups. One bincount over (group, dimension)
+    bins adds each bin's rows in ascending order from 0.0, the bits of
+    np.add.at (np.add.reduceat over sorted rows differs) and, for D >= 2, of
+    x[group == c].sum(axis=0); for D = 1 numpy sums a column pairwise."""
+    d = x.shape[1]
+    return np.bincount(bins.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
 
 
 def kl_divergence(p: ClassGaussians, q: ClassGaussians) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import KTooLarge, NotNormalized
 from .features import FeatureStore
-from .gaussian import group_sums
+from .gaussian import group_bins, group_sums
 
 DEFAULT_MAX_ITER = 100
 # Fewest rows per block of argmin_rows's float64 and float32 scores (see there).
@@ -255,8 +255,9 @@ def argmin_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) ->
 def _update(x: np.ndarray, assign: np.ndarray, old: np.ndarray, k: int,
             bins: np.ndarray | None = None) -> np.ndarray:
     """Member means in one pass; an empty cluster keeps its old centroid.
-    `bins` is `group_sums`'s."""
-    return _means(group_sums(x, assign, k, bins), np.bincount(assign, minlength=k), old)
+    `bins` is the `out` buffer of `group_bins`."""
+    sums = group_sums(x, group_bins(assign, x.shape[1], bins), k)
+    return _means(sums, np.bincount(assign, minlength=k), old)
 
 
 def _resum(x: np.ndarray, assign: np.ndarray, changed: np.ndarray | None,
@@ -267,9 +268,9 @@ def _resum(x: np.ndarray, assign: np.ndarray, changed: np.ndarray | None,
     members = None if changed is None else changed[assign]
     if members is None or 2 * np.count_nonzero(members) > len(x):
         # Gathering most rows would cost more time and memory than summing all.
-        return group_sums(x, assign, k, bins)
+        return group_sums(x, group_bins(assign, x.shape[1], bins), k)
     rows = np.flatnonzero(members)
-    sums[changed] = group_sums(x[rows], assign[rows], k, bins)[changed]
+    sums[changed] = group_sums(x[rows], group_bins(assign[rows], x.shape[1], bins), k)[changed]
     return sums
 
 

@@ -29,7 +29,7 @@ from .baselines import (
     pool_columns,
     random_select,
 )
-from .config import RunConfig, atomic_write, from_json, read_json, to_json
+from .config import RunConfig, from_json, read_json, to_json
 from .errors import (
     CbselError,
     ConfigError,
@@ -41,7 +41,7 @@ from .errors import (
     UnknownId,
     UnlabeledId,
 )
-from .features import FeatureStore, find_sorted, hidden_labels
+from .features import FeatureStore, atomic_write, find_sorted, hidden_labels
 from .forking import Forked, can_fork
 from .gaussian import VAR_FLOOR, estimate_grouped, kl_divergence
 from .learner import (
@@ -257,6 +257,9 @@ STRATEGIES = SELECTORS | SCORERS
 def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig | None = None) -> RunReport:
     """Execute the full protocol and return per-session metrics plus their mean.
 
+    Only the learner passes from one session to the next; each session
+    reads the rest from the plan (see `_run_session`).
+
     A `SELECTORS` strategy does not look at the learner, so on large pools
     the next sessions' selections run in forked child processes (see
     `_helper_count` and `forking.Forked`) while this process selects and
@@ -280,13 +283,9 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
         use_unlabeled_distributions=cfg.use_unlabeled_distributions,
         created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
-    past_test_ids: list[int] = []
-    past_classes: set[int] = set()
-    accuracies: list[float] = []
 
     def pick(t: int) -> Selection:
-        sess = plan.sessions[t - 1]
-        return _pick(t, sess, plan, strategy, cfg, work.subset(sess.pool_ids), oracle)
+        return _pick(t, plan, strategy, cfg, work.subset(plan.sessions[t - 1].pool_ids), oracle)
 
     later = range(2, len(plan.sessions) + 1)
     try:
@@ -294,20 +293,17 @@ def run(plan: SessionPlan, strategy: str, store: FeatureStore, config: RunConfig
     except OSError:  # no process or pipe to spare: every session selects here
         ahead = Forked(pick, later, 0)
     with ahead:
-        for t, sess in enumerate(plan.sessions, start=1):
+        for t in range(1, len(plan.sessions) + 1):
             try:
                 clf, buffer, sess_report = _run_session(
-                    t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
-                    past_test_ids, past_classes, next(ahead) if t > 1 else None,
+                    t, plan, strategy, cfg, work, oracle, clf, buffer,
+                    next(ahead) if t > 1 else None,
                 )
             except CbselError as exc:
                 raise SessionFailure(t, exc) from exc
             report.per_session.append(sess_report)
-            accuracies.append(sess_report.accuracy)
-            past_test_ids.extend(sess.test_ids)
-            past_classes |= set(sess.class_space)
 
-    report.avg = float(np.mean(accuracies))
+    report.avg = float(np.mean([s.accuracy for s in report.per_session]))
     return report
 
 
@@ -359,35 +355,39 @@ def _helper_count(plan: SessionPlan, strategy: str) -> int:
     return max(0, min(usable_cpus() // blas - 1, len(later)))
 
 
-def _pick(t, sess, plan, strategy, cfg, pool, oracle) -> Selection:
+def _pick(t, plan, strategy, cfg, pool, oracle) -> Selection:
     """Session t's `SELECTORS` pick from its pool; it needs no learner."""
     return SELECTORS[strategy](
         pool, plan.budget, derive_seed(plan.seed, "session", t, "select"),
-        len(sess.class_space), cfg, oracle)
+        len(plan.sessions[t - 1].class_space), cfg, oracle)
 
 
-def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
-                 past_test_ids, past_classes, picked=None):
-    """One session; `picked` is its Selection when a child made it."""
+def _run_session(t, plan, strategy, cfg, work, oracle, clf, buffer, picked=None):
+    """Session t of the plan, from the learner `clf` and `buffer`; `picked`
+    is its Selection when a child made it. It reads its classes, pool and
+    test set, and the old classes and test sets it is also evaluated on, from
+    `plan.sessions[:t]`. It rehearses the old classes once, first, on its
+    "train" stream, for the uncertainty rounds and for the training step."""
+    sess = plan.sessions[t - 1]
     pool = work.subset(sess.pool_ids)
-    rehearsed = None
+    seed = derive_seed(plan.seed, "session", t, "train")
+    old = rehearse(clf, buffer, cfg.replay_per_class, seed, cfg.alpha)
     if strategy in SCORERS:
-        selection, rehearsed = _select_uncertainty_rounds(
-            t, sess, plan, SCORERS[strategy], cfg, work, pool, oracle, clf, buffer)
+        selection = _select_uncertainty_rounds(t, plan, SCORERS[strategy], cfg, pool, oracle, old)
     elif picked is not None:
         selection = picked
     else:
-        selection = _pick(t, sess, plan, strategy, cfg, pool, oracle)
+        selection = _pick(t, plan, strategy, cfg, pool, oracle)
     ids = np.asarray(selection.ids, dtype=np.int64)
     labeled = (ids, oracle.labels_of(ids))
 
     clf = train_session(
         clf, buffer, labeled, work,
         replay_per_class=cfg.replay_per_class,
-        seed=derive_seed(plan.seed, "session", t, "train"),
+        seed=seed,
         class_space=sess.class_space,
         alpha=cfg.alpha,
-        rehearsed=rehearsed,
+        rehearsed=old,
     )
 
     discovered, found = np.unique(labeled[1], return_counts=True)
@@ -397,9 +397,9 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
         pseudo = (pool.ids[rest], pseudo_label(clf, pool.vectors[rest], discovered))
     buffer = buffer.update(estimate_class_distributions(labeled, pseudo, work, discovered, cfg.var_floor))
 
-    test_store = work.subset(list(past_test_ids) + list(sess.test_ids))
     accuracy, accuracy_new, accuracy_old = evaluate(
-        clf, test_store, oracle, groups=(sess.class_space, past_classes))
+        clf, work.subset([i for s in plan.sessions[:t] for i in s.test_ids]), oracle,
+        groups=(sess.class_space, [c for s in plan.sessions[:t - 1] for c in s.class_space]))
     if accuracy_new is None:
         raise EmptyTestSet(f"session {t} has no test sample of its own classes")
 
@@ -419,15 +419,12 @@ def _run_session(t, sess, plan, strategy, cfg, work, oracle, clf, buffer,
     return clf, buffer, sess_report
 
 
-def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
-    """Uncertainty strategies run in rounds, labeling between rounds; returns
-    the Selection and the rehearsed classifier.
+def _select_uncertainty_rounds(t, plan, score_fn, cfg, pool, oracle, old) -> Selection:
+    """Uncertainty strategies run in rounds, labeling between rounds.
 
-    The old classes are rehearsed once per session, on the session's "train"
-    stream, so every round scores against the old prototypes the session
-    ends with, and their softmax statistics over the pool are computed once,
-    from the same `PoolColumns` the table scores.
-    The session's training step takes that rehearsed classifier as it is.
+    Every round scores against `old`, the session's rehearsed classifier,
+    whose softmax statistics over the pool are computed once, from the same
+    `PoolColumns` the table scores.
     The session's classes share one `LogitTable` over the pool: each round
     recomputes only the rows of the classes labeled in the round before,
     from per-class label sums carried across rounds (added in labeled order,
@@ -435,11 +432,9 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
     scores the rows not yet selected (one mask over the pool's rows). Rounds
     with fewer than two scoreable classes fall back to a seeded random pick.
     """
-    old = rehearse(clf, buffer, cfg.replay_per_class,
-                   derive_seed(plan.seed, "session", t, "train"), cfg.alpha)
-    space = np.array(sorted(sess.class_space), dtype=np.int64)
+    space = np.array(sorted(plan.sessions[t - 1].class_space), dtype=np.int64)
     columns = pool_columns(pool.vectors)
-    table = LogitTable(columns, clf.temperature, len(space),
+    table = LogitTable(columns, old.temperature, len(space),
                        SoftmaxStats.of(old, columns) if old.num_classes else None)
     sums = np.zeros((len(space), pool.dim))
     counts = np.zeros(len(space), dtype=np.int64)
@@ -471,7 +466,7 @@ def _select_uncertainty_rounds(t, sess, plan, score_fn, cfg, work, pool, oracle,
         fresh = np.unique(at)
         open_rows[rows] = False
         round_idx += 1
-    return Selection(ids=selected), old
+    return Selection(ids=selected)
 
 
 def report_to_dict(report: RunReport, include_timestamp: bool = True) -> dict:

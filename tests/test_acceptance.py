@@ -9,8 +9,14 @@ subset usually straddles the cluster mean and excludes the anchor. Measured
 match rates stay between 31% and 46% across cluster shapes. The guarantees
 that do hold for that selector (never beating the exhaustive optimum, finite
 gaps, runtime) are asserted separately and must pass.
+
+The paper's claim, that class-balanced selection beats the coreset and
+uncertainty baselines in session-average accuracy, is asserted on balanced
+confusable worlds. On long-tailed ones CBS falls behind all three; that case
+is a strict xfail that records the shortfall.
 """
 
+import dataclasses
 import json
 import math
 import statistics
@@ -222,6 +228,39 @@ def test_unlabeled_replay_lifts_old_class_accuracy():
     assert max(new_deltas) <= 0.02 + 1e-12
     print(f"[acceptance] unlabeled-replay ablation: {wins}/10 old-class wins, "
           f"max new-class delta {max(new_deltas):.4f}")
+
+
+BASELINES = ("coreset", "entropy", "margin")
+
+
+@pytest.mark.parametrize("imbalance_ratio", [
+    1.0,
+    # Measured: CBS 0.888 against 0.914, 0.915 and 0.912, winning 1, 0 and 2 of 40.
+    pytest.param(10.0, marks=pytest.mark.xfail(
+        strict=True, reason="on long-tailed pools CBS trails the coreset and uncertainty "
+        "baselines in session-average accuracy")),
+])
+def test_cbs_beats_the_coreset_and_uncertainty_baselines(imbalance_ratio):
+    # 20 confusable worlds, each run with two plan seeds, so 40 paired runs.
+    t0 = time.monotonic()
+    avgs = {s: [] for s in ("cbs", *BASELINES)}
+    for seed in range(20, 40):
+        world = dataclasses.replace(_confusable_world(seed), imbalance_ratio=imbalance_ratio)
+        store, plan = generate(world)
+        for run_seed in (0, 1):
+            for strategy, got in avgs.items():
+                got.append(run(dataclasses.replace(plan, seed=run_seed), strategy, store).avg)
+    elapsed = time.monotonic() - t0
+    cbs = avgs["cbs"]
+    wins = {s: sum(a > b for a, b in zip(cbs, avgs[s])) for s in BASELINES}
+    print(f"[acceptance] cbs vs baselines at ratio {imbalance_ratio:g}: mean avg "
+          f"{statistics.fmean(cbs):.4f} vs "
+          + ", ".join(f"{s} {statistics.fmean(avgs[s]):.4f} ({wins[s]}/40 wins)" for s in BASELINES)
+          + f", {elapsed:.1f}s")
+    for s in BASELINES:
+        assert statistics.fmean(cbs) > statistics.fmean(avgs[s]), s
+        assert wins[s] >= 34, s
+    assert elapsed < 120.0
 
 
 def test_sweep_runs_are_byte_identical_modulo_timestamp(tmp_path):

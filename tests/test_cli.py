@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 import os
 import pickle
 import signal
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cbsel
-from cbsel import cli, config
+from cbsel import cli
 from cbsel.cli import _config_from_args, build_parser, main
 from cbsel.config import ENV_PREFIX, RunConfig, load_config
 from cbsel.errors import ConfigError
@@ -356,6 +357,16 @@ class TestSweep:
         lines = (out_dir / "summary.csv").read_text().splitlines()
         assert len(lines) == 2  # header plus the surviving (random, 6) bucket
 
+    def test_a_clean_sweep_removes_a_stale_failure_list(self, world, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--plan", str(world["plan"]), "--features", str(world["features"]),
+                "--strategies", "random", "--seeds", "1", "--out-dir", str(out_dir)]
+        assert main(argv + ["--budgets", "6,1000"]) == 1
+        assert (out_dir / "failures.json").exists()
+        assert main(argv + ["--budgets", "6"]) == 0
+        assert not (out_dir / "failures.json").exists()
+        assert (out_dir / "summary.csv").read_text().splitlines()[1].startswith("random,6,")
+
     def test_unknown_strategy_rejected(self, world, tmp_path, capsys):
         rc = main(["sweep", "--plan", str(world["plan"]),
                    "--features", str(world["features"]),
@@ -593,6 +604,10 @@ MALFORMED = [
     ("world", "unknown-key", _with("classes", 3), "ConfigError", "classes"),
     ("world", "string-for-int", _with("num_sessions", "5"), "ConfigError", "num_sessions"),
     ("world", "true-for-int", _with("dim", True), "ConfigError", "dim"),
+    ("world", "infinite-separation", _with("separation", math.inf), "ConfigError", "separation"),
+    ("world", "infinite-sigma", _with("sigma", math.inf), "ConfigError", "sigma"),
+    ("world", "nan-imbalance", _with("imbalance_ratio", math.nan), "ConfigError",
+     "imbalance_ratio"),
     ("plan", "array", _listed, "PlanError", "expected dict, got list"),
     ("plan", "unknown-key", _with("rounds", 2), "PlanError", "rounds"),
     ("plan", "missing-key", _without("sessions"), "PlanError", "sessions"),
@@ -725,7 +740,7 @@ class TestAtomicWrites:
                  "report.json": functools.partial(cbsel.save_report, report)}[name]
         target = tmp_path / name
         target.write_bytes(b"old contents\r\n")
-        monkeypatch.setattr(config, "open", lambda *a, **kw: TornFile(open(*a, **kw)),
+        monkeypatch.setattr(cbsel.features, "open", lambda *a, **kw: TornFile(open(*a, **kw)),
                             raising=False)
         with pytest.raises(OSError, match="No space left"):
             write(target)
@@ -736,7 +751,7 @@ class TestAtomicWrites:
         target = tmp_path / "out.csv"
         umask = os.umask(0o027)
         try:
-            with config.atomic_write(target) as fh:
+            with cbsel.features.atomic_write(target) as fh:
                 fh.write("a,b\r\n1,2\n")
         finally:
             os.umask(umask)

@@ -46,6 +46,20 @@ class TestWorldConfig:
         with pytest.raises(ConfigError):
             config(budget=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("separation", float("inf")), ("sigma", float("inf")), ("imbalance_ratio", float("nan")),
+    ])
+    def test_non_finite_values_are_config_errors_naming_the_key(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            config(**{name: value})
+
+    def test_an_infinite_imbalance_ratio_gives_one_row_tails(self):
+        cfg = config(imbalance_ratio=float("inf"))
+        assert pool_sizes(cfg) == [cfg.pool_per_class] + [1] * (cfg.classes_per_session - 1)
+        store, plan = generate(cfg)
+        assert [len(s.pool_ids) for s in plan.sessions] == \
+            [cfg.pool_per_class + cfg.classes_per_session - 1] * cfg.num_sessions
+
     def test_dict_round_trip(self):
         cfg = config(imbalance_ratio=4.0)
         assert WorldConfig.from_dict(cfg.to_dict()) == cfg

@@ -29,6 +29,7 @@ from cbsel.errors import (
 from cbsel.features import FeatureStore
 from cbsel.gaussian import kl_divergence
 from cbsel.learner import (
+    MemoryBuffer,
     PrototypeClassifier,
     new_class_prototypes,
     train_session,
@@ -468,20 +469,22 @@ def full_softmax_pick(strategy, store, budget, clf):
 
 def retrain_every_round(strategy):
     """The round loop as it was before rehearsal moved out of the rounds:
-    retrain with replay before every round, on a per-round stream, and
-    rescore the remaining pool with a full softmax. It hands no rehearsed
-    classifier on, so the training step rehearses for itself."""
+    retrain before every round, on a per-round stream, and rescore the
+    remaining pool with a full softmax. Its tests run without replay, where
+    the session's rehearsed `old` is the classifier it starts from, so it
+    trains on an empty buffer."""
 
-    def select(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
+    def select(t, plan, score_fn, cfg, pool, oracle, old):
+        sess = plan.sessions[t - 1]
         selected = []
         remaining = [int(i) for i in sess.pool_ids]
         round_idx = 0
         while len(selected) < plan.budget:
             k = min(cfg.round_size, plan.budget - len(selected))
-            round_clf = clf
+            round_clf = old
             if selected:
                 round_clf = train_session(
-                    clf, buffer, (selected, oracle.labels_of(selected)), work,
+                    old, MemoryBuffer(), (selected, oracle.labels_of(selected)), pool,
                     replay_per_class=cfg.replay_per_class,
                     seed=derive_seed(plan.seed, "session", t, "round", round_idx),
                     class_space=sess.class_space, alpha=cfg.alpha,
@@ -496,7 +499,7 @@ def retrain_every_round(strategy):
             chosen = set(picked.ids)
             remaining = [i for i in remaining if i not in chosen]
             round_idx += 1
-        return Selection(ids=selected), None
+        return Selection(ids=selected)
 
     return select
 
@@ -532,25 +535,26 @@ class TestUncertaintyRounds:
 
         select = protocol._select_uncertainty_rounds
 
-        def spy(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
+        def spy(t, plan, score_fn, cfg, pool, oracle, old):
             first = len(updates)
-            selection, rehearsed = select(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer)
-            sessions.append((updates[first:], selection, sess, plan, cfg, work, oracle, clf))
-            return selection, rehearsed
+            selection = select(t, plan, score_fn, cfg, pool, oracle, old)
+            sessions.append((updates[first:], selection, plan.sessions[t - 1], plan, cfg, pool,
+                             oracle, old))
+            return selection
 
         monkeypatch.setattr(LogitTable, "update", spy_update)
         monkeypatch.setattr(protocol, "_select_uncertainty_rounds", spy)
         store, plan = tiny_world(seed=12, classes_per_session=5, separation=2.0, budget=14)
         run(plan, strategy, store, RunConfig(round_size=3))
         assert len(sessions) == 2
-        for session_updates, selection, sess, plan, cfg, work, oracle, clf in sessions:
+        for session_updates, selection, sess, plan, cfg, pool, oracle, old in sessions:
             assert len(session_updates) == math.ceil(plan.budget / cfg.round_size) - 1
             for r, (classes, prototypes) in enumerate(session_updates):
                 n = (r + 1) * cfg.round_size
                 ids = selection.ids[:n]
                 labels = oracle.labels_of(ids)
                 assert classes == sorted(set(labels[n - cfg.round_size:].tolist()))
-                want_classes, want = new_class_prototypes(clf, (ids, labels), work, sess.class_space)
+                want_classes, want = new_class_prototypes(old, (ids, labels), pool, sess.class_space)
                 for c, prototype in zip(classes, prototypes):
                     np.testing.assert_array_equal(prototype, want[want_classes.searchsorted(c)])
 
@@ -574,7 +578,7 @@ class TestUncertaintyRounds:
         rounds = []
         select = protocol._select_uncertainty_rounds
 
-        def spy(t, sess, plan, score_fn, cfg, work, pool, oracle, clf, buffer):
+        def spy(t, plan, score_fn, cfg, pool, oracle, old):
             seen = []
 
             def scoring(store, budget, table, rows):
@@ -582,23 +586,23 @@ class TestUncertaintyRounds:
                 seen.append((table.stats(), rows.copy(), picked.ids))
                 return picked
 
-            selection, rehearsed = select(t, sess, plan, scoring, cfg, work, pool, oracle, clf, buffer)
+            selection = select(t, plan, scoring, cfg, pool, oracle, old)
             for stats, rows, picked in seen:
                 columns = pool_columns(pool.vectors[rows])
-                want = SoftmaxStats.of(rehearsed, columns) if rehearsed.num_classes else None
+                want = SoftmaxStats.of(old, columns) if old.num_classes else None
                 ids = selection.ids[:np.count_nonzero(~rows)]
                 if ids:
-                    new = new_class_prototypes(clf, (ids, oracle.labels_of(ids)), work,
-                                               sess.class_space)
+                    new = new_class_prototypes(old, (ids, oracle.labels_of(ids)), pool,
+                                               plan.sessions[t - 1].class_space)
                     new_classes, protos = new
-                    logits = cosine_logits(protos, columns, clf.temperature)
+                    logits = cosine_logits(protos, columns, old.temperature)
                     want = softmax_stats(tuple(new_classes.tolist()), logits, want)
                 assert stats.classes == want.classes
                 # In float32 ulps of the largest logit 1/T for top and second,
                 # of z for z, and of z/T for s (which cancels); the worlds
                 # below measured 0 for top and second and under 0.01 for z
                 # and s.
-                unit = logit_scale(clf.temperature)
+                unit = logit_scale(old.temperature)
                 for name, scale, ulps in (("top", unit, 8), ("second", unit, 8),
                                           ("z", want.z, 32), ("s", want.z * unit, 16)):
                     error = np.abs(getattr(stats, name)[rows] - getattr(want, name))
@@ -606,7 +610,7 @@ class TestUncertaintyRounds:
                 key = want.margin() if strategy == "margin" else -want.entropy()
                 assert picked == _top(pool.ids[rows], key, len(picked)).ids
                 rounds.append(t)
-            return selection, rehearsed
+            return selection
 
         monkeypatch.setattr(protocol, "_select_uncertainty_rounds", spy)
         store, plan = tiny_world(num_sessions=3, **world)
@@ -625,9 +629,10 @@ class TestUncertaintyRounds:
         assert isinstance(err.value.__cause__, LabelOutsideSessionSpace)
 
     def test_each_old_class_is_replayed_once_per_session(self, monkeypatch):
-        # The rounds rehearse the old classes and the training step reuses
-        # that classifier, so every session with old classes draws them all
-        # from one replay stream, and a session without any draws none.
+        # The session rehearses the old classes once, and the rounds and the
+        # training step both take that classifier, so every session with old
+        # classes draws them all from one replay stream, and a session
+        # without any draws none.
         calls = []
         derive_rng = learner.derive_rng
 
@@ -637,7 +642,7 @@ class TestUncertaintyRounds:
 
         monkeypatch.setattr(learner, "derive_rng", spy)
         store, plan = tiny_world(seed=8, num_sessions=3)
-        for strategy in ("margin", "entropy"):
+        for strategy in sorted(STRATEGIES):
             calls.clear()
             run(plan, strategy, store, RunConfig(round_size=4))
             assert calls == [(derive_seed(plan.seed, "session", t, "train"), "replay")
